@@ -80,13 +80,15 @@ def highest_piece(bits: int) -> int:
 def random_piece(bits: int, rng: Random) -> int:
     """Uniformly random piece number from a non-empty mask.
 
-    Sparse masks are walked bit by bit; dense ones are rejection-sampled
-    against the mask's bit span, which terminates quickly because at least
-    half the span is populated whenever this branch is taken.
+    Dense masks are rejection-sampled against the mask's bit span, which
+    terminates quickly because at least half the span is populated whenever
+    this branch is taken.  Sparse masks draw a rank j and select the j-th
+    lowest set bit: halving the mask by the popcount of its low half while
+    j is large, then stripping the last few bits one at a time.
     """
     if not bits:
         raise ValueError("empty piece set")
-    c = count(bits)
+    c = bits.bit_count()
     if c == 1:
         return bits.bit_length()
     span = bits.bit_length()
@@ -98,6 +100,17 @@ def random_piece(bits: int, rng: Random) -> int:
     j = int(rng.random() * c)
     if j >= c:  # guard the float rounding edge
         j = c - 1
+    offset = 0
+    while j > 8:
+        half = bits.bit_length() >> 1
+        low = bits & ((1 << half) - 1)
+        below = low.bit_count()
+        if j < below:
+            bits = low
+        else:
+            j -= below
+            bits >>= half
+            offset += half
     for _ in range(j):
         bits &= bits - 1  # strip lowest set bit
-    return (bits & -bits).bit_length()
+    return offset + (bits & -bits).bit_length()

@@ -11,7 +11,8 @@ Exit codes: 0 success (verify: bound holds), 1 failure (verify: bound
 violated), 2 configuration or usage error (including verify refusals).
 Output locations default to the ``GOSSIPSIM_OUT`` environment variable,
 then the current directory.  Result files carry no timestamps, so repeated
-invocations with the same inputs are byte-identical.
+invocations with the same inputs are byte-identical, except for the
+``wall_time_s`` column of a sweep's ``runs.csv``.
 """
 
 from __future__ import annotations
@@ -104,10 +105,7 @@ def cmd_simulate(args) -> int:
             writer.writerow(
                 ["schema_version", "tool_version", "slot", "from", "to", "piece", "kind"]
             )
-            for e in result.trace:
-                writer.writerow(
-                    [SCHEMA_VERSION, VERSION, e.slot, e.frm, e.to, e.piece, e.kind]
-                )
+            writer.writerows((SCHEMA_VERSION, VERSION, *e) for e in result.trace)
         print(trace_path)
     return 0
 

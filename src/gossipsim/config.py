@@ -22,6 +22,7 @@ __all__ = [
     "ConfigError",
     "SimulationConfig",
     "load_config",
+    "MAX_CELLS",
     "RANDOM_PULL",
     "SEQUENTIAL_PULL",
     "RANDOM_PUSH",
@@ -78,6 +79,10 @@ INITIAL_STATES = (SINGLE_SOURCE, ETA_SEEDED, ONE_UNIQUE)
 
 _MAX_SEED = 2**64
 
+# Largest n * k a run may have: the engine allocates an (n, k) int32
+# arrivals matrix up front, so this caps it at 1 GiB.
+MAX_CELLS = 2**28
+
 
 class ConfigError(ValueError):
     """A configuration value is missing, malformed, or inconsistent."""
@@ -107,6 +112,11 @@ class SimulationConfig:
             raise ConfigError(f"n: need an integer >= 2, got {self.n!r}")
         if not isinstance(self.k, int) or self.k < 1:
             raise ConfigError(f"k: need an integer >= 1, got {self.k!r}")
+        if self.n * self.k > MAX_CELLS:
+            raise ConfigError(
+                f"n * k: need at most {MAX_CELLS} (user, piece) cells, got "
+                f"{self.n} * {self.k} = {self.n * self.k}"
+            )
         if self.protocol not in PROTOCOLS:
             raise ConfigError(
                 f"protocol: {self.protocol!r} is not one of {PROTOCOLS}"

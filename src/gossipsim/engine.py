@@ -18,6 +18,8 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 from random import Random
 from typing import Iterable, NamedTuple
 
@@ -34,7 +36,7 @@ from .config import (
     ConfigError,
     SimulationConfig,
 )
-from .protocols import PULL, PUSH, Protocol, make_protocol
+from .protocols import PULL, PUSH, contacts, make_protocol
 
 __all__ = [
     "TransferEvent",
@@ -59,6 +61,11 @@ class TransferEvent(NamedTuple):
     to: int
     piece: int
     kind: str  # "push" or "pull"
+
+
+# Builds a TransferEvent from a 5-tuple without NamedTuple's keyword layer.
+_new = tuple.__new__
+_target = itemgetter(1)
 
 
 @dataclass
@@ -100,24 +107,9 @@ def build_contact_lists(n: int, m: int, rng: Random) -> list:
     return lists
 
 
-def _uniform_other(user: int, n: int, rng: Random) -> int:
-    """Uniform draw from the n-1 users other than `user`."""
-    r = int(rng.random() * (n - 1))
-    if r >= n - 1:  # guard the float rounding edge
-        r = n - 2
-    return r + 1 if r >= user else r
-
-
 def sample_target(user: int, st: SystemState, rng: Random) -> int:
     """One contact draw for `user` under the configured contact model."""
-    lists = st.contact_lists
-    if lists is None:
-        return _uniform_other(user, st.n, rng)
-    lst = lists[user]
-    i = int(rng.random() * len(lst))
-    if i >= len(lst):
-        i = len(lst) - 1
-    return lst[i]
+    return next(contacts(st, rng, (user,)))[1]
 
 
 def init_state(config: SimulationConfig) -> SystemState:
@@ -195,77 +187,60 @@ def resolve_uploads(
     target does not (yet) hold are dropped, and under the hard constraint
     a target that pushed this slot serves nobody while any other target
     serves exactly one surviving request, chosen uniformly at random.
-    The soft constraint serves every surviving request.
+    The soft constraint serves every surviving request.  Pull grants are
+    listed by target, and in request order within one target.
     """
-    events = [TransferEvent(slot, u, t, p, PUSH) for u, t, p in pushes]
-    if not pull_requests:
-        return events
-    by_target: dict = {}
-    for r, t, p in pull_requests:
-        by_target.setdefault(t, []).append((r, p))
-    hard = constraint == HARD
-    busy = {u for u, _t, _p in pushes} if hard else ()
+    events = [_new(TransferEvent, (slot, u, t, p, PUSH)) for u, t, p in pushes]
     pieces = st.pieces
-    for t in sorted(by_target):
-        if t in busy:
-            continue
-        have = pieces[t]
-        valid = [(r, p) for r, p in by_target[t] if have >> (p - 1) & 1]
-        if not valid:
-            continue
-        if hard and len(valid) > 1:
-            i = int(rng.random() * len(valid))
-            if i >= len(valid):
-                i = len(valid) - 1
-            valid = valid[i : i + 1]
-        for r, p in valid:
-            events.append(TransferEvent(slot, t, r, p, PULL))
+    valid = [q for q in pull_requests if pieces[q[1]] >> (q[2] - 1) & 1]
+    if not valid:
+        return events
+    valid.sort(key=_target)
+    if constraint != HARD:
+        events += [_new(TransferEvent, (slot, t, r, p, PULL)) for r, t, p in valid]
+        return events
+    busy = {u for u, _t, _p in pushes}
+    end = len(valid)
+    i = 0
+    while i < end:
+        t = valid[i][1]
+        j = i + 1
+        while j < end and valid[j][1] == t:
+            j += 1
+        if t not in busy:
+            pick = i
+            if j - i > 1:
+                pick += int(rng.random() * (j - i))
+                if pick >= j:  # guard the float rounding edge
+                    pick = j - 1
+            r, _t, p = valid[pick]
+            events.append(_new(TransferEvent, (slot, t, r, p, PULL)))
+        i = j
     return events
 
 
-def step_slot(st: SystemState, protocol: Protocol) -> list:
-    """Advance the world by one slot; returns the granted transfer events."""
+def step_slot(st: SystemState, protocol) -> list:
+    """Advance the world by one slot under `protocol`, a slot function from
+    :func:`~gossipsim.protocols.make_protocol`; returns the granted
+    transfer events."""
     slot = st.slot + 1
-    n = st.n
-    rng = st.rng
-    act = protocol.act
-    pushes: list = []
-    pulls: list = []
-    # Under fixed contact lists the source's *scheduled* pushes still target
-    # the whole network, so fresh pieces are not bottled up inside the
-    # source's own list; everyone else stays confined to their list.
-    source_global = (
-        st.contact_lists is not None
-        and st.source is not None
-        and protocol.source_pushes_at(slot)
-    )
-    for u in range(n):
-        if source_global and u == st.source:
-            target = _uniform_other(u, n, rng)
-        else:
-            target = sample_target(u, st, rng)
-        action = act(st, u, target, slot)
-        if action is None:
-            continue
-        kind, piece = action
-        if kind == PUSH:
-            pushes.append((u, target, piece))
-        else:
-            pulls.append((u, target, piece))
-    events = resolve_uploads(slot, pushes, pulls, st.constraint, st, rng)
+    pushes, pulls = protocol(st, slot)
+    events = resolve_uploads(slot, pushes, pulls, st.constraint, st, st.rng)
 
     # Deliver into staging; the first copy of a piece fixes its arrival slot.
     staged: dict = {}
-    arrivals = st.arrivals
+    rows, cols = [], []
     emergence = st.emergence
-    ocm = st.odd_channel_max
-    odd = slot & 1 == 1
+    relay = st.odd_channel_max if slot & 1 else None
+    release = st.release_slots
+    source = st.source
     pieces = st.pieces
-    for _slot, _frm, to, piece, kind in events:
-        if ocm is not None and odd and kind == PUSH:
-            cur = ocm[to]
-            if cur is None or cur < piece:
-                ocm[to] = piece
+    for _slot, frm, to, piece, kind in events:
+        if kind == PUSH:
+            if relay is not None and (relay[to] is None or relay[to] < piece):
+                relay[to] = piece
+            if release is not None and frm == source and release[piece - 1] is None:
+                release[piece - 1] = slot
         bit = 1 << (piece - 1)
         if pieces[to] & bit:
             continue  # duplicate of a committed piece; the upload was spent
@@ -273,25 +248,20 @@ def step_slot(st: SystemState, protocol: Protocol) -> list:
         if got & bit:
             continue  # second copy within this slot
         staged[to] = got | bit
-        arrivals[to, piece - 1] = slot
+        rows.append(to)
+        cols.append(piece - 1)
         if emergence[piece - 1] is None:
             emergence[piece - 1] = slot
-    if st.release_slots is not None:
-        release = st.release_slots
-        source = st.source
-        for _slot, frm, _to, piece, kind in events:
-            if frm == source and kind == PUSH and release[piece - 1] is None:
-                release[piece - 1] = slot
-    if st.next_source_piece is not None and odd:
-        st.next_source_piece = min(st.next_source_piece + 1, st.k)
+    if rows:
+        st.arrivals[rows, cols] = slot
 
-    # Commit: staged pieces become usable from the next slot on.
+    # Commit: staged pieces become usable from the next slot on.  Staged
+    # bits are all new, so a merge that fills the mask completes its user.
     mask = st.mask
     for u, got in staged.items():
-        merged = pieces[u] | got
-        if merged == mask and pieces[u] != mask:
+        pieces[u] |= got
+        if pieces[u] == mask:
             st.num_complete += 1
-        pieces[u] = merged
     st.slot = slot
     return events
 
@@ -355,11 +325,18 @@ def run(config: SimulationConfig) -> RunResult:
     return Engine(config).run()
 
 
+# Events serialized per hash update: bounds the joined buffer to a few MB.
+_DIGEST_CHUNK = 20_000
+
+
 def trace_digest(events: Iterable[TransferEvent]) -> str:
-    """SHA-256 of the canonical event serialization; the regression anchor."""
+    """SHA-256 of the canonical event serialization; the regression anchor.
+
+    Each event contributes the line ``slot,from,to,piece,kind\n``; lines
+    are hashed in chunks, which gives the same digest as one update each.
+    """
     h = hashlib.sha256()
-    for e in events:
-        h.update(
-            b"%d,%d,%d,%d,%s\n" % (e.slot, e.frm, e.to, e.piece, e.kind.encode())
-        )
+    events = iter(events)
+    while chunk := list(islice(events, _DIGEST_CHUNK)):
+        h.update("".join(["%d,%d,%d,%d,%s\n" % e for e in chunk]).encode())
     return h.hexdigest()

@@ -31,9 +31,7 @@ from .config import (
     ConfigError,
     SimulationConfig,
 )
-from .engine import run as run_engine
-from .metrics import delay_profile
-from .sweep import RunPlan, derive_seed, execute, summarize_run, write_rows_csv
+from .sweep import RunPlan, derive_seed, execute, write_rows_csv
 from .version import VERSION
 
 __all__ = ["FIGURES", "FULL_VIEW", "FigureDataset", "reproduce"]
@@ -109,12 +107,15 @@ def _interleave_config(n: int, k: int, m) -> dict:
 def _fig1(scale: float, seeds: int, jobs: int, master_seed: int) -> FigureDataset:
     n, k = _scaled(scale)
     cells = [m for m in FIG1_LIST_SIZES if m <= n - 1] + [FULL_VIEW]
-    rows = []
+    plans = []
     for m in cells:
-        plans = _plan_cell(
+        plans += _plan_cell(
             "fig1", (("m", m),), _interleave_config(n, k, m), seeds, master_seed
         )
-        member_rows = execute(plans, jobs=jobs)
+    run_rows = execute(plans, jobs=jobs)
+    rows = []
+    for i, m in enumerate(cells):
+        member_rows = run_rows[i * seeds : (i + 1) * seeds]
         completions = [
             r["completion_slot"] for r in member_rows if r["completion_slot"] is not None
         ]
@@ -155,43 +156,42 @@ def _fig1(scale: float, seeds: int, jobs: int, master_seed: int) -> FigureDatase
     )
 
 
-def _profile_rows(figure: str, label_name: str, label, results) -> list:
-    """Pointwise mean/min/max of D(d) across seeds, on the common d-grid."""
-    profiles = [delay_profile(res) for res in results]
-    max_d = max(p.max_delay for p in profiles)
+def _profile_rows(figure: str, label_name: str, labels: list, plans: list, jobs: int) -> list:
+    """Pointwise mean/min/max of D(d) across seeds, on each cell's common
+    d-grid.  `plans` holds the same number of seeds per cell, cells in the
+    order of their `labels`."""
+    run_rows = execute(plans, jobs=jobs, keep_profile=True)
+    seeds = len(plans) // len(labels)
     rows = []
-    for d in range(max_d + 1):
-        values = [p.at(d) for p in profiles]
-        rows.append(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "tool_version": VERSION,
-                "figure": figure,
-                label_name: label,
-                "d": d,
-                "mean_D": round(sum(values) / len(values), 6),
-                "min_D": round(min(values), 6),
-                "max_D": round(max(values), 6),
-            }
-        )
+    for i, label in enumerate(labels):
+        profiles = [r["profile"] for r in run_rows[i * seeds : (i + 1) * seeds]]
+        max_d = max(p.max_delay for p in profiles)
+        for d in range(max_d + 1):
+            values = [p.at(d) for p in profiles]
+            rows.append(
+                {
+                    "schema_version": SCHEMA_VERSION,
+                    "tool_version": VERSION,
+                    "figure": figure,
+                    label_name: label,
+                    "d": d,
+                    "mean_D": round(sum(values) / len(values), 6),
+                    "min_D": round(min(values), 6),
+                    "max_D": round(max(values), 6),
+                }
+            )
     return rows
-
-
-def _run_plans_for_results(plans: list) -> list:
-    """Execute plans keeping full results (profiles need arrivals)."""
-    return [run_engine(plan.config) for plan in plans]
 
 
 def _fig2(scale: float, seeds: int, jobs: int, master_seed: int) -> FigureDataset:
     n, k = _scaled(scale)
     cells = [m for m in FIG2_LIST_SIZES if m <= n - 1] + [FULL_VIEW]
-    rows = []
+    plans = []
     for m in cells:
-        plans = _plan_cell(
+        plans += _plan_cell(
             "fig2", (("m", m),), _interleave_config(n, k, m), seeds, master_seed
         )
-        results = _run_plans_for_results(plans)
-        rows.extend(_profile_rows("fig2", "m", m, results))
+    rows = _profile_rows("fig2", "m", cells, plans, jobs)
     return FigureDataset(
         figure="fig2",
         params={"n": n, "k": k, "seeds": seeds, "master_seed": master_seed},
@@ -211,7 +211,7 @@ def _fig2(scale: float, seeds: int, jobs: int, master_seed: int) -> FigureDatase
 
 def _fig3(scale: float, seeds: int, jobs: int, master_seed: int) -> FigureDataset:
     n, k = _scaled(scale)
-    rows = []
+    plans = []
     for spacing in FIG3_SPACINGS:
         # The profile's plateau needs the run to settle, not to complete:
         # cap the horizon at the release schedule plus a spread margin.
@@ -225,9 +225,8 @@ def _fig3(scale: float, seeds: int, jobs: int, master_seed: int) -> FigureDatase
             "spacing": spacing,
             "max_slots": horizon,
         }
-        plans = _plan_cell("fig3", (("l", spacing),), data, seeds, master_seed)
-        results = _run_plans_for_results(plans)
-        rows.extend(_profile_rows("fig3", "l", spacing, results))
+        plans += _plan_cell("fig3", (("l", spacing),), data, seeds, master_seed)
+    rows = _profile_rows("fig3", "l", FIG3_SPACINGS, plans, jobs)
     return FigureDataset(
         figure="fig3",
         params={"n": n, "k": k, "seeds": seeds, "master_seed": master_seed},

@@ -1,16 +1,21 @@
-"""Piece-selection policies.
+"""Piece-selection policies, one slot function per protocol.
 
-Each protocol decides, per user and slot, a single action: push a piece to
-the sampled contact, pull (request) a piece from it, or stay idle.  The
-selection rules are pure functions over the deciding user's knowledge at the
-start of the slot; the :class:`Protocol` classes bind them to engine state.
+A slot function ``fn(st, slot)`` decides every user's action for one slot
+from the holdings at the start of the slot: each user draws one contact and
+then pushes a piece to it, pulls (requests) a piece from it, or idles.  It
+returns ``(pushes, pull_requests)``, two lists of ``(user, target, piece)``.
+
+Holdings change only when the engine commits at the end of the slot, so a
+pull for a piece the target lacks can never be served; such requests are
+dropped where they are made.  The PRNG is consumed in a fixed order: per
+user, in user order, one contact draw and then that user's piece draws.
 """
 
 from __future__ import annotations
 
-from random import Random
+from functools import partial
 
-from .bitset import full_mask, highest_piece, lowest_piece, random_piece
+from .bitset import random_piece
 from .config import (
     ADVOCATE,
     INTERLEAVE,
@@ -24,54 +29,87 @@ from .config import (
 __all__ = [
     "PUSH",
     "PULL",
-    "random_pull_select",
-    "sequential_pull_select",
-    "random_push_select",
-    "priority_push_select",
-    "interleave_action",
-    "advocate_select",
-    "Protocol",
-    "RandomPull",
-    "SequentialPull",
-    "RandomPush",
-    "PriorityPush",
-    "Interleave",
-    "Advocate",
+    "contacts",
+    "random_pull",
+    "sequential_pull",
+    "random_push",
+    "priority_push",
+    "interleave",
+    "advocate",
     "make_protocol",
 ]
 
-# An action is (PUSH, piece), (PULL, piece), or None for an idle slot.
+# Transfer kinds, as recorded in trace events.
 PUSH = "push"
 PULL = "pull"
 
 
-def random_pull_select(pieces: int, k: int, rng: Random) -> int | None:
-    """Uniformly random missing piece, or None when complete."""
-    missing = full_mask(k) & ~pieces
-    if not missing:
-        return None
-    return random_piece(missing, rng)
+def contacts(st, rng, users, uniform_user=None):
+    """Yield ``(user, contact)`` for each of `users` in order.
+
+    Each contact costs one ``rng.random()`` draw, taken when the pair is
+    requested, so a caller's piece draws for one user fall between that
+    user's contact draw and the next user's.  Under fixed contact lists a
+    user draws from its own list, except `uniform_user` (the source during
+    its scheduled pushes), which draws from the whole network so that fresh
+    pieces are not bottled up inside the source's own list.
+    """
+    rnd = rng.random
+    lists = st.contact_lists
+    others = st.n - 1
+    for u in users:
+        if lists is None or u == uniform_user:
+            r = int(rnd() * others)
+            if r >= others:  # guard the float rounding edge
+                r = others - 1
+            yield u, (r + 1 if r >= u else r)
+        else:
+            lst = lists[u]
+            i = int(rnd() * len(lst))
+            if i >= len(lst):
+                i = len(lst) - 1
+            yield u, lst[i]
 
 
-def sequential_pull_select(pieces: int, k: int) -> int | None:
-    """Lowest-numbered missing piece, or None when complete."""
-    missing = full_mask(k) & ~pieces
-    if not missing:
-        return None
-    return lowest_piece(missing)
+def random_pull(st, slot: int):
+    """Each user pulls a uniformly random missing piece from its contact."""
+    pieces, mask, rng = st.pieces, st.mask, st.rng
+    pulls = []
+    for u, t in contacts(st, rng, range(st.n)):
+        missing = mask ^ pieces[u]
+        if missing:
+            p = random_piece(missing, rng)
+            if pieces[t] >> (p - 1) & 1:
+                pulls.append((u, t, p))
+    return [], pulls
 
 
-def random_push_select(pieces: int, rng: Random) -> int | None:
-    """Uniformly random possessed piece, or None when empty-handed."""
-    if not pieces:
-        return None
-    return random_piece(pieces, rng)
+def sequential_pull(st, slot: int):
+    """Each user pulls its lowest-numbered missing piece from its contact."""
+    pieces, mask = st.pieces, st.mask
+    pulls = []
+    for u, t in contacts(st, st.rng, range(st.n)):
+        missing = mask ^ pieces[u]
+        if missing:
+            low = missing & -missing
+            if pieces[t] & low:
+                pulls.append((u, t, low.bit_length()))
+    return [], pulls
 
 
-def priority_push_select(
-    pieces: int, slot: int, spacing: int, k: int, is_source: bool
-) -> int | None:
-    """Piece to push under the source-paced priority schedule.
+def random_push(st, slot: int):
+    """Each user holding anything pushes a uniformly random held piece."""
+    pieces, rng = st.pieces, st.rng
+    pushes = []
+    for u, t in contacts(st, rng, range(st.n)):
+        have = pieces[u]
+        if have:
+            pushes.append((u, t, random_piece(have, rng)))
+    return pushes, []
+
+
+def priority_push(st, slot: int, spacing: int = 1):
+    """Source-paced priority push.
 
     The source works through the pieces in order, dwelling ``spacing``
     slots on each: in slot t it pushes piece ``ceil(t / spacing)``, capped
@@ -79,23 +117,19 @@ def priority_push_select(
     highest-numbered piece it holds — the one injected most recently and
     therefore rarest — or idles while empty-handed.
     """
-    if is_source:
-        due = (slot + spacing - 1) // spacing
-        return min(due, k)
-    if not pieces:
-        return None
-    return highest_piece(pieces)
+    pieces, source = st.pieces, st.source
+    due = min((slot + spacing - 1) // spacing, st.k)
+    pushes = []
+    for u, t in contacts(st, st.rng, range(st.n), source):
+        if u == source:
+            pushes.append((u, t, due))
+        elif pieces[u]:
+            pushes.append((u, t, pieces[u].bit_length()))
+    return pushes, []
 
 
-def interleave_action(
-    pieces: int,
-    k: int,
-    slot: int,
-    is_source: bool,
-    odd_channel_max: int | None,
-    next_source_piece: int | None,
-):
-    """Action under the odd/even interleave schedule.
+def interleave(st, slot: int):
+    """The odd/even interleave schedule.
 
     Odd slots are the push channel: the source injects one new piece per
     odd slot (in order, capped at k), while every other user relays the
@@ -104,137 +138,56 @@ def interleave_action(
     user requests its lowest missing piece; complete users idle (but still
     serve requests).
     """
-    if slot & 1:
-        if is_source:
-            return (PUSH, next_source_piece)
-        if odd_channel_max is None:
-            return None
-        return (PUSH, odd_channel_max)
-    missing = full_mask(k) & ~pieces
-    if not missing:
-        return None
-    return (PULL, lowest_piece(missing))
+    if not slot & 1:
+        return sequential_pull(st, slot)
+    source, relay, fresh = st.source, st.odd_channel_max, st.next_source_piece
+    pushes = []
+    for u, t in contacts(st, st.rng, range(st.n), source):
+        if u == source:
+            pushes.append((u, t, fresh))
+        elif relay[u] is not None:
+            pushes.append((u, t, relay[u]))
+    st.next_source_piece = min(fresh + 1, st.k)
+    return pushes, []
 
 
-def advocate_select(
-    pieces: int, target_pieces: int, target_initial: int, rng: Random
-) -> int | None:
-    """Piece to pull from a contact under the initial-piece advocacy rule.
+def advocate(st, slot: int):
+    """Pull under the initial-piece advocacy rule.
 
     The contact's own initial piece takes priority whenever the requester
     is missing it; otherwise the requester pulls a uniformly random piece
-    the contact has and it lacks, idling if there is none.
+    the contact has and it lacks, idling if there is none.  Every user
+    keeps its initial piece, so every request is servable.
     """
-    if not pieces >> (target_initial - 1) & 1:
-        return target_initial
-    gain = target_pieces & ~pieces
-    if not gain:
-        return None
-    return random_piece(gain, rng)
+    pieces, initial, rng = st.pieces, st.initial_piece, st.rng
+    pulls = []
+    for u, t in contacts(st, rng, range(st.n)):
+        have = pieces[u]
+        p = initial[t]
+        if not have >> (p - 1) & 1:
+            pulls.append((u, t, p))
+            continue
+        gain = pieces[t] & ~have
+        if gain:
+            pulls.append((u, t, random_piece(gain, rng)))
+    return [], pulls
 
 
-class Protocol:
-    """Binds a selection rule to engine state.
-
-    ``act`` returns this user's action for the slot; ``two_sided`` marks
-    rules that read the contact's state (pull decisions that inspect the
-    target); ``source_pushes_at`` reports slots in which the source pushes
-    on a fixed schedule regardless of its contact draw.
-    """
-
-    id: str
-    two_sided = False
-
-    def source_pushes_at(self, slot: int) -> bool:
-        return False
-
-    def act(self, st, user: int, target: int, slot: int):
-        raise NotImplementedError
+_SLOT_FUNCTIONS = {
+    RANDOM_PULL: random_pull,
+    SEQUENTIAL_PULL: sequential_pull,
+    RANDOM_PUSH: random_push,
+    INTERLEAVE: interleave,
+    ADVOCATE: advocate,
+}
 
 
-class RandomPull(Protocol):
-    id = RANDOM_PULL
-
-    def act(self, st, user: int, target: int, slot: int):
-        p = random_pull_select(st.pieces[user], st.k, st.rng)
-        return None if p is None else (PULL, p)
-
-
-class SequentialPull(Protocol):
-    id = SEQUENTIAL_PULL
-
-    def act(self, st, user: int, target: int, slot: int):
-        p = sequential_pull_select(st.pieces[user], st.k)
-        return None if p is None else (PULL, p)
-
-
-class RandomPush(Protocol):
-    id = RANDOM_PUSH
-
-    def act(self, st, user: int, target: int, slot: int):
-        p = random_push_select(st.pieces[user], st.rng)
-        return None if p is None else (PUSH, p)
-
-
-class PriorityPush(Protocol):
-    id = PRIORITY_PUSH
-
-    def __init__(self, spacing: int = 1):
-        self.spacing = spacing
-
-    def source_pushes_at(self, slot: int) -> bool:
-        return True
-
-    def act(self, st, user: int, target: int, slot: int):
-        p = priority_push_select(
-            st.pieces[user], slot, self.spacing, st.k, user == st.source
-        )
-        return None if p is None else (PUSH, p)
-
-
-class Interleave(Protocol):
-    id = INTERLEAVE
-
-    def source_pushes_at(self, slot: int) -> bool:
-        return slot & 1 == 1
-
-    def act(self, st, user: int, target: int, slot: int):
-        if user == st.source:
-            return interleave_action(
-                st.pieces[user], st.k, slot, True, None, st.next_source_piece
-            )
-        return interleave_action(
-            st.pieces[user], st.k, slot, False, st.odd_channel_max[user], None
-        )
-
-
-class Advocate(Protocol):
-    id = ADVOCATE
-    two_sided = True
-
-    def act(self, st, user: int, target: int, slot: int):
-        p = advocate_select(
-            st.pieces[user],
-            st.pieces[target],
-            st.initial_piece[target],
-            st.rng,
-        )
-        return None if p is None else (PULL, p)
-
-
-def make_protocol(config: SimulationConfig) -> Protocol:
-    """Instantiate the protocol named by the config."""
+def make_protocol(config: SimulationConfig):
+    """The slot function of the protocol named by the config."""
     pid = config.protocol
-    if pid == RANDOM_PULL:
-        return RandomPull()
-    if pid == SEQUENTIAL_PULL:
-        return SequentialPull()
-    if pid == RANDOM_PUSH:
-        return RandomPush()
     if pid == PRIORITY_PUSH:
-        return PriorityPush(config.spacing)
-    if pid == INTERLEAVE:
-        return Interleave()
-    if pid == ADVOCATE:
-        return Advocate()
-    raise ValueError(f"unknown protocol id {pid!r}")
+        return partial(priority_push, spacing=config.spacing)
+    try:
+        return _SLOT_FUNCTIONS[pid]
+    except KeyError:
+        raise ValueError(f"unknown protocol id {pid!r}") from None

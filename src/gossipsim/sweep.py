@@ -14,6 +14,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from statistics import fmean
 from typing import Any, Mapping
@@ -266,19 +267,25 @@ def summarize_run(plan: RunPlan, result: RunResult, wall_time: float) -> dict:
     return row
 
 
-def _execute_plan(plan: RunPlan) -> dict:
+def _execute_plan(plan: RunPlan, keep_profile: bool = False) -> dict:
     start = time.perf_counter()
     result = run_engine(plan.config)
-    return summarize_run(plan, result, time.perf_counter() - start)
+    row = summarize_run(plan, result, time.perf_counter() - start)
+    if keep_profile:
+        row["profile"] = delay_profile(result)
+    return row
 
 
-def execute(plans: list, jobs: int = 1) -> list:
+def execute(plans: list, jobs: int = 1, keep_profile: bool = False) -> list:
     """Run all plans, serially or with a process pool; row order follows
-    plan order either way."""
+    plan order either way.  With `keep_profile` each row also carries the
+    run's :class:`DelayProfile` under ``"profile"``, so that a pool worker
+    returns the profile rather than the run's (n, k) arrivals matrix."""
+    task = partial(_execute_plan, keep_profile=True) if keep_profile else _execute_plan
     if jobs <= 1 or len(plans) <= 1:
-        return [_execute_plan(plan) for plan in plans]
+        return [task(plan) for plan in plans]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_execute_plan, plans))
+        return list(pool.map(task, plans))
 
 
 def aggregate(rows: list) -> list:

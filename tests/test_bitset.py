@@ -95,3 +95,37 @@ def test_random_piece_is_roughly_uniform(pieces):
     expected = 20_000 / len(pieces)
     for piece in pieces:
         assert abs(draws[piece] - expected) < 6 * expected**0.5 + 10
+
+
+def bit_strip_random_piece(bits, rng):
+    """Reference for `random_piece`: the same draws, with the j-th set bit
+    found by stripping the j lowest set bits one at a time."""
+    c = bits.bit_count()
+    if c == 1:
+        return bits.bit_length()
+    span = bits.bit_length()
+    if c << 1 >= span:
+        while True:
+            p = int(rng.random() * span) + 1
+            if p <= span and bits >> (p - 1) & 1:
+                return p
+    j = min(int(rng.random() * c), c - 1)
+    for _ in range(j):
+        bits &= bits - 1
+    return (bits & -bits).bit_length()
+
+
+wide_sets = st.one_of(
+    st.sets(st.integers(min_value=1, max_value=3000), min_size=1, max_size=600),
+    st.integers(min_value=1, max_value=2**3000 - 1).map(to_pieces),
+)
+
+
+@given(wide_sets, st.integers(min_value=0, max_value=2**32 - 1))
+def test_random_piece_matches_bit_strip_reference(pieces, seed):
+    bits = from_pieces(pieces)
+    rng, ref_rng = Random(seed), Random(seed)
+    for _ in range(5):
+        assert random_piece(bits, rng) == bit_strip_random_piece(bits, ref_rng)
+    # both consumed the same draws
+    assert rng.random() == ref_rng.random()

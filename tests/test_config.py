@@ -7,6 +7,7 @@ from gossipsim.config import (
     ETA_SEEDED,
     FIXED_LISTS,
     INTERLEAVE,
+    MAX_CELLS,
     ONE_UNIQUE,
     PRIORITY_PUSH,
     RANDOM_PULL,
@@ -65,6 +66,18 @@ def test_invalid_configs_name_the_field(overrides, fragment):
     with pytest.raises(ConfigError) as err:
         make(**overrides).validate()
     assert fragment in str(err.value)
+
+
+def test_size_guard_bounds_the_arrivals_matrix():
+    # n = k = 10^5 would ask init_state for a 40 GB arrivals matrix;
+    # validate() refuses it before anything is allocated
+    with pytest.raises(ConfigError, match=r"n \* k"):
+        make(n=10**5, k=10**5).validate()
+    with pytest.raises(ConfigError, match=r"n \* k"):
+        SimulationConfig.from_mapping({"n": 10**5, "k": 10**5, "protocol": RANDOM_PULL})
+    make(n=2**14, k=MAX_CELLS // 2**14).validate()  # exactly at the limit
+    with pytest.raises(ConfigError, match=r"n \* k"):
+        make(n=2**14, k=MAX_CELLS // 2**14 + 1).validate()
 
 
 def test_one_unique_requires_k_equal_n():

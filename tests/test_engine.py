@@ -1,5 +1,6 @@
 """Engine mechanics: seeding, contact draws, arbitration, the slot loop."""
 
+import hashlib
 from collections import Counter
 from random import Random
 
@@ -201,6 +202,22 @@ def test_step_slot_determinism_and_seed_sensitivity():
     assert h1 == h2
     other = config(n=20, k=5, protocol=g.RANDOM_PUSH, seed=12, record_trace=True)
     assert g.run(other).trace_hash != h1
+
+
+def test_trace_digest_matches_one_update_per_event():
+    # enough events to span several hash chunks, and a run's real trace
+    rng = Random(4)
+    kinds = ("push", "pull")
+    synthetic = [
+        g.TransferEvent(s, rng.randrange(500), rng.randrange(500), rng.randrange(1, 1001), kinds[s & 1])
+        for s in range(1, 120_001)
+    ]
+    traced = g.run(config(n=20, k=5, protocol=g.RANDOM_PUSH, seed=11, record_trace=True))
+    for events in (synthetic, traced.trace, []):
+        h = hashlib.sha256()
+        for e in events:
+            h.update(b"%d,%d,%d,%d,%s\n" % (e.slot, e.frm, e.to, e.piece, e.kind.encode()))
+        assert trace_digest(events) == trace_digest(iter(events)) == h.hexdigest()
 
 
 def test_trace_digest_is_order_sensitive():

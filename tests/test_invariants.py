@@ -276,3 +276,62 @@ def test_golden_traces():
         assert res.trace_hash == digest, f"{name}: digest changed"
         assert res.completion_slot == completion, f"{name}: completion changed"
         assert len(res.trace) == events, f"{name}: event count changed"
+
+# Frozen digests of larger runs, captured before the engine's slot loop was
+# rewritten.  The configs above have k <= 12; these reach what they cannot:
+# masks wider than 64 bits (the sparse branch of `random_piece`), heavy
+# hard-constraint arbitration, the soft constraint with k > 64, and the
+# source's network-wide pushes under fixed contact lists.
+LARGER_K = {
+    "random-pull, k = 256": (
+        config(n=64, k=256),
+        "aa8f531714f2064d60f611851de860f46bed7a4b098c9470f3708d4f9b18fdb7",
+        1510,
+        16128,
+    ),
+    "advocate, n = k = 150": (
+        config(n=150, k=150, protocol=g.ADVOCATE, constraint=g.SOFT, initial_state=g.ONE_UNIQUE),
+        "57ed84e649c97433512222e46e46ebed8dd8c25b0ebc891fef75b65aa493d250",
+        149,
+        22350,
+    ),
+    "random-push, k = 200": (
+        config(n=24, k=200, protocol=g.RANDOM_PUSH),
+        "70fd4c52a6012b8f9860b63e413f4fd5754de9d1872201a3d7e4238a5a0802d3",
+        3194,
+        76553,
+    ),
+    "interleave, fixed lists": (
+        config(n=40, k=80, protocol=g.INTERLEAVE, contact_model=g.FIXED_LISTS, contact_list_size=4),
+        "1ec9672f191b946900d1ce9f0e1b4b2c2078556a94098a6c2f9ec0484b04af37",
+        222,
+        5814,
+    ),
+    "priority-push, fixed lists": (
+        config(
+            n=40,
+            k=120,
+            protocol=g.PRIORITY_PUSH,
+            contact_model=g.FIXED_LISTS,
+            contact_list_size=3,
+            max_slots=300,
+        ),
+        "4a8b3ce817bdef9a7f995a952d29660efcd6006b32ac3e9a24fce8e694623642",
+        None,
+        11779,
+    ),
+    "random-pull, soft, eta-seeded": (
+        config(n=48, k=100, constraint=g.SOFT, initial_state=g.ETA_SEEDED, eta=0.1),
+        "5dc96f0a9e8c62d0edabea170529c164576022a88ca879d0bc0d2fd26e7fbc54",
+        244,
+        4300,
+    ),
+}
+
+
+def test_larger_k_golden_traces():
+    for name, (cfg, digest, completion, events) in LARGER_K.items():
+        res = g.run(cfg)
+        assert res.trace_hash == digest, f"{name}: digest changed"
+        assert res.completion_slot == completion, f"{name}: completion changed"
+        assert len(res.trace) == events, f"{name}: event count changed"

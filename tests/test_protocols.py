@@ -1,116 +1,196 @@
-"""Piece-selection rules, including every documented selection example."""
+"""Slot functions on hand-built states, including every documented selection
+example.
+
+Each state gives every user a one-entry contact list, so the contact draw
+is forced and the test fixes who asks whom.
+"""
 
 from collections import Counter
 from random import Random
 
+import numpy as np
 import pytest
+from scipy import stats
 
+import gossipsim as g
 from gossipsim.bitset import from_pieces, full_mask
+from gossipsim.engine import SystemState
 from gossipsim.protocols import (
-    PULL,
-    PUSH,
-    advocate_select,
-    interleave_action,
-    priority_push_select,
-    random_pull_select,
-    random_push_select,
-    sequential_pull_select,
+    advocate,
+    interleave,
+    make_protocol,
+    priority_push,
+    random_pull,
+    random_push,
+    sequential_pull,
 )
 
 
+def state(holdings, k, targets, seed=0, **extra):
+    """Users hold `holdings` (piece lists) of k pieces; user u always
+    contacts ``targets[u]``; user 0 is the source."""
+    n = len(holdings)
+    return SystemState(
+        n=n,
+        k=k,
+        mask=full_mask(k),
+        constraint=g.HARD,
+        protocol_id="",
+        rng=Random(seed),
+        pieces=[from_pieces(h) for h in holdings],
+        arrivals=np.full((n, k), -1, dtype=np.int32),
+        emergence=[None] * k,
+        source=0,
+        contact_lists=[(t,) for t in targets],
+        **extra,
+    )
+
+
+def draws(fn, st, user, times):
+    """Pieces `user` picks over `times` slots of an unchanging state."""
+    picked = Counter()
+    for slot in range(1, times + 1):
+        pushes, pulls = fn(st, slot)
+        picked.update(p for u, _t, p in pushes + pulls if u == user)
+    return picked
+
+
+def assert_uniform(counts, support, times):
+    assert set(counts) == set(support)
+    assert sum(counts.values()) == times
+    assert stats.chisquare([counts[p] for p in support]).pvalue > 1e-3
+
+
 def test_sequential_pull_picks_lowest_missing():
-    # owns {1, 2, 4} of 5 -> lowest missing is 3
-    assert sequential_pull_select(from_pieces([1, 2, 4]), 5) == 3
-    # owns nothing -> piece 1
-    assert sequential_pull_select(0, 5) == 1
-    # complete -> idle
-    assert sequential_pull_select(full_mask(5), 5) is None
+    everything = range(1, 6)
+    st = state([[1, 2, 4], [], everything, everything, [1, 2]], 5, [3, 3, 3, 0, 0])
+    # owns {1, 2, 4} of 5 -> lowest missing is 3; owns nothing -> piece 1;
+    # complete users idle
+    assert sequential_pull(st, 1) == ([], [(0, 3, 3), (1, 3, 1)])
+    # a request the contact cannot serve is dropped where it is made
+    st = state([[1, 2, 4], [1]], 5, [1, 0])
+    assert sequential_pull(st, 1) == ([], [(1, 0, 2)])
 
 
 def test_random_pull_uniform_over_missing():
-    owned = from_pieces([2, 4])  # missing {1, 3, 5}
-    rng = Random(3)
-    draws = Counter(random_pull_select(owned, 5, rng) for _ in range(6000))
-    assert set(draws) == {1, 3, 5}
-    for piece in (1, 3, 5):
-        assert abs(draws[piece] - 2000) < 6 * 2000**0.5
-    assert random_pull_select(full_mask(5), 5, rng) is None
+    st = state([range(1, 6), [2, 4], range(1, 6)], 5, [1, 0, 0], seed=3)
+    counts = draws(random_pull, st, 1, 6000)  # missing {1, 3, 5}
+    assert_uniform(counts, (1, 3, 5), 6000)
+    # the complete users 0 and 2 never pull
+    assert all(u == 1 for u, _t, _p in random_pull(st, 1)[1])
 
 
 def test_random_push_uniform_over_owned():
-    owned = from_pieces([1, 5])
-    rng = Random(4)
-    draws = Counter(random_push_select(owned, rng) for _ in range(4000))
-    assert set(draws) == {1, 5}
-    assert abs(draws[1] - 2000) < 6 * 2000**0.5
-    assert random_push_select(0, rng) is None
+    st = state([range(1, 6), [1, 5], []], 5, [2, 2, 0], seed=4)
+    counts = draws(random_push, st, 1, 4000)
+    assert_uniform(counts, (1, 5), 4000)
+    # the empty-handed user 2 never pushes
+    assert all(u != 2 for u, _t, _p in random_push(st, 1)[0])
 
 
 def test_priority_push_source_schedule():
+    st = state([range(1, 7), []], 6, [1, 0])
+
+    def source_piece(slot, spacing):
+        pushes, pulls = priority_push(st, slot, spacing)
+        assert pulls == []
+        return [p for u, _t, p in pushes if u == 0]
+
     # spacing 2: the source dwells two slots per piece -> slot 3 is piece 2
-    assert priority_push_select(full_mask(6), 3, 2, 6, True) == 2
+    assert source_piece(3, 2) == [2]
     # schedule start and cap
-    assert priority_push_select(full_mask(6), 1, 2, 6, True) == 1
-    assert priority_push_select(full_mask(6), 12, 2, 6, True) == 6
-    assert priority_push_select(full_mask(6), 999, 2, 6, True) == 6
+    assert source_piece(1, 2) == [1]
+    assert source_piece(12, 2) == [6]
+    assert source_piece(999, 2) == [6]
     # spacing 1: piece t until the cap
-    assert priority_push_select(full_mask(6), 4, 1, 6, True) == 4
+    assert source_piece(4, 1) == [4]
 
 
 def test_priority_push_non_source_pushes_highest():
-    assert priority_push_select(from_pieces([1, 3]), 9, 1, 6, False) == 3
-    assert priority_push_select(0, 9, 1, 6, False) is None
+    st = state([range(1, 7), [1, 3], []], 6, [1, 0, 0])
+    pushes, _pulls = priority_push(st, 9, 1)
+    assert [(u, p) for u, _t, p in pushes] == [(0, 6), (1, 3)]
+    # the source's scheduled pushes ignore its contact list and reach the
+    # whole network
+    targets = {t for slot in range(1, 200) for u, t, _p in priority_push(st, slot)[0] if u == 0}
+    assert targets == {1, 2}
+
+
+def interleave_state(holdings, k, targets, relay, fresh=1):
+    return state(holdings, k, targets, odd_channel_max=relay, next_source_piece=fresh)
 
 
 def test_interleave_source_pushes_schedule_on_odd_slots():
     # source has released up to 4, so its next odd-slot push is piece 5
-    assert interleave_action(full_mask(9), 9, 11, True, None, 5) == (PUSH, 5)
+    st = interleave_state([range(1, 10), []], 9, [1, 0], [None, None], fresh=5)
+    assert interleave(st, 11) == ([(0, 1, 5)], [])
+    assert st.next_source_piece == 6
+    # the schedule is capped at k
+    st.next_source_piece = 9
+    assert interleave(st, 13) == ([(0, 1, 9)], [])
+    assert st.next_source_piece == 9
 
 
 def test_interleave_relay_uses_odd_channel_memory_only():
-    # non-source saw piece 6 on the odd channel but piece 9 via even pulls:
-    # it relays 6, never 9
-    owned = from_pieces([6, 9])
-    assert interleave_action(owned, 9, 7, False, 6, None) == (PUSH, 6)
-    # nothing received on the odd channel yet -> idle on odd slots
-    assert interleave_action(owned, 9, 7, False, None, None) is None
+    # user 1 saw piece 6 on the odd channel but piece 9 via even pulls:
+    # it relays 6, never 9; user 2 has nothing from the odd channel yet
+    # and idles on odd slots
+    owned = [6, 9]
+    st = interleave_state([range(1, 10), owned, owned], 9, [1, 0, 0], [None, 6, None], fresh=3)
+    pushes, pulls = interleave(st, 7)
+    assert pulls == []
+    assert [(u, p) for u, _t, p in pushes] == [(0, 3), (1, 6)]
 
 
 def test_interleave_even_slots_pull_lowest_missing():
-    owned = from_pieces([1, 2, 5])
-    assert interleave_action(owned, 6, 8, False, 5, None) == (PULL, 3)
-    # complete users idle on the pull channel
-    assert interleave_action(full_mask(6), 6, 8, False, 6, None) is None
-    # the complete source also idles on even slots
-    assert interleave_action(full_mask(6), 6, 8, True, None, 3) is None
+    full = range(1, 7)
+    st = interleave_state([full, [1, 2, 5], full], 6, [2, 0, 0], [None, 5, 6], fresh=3)
+    # user 1 pulls 3; the complete user 2 and the complete source idle on
+    # the pull channel
+    assert interleave(st, 8) == ([], [(1, 0, 3)])
+    assert st.next_source_piece == 3  # even slots leave the schedule alone
+
+
+def advocate_state(holdings, targets):
+    n = len(holdings)
+    return state(holdings, n, targets, initial_piece=list(range(1, n + 1)))
 
 
 def test_advocate_prefers_target_initial_piece():
-    user = from_pieces([1, 2])
-    target = from_pieces([3, 4, 8])
-    assert advocate_select(user, target, 3, Random(0)) == 3
+    # user 0 holds {1, 2}; its contact, user 2 (initial piece 3), holds
+    # {3, 4, 8}
+    st = advocate_state([[1, 2], [2], [3, 4, 8], [4], [5], [6], [7], [8]], [2] + [0] * 7)
+    _pushes, pulls = advocate(st, 1)
+    assert pulls[0] == (0, 2, 3)
 
 
 def test_advocate_falls_back_to_uniform_gain():
-    # user already holds the target's initial piece; gain set is {4, 8}
-    user = from_pieces([1, 2, 3])
-    target = from_pieces([1, 3, 4, 8])
-    rng = Random(5)
-    draws = Counter(advocate_select(user, target, 3, rng) for _ in range(4000))
-    assert set(draws) == {4, 8}
-    assert abs(draws[4] - 2000) < 6 * 2000**0.5
+    # user 0 already holds its contact's initial piece 3; the gain set is
+    # {4, 8}
+    holdings = [[1, 2, 3], [2], [1, 3, 4, 8], [4], [5], [6], [7], [8]]
+    st = advocate_state(holdings, [2] + [1] * 7)
+    st.rng = Random(5)
+    counts = draws(advocate, st, 0, 4000)
+    assert_uniform(counts, (4, 8), 4000)
 
 
 def test_advocate_idles_when_target_offers_nothing():
-    user = from_pieces([1, 2, 3])
-    target = from_pieces([1, 3])
-    assert advocate_select(user, target, 1, Random(0)) is None
+    # user 1 holds {1, 2, 3}; its contact, user 0 (initial piece 1), holds
+    # {1, 3}
+    st = advocate_state([[1, 3], [1, 2, 3], [3]], [1, 0, 0])
+    _pushes, pulls = advocate(st, 1)
+    assert all(u != 1 for u, _t, _p in pulls)
 
 
 @pytest.mark.parametrize("slot", [2, 4, 100])
 def test_interleave_slot_parity_drives_channel(slot):
-    owned = from_pieces([2])
-    action = interleave_action(owned, 4, slot, False, 2, None)
-    assert action == (PULL, 1)
-    action = interleave_action(owned, 4, slot + 1, False, 2, None)
-    assert action == (PUSH, 2)
+    st = interleave_state([range(1, 5), [2]], 4, [1, 0], [None, 2], fresh=2)
+    assert interleave(st, slot) == ([], [(1, 0, 1)])
+    assert interleave(st, slot + 1) == ([(0, 1, 2), (1, 0, 2)], [])
+
+
+def test_make_protocol_returns_the_slot_function():
+    assert make_protocol(g.SimulationConfig(n=2, k=6, protocol=g.RANDOM_PULL)) is random_pull
+    spaced = make_protocol(g.SimulationConfig(n=2, k=6, protocol=g.PRIORITY_PUSH, spacing=2))
+    st = state([range(1, 7), []], 6, [1, 0])
+    assert spaced(st, 3) == ([(0, 1, 2)], [])

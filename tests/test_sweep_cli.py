@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import pytest
 import yaml
@@ -420,6 +421,8 @@ def test_cli_simulate_trace_csv(tmp_path, capsys):
         "kind",
     ]
     assert len(rows) == 1 + record["metrics"]["pairs_served"] - 2  # minus endowed
+    traced = g.run(replace(g.load_config(cfg), record_trace=True))
+    assert rows[1:] == [[str(v) for v in (1, g.__version__, *e)] for e in traced.trace]
 
 
 def test_cli_rejects_bad_configs(tmp_path, capsys):
@@ -556,6 +559,18 @@ def test_cli_reproduce_writes_figure_csv(tmp_path, capsys):
     assert rows[0]["schema_version"] == "1"
     assert rows[-1]["m"] == "full"
     assert all(r["figure"] == "fig1" for r in rows)
+
+
+@pytest.mark.parametrize("figure", ["fig2", "fig3"])
+def test_cli_reproduce_csv_does_not_depend_on_jobs(tmp_path, capsys, figure):
+    written = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        argv = ["reproduce", "--figure", figure, "--scale", "0.04", "--seeds", "2"]
+        assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 0
+        written.append((out / f"{figure}.csv").read_bytes())
+    capsys.readouterr()
+    assert written[0] == written[1]
 
 
 def test_load_sweep_requires_schema_version(tmp_path):
