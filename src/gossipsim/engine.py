@@ -220,8 +220,8 @@ def resolve_uploads(
 
 
 def step_slot(st: SystemState, protocol) -> list:
-    """Advance the world by one slot under `protocol`, a slot function from
-    :func:`~gossipsim.protocols.make_protocol`; returns the granted
+    """Advance the world by one slot under `protocol` (from
+    :func:`~gossipsim.protocols.make_protocol`); returns the granted
     transfer events."""
     slot = st.slot + 1
     pushes, pulls = protocol(st, slot)

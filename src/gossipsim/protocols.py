@@ -1,19 +1,15 @@
-"""Piece-selection policies, one slot function per protocol.
+"""Piece-selection policies, one :class:`Protocol` subclass per protocol.
 
-A slot function ``fn(st, slot)`` decides every user's action for one slot
-from the holdings at the start of the slot: each user draws one contact and
-then pushes a piece to it, pulls (requests) a piece from it, or idles.  It
-returns ``(pushes, pull_requests)``, two lists of ``(user, target, piece)``.
-
-Holdings change only when the engine commits at the end of the slot, so a
-pull for a piece the target lacks can never be served; such requests are
-dropped where they are made.  The PRNG is consumed in a fixed order: per
-user, in user order, one contact draw and then that user's piece draws.
+A protocol's ``act(st, user, target, slot)`` is its rule for one user in one
+slot: from the holdings at the start of the slot, the piece `user` pushes to
+its contact `target` or requests from it, or a false value to idle.  Calling
+the protocol, ``protocol(st, slot)``, draws every user's contact and applies
+``act`` to each user in user order; it returns ``(pushes, pull_requests)``,
+two lists of ``(user, target, piece)``.  The PRNG is consumed in that order:
+per user, one contact draw and then that user's piece draws.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 from .bitset import random_piece
 from .config import (
@@ -30,12 +26,13 @@ __all__ = [
     "PUSH",
     "PULL",
     "contacts",
-    "random_pull",
-    "sequential_pull",
-    "random_push",
-    "priority_push",
-    "interleave",
-    "advocate",
+    "Protocol",
+    "RandomPull",
+    "SequentialPull",
+    "RandomPush",
+    "PriorityPush",
+    "Interleave",
+    "Advocate",
     "make_protocol",
 ]
 
@@ -71,44 +68,59 @@ def contacts(st, rng, users, uniform_user=None):
             yield u, lst[i]
 
 
-def random_pull(st, slot: int):
-    """Each user pulls a uniformly random missing piece from its contact."""
-    pieces, mask, rng = st.pieces, st.mask, st.rng
-    pulls = []
-    for u, t in contacts(st, rng, range(st.n)):
-        missing = mask ^ pieces[u]
-        if missing:
-            p = random_piece(missing, rng)
-            if pieces[t] >> (p - 1) & 1:
-                pulls.append((u, t, p))
-    return [], pulls
+class Protocol:
+    """A protocol's rule for one user in one slot, applied to every user.
+
+    ``kind`` says whether ``act`` picks pieces to push or to request.  With
+    ``source_contacts_all`` the source draws its contact from the whole
+    network even under fixed contact lists, so that the pieces it releases
+    are not bottled up inside its own list.
+    """
+
+    kind = PULL
+    source_contacts_all = False
+
+    def __call__(self, st, slot: int):
+        act = self.act
+        picked = []
+        uniform_user = st.source if self.source_contacts_all else None
+        for u, t in contacts(st, st.rng, range(st.n), uniform_user):
+            p = act(st, u, t, slot)
+            if p:
+                picked.append((u, t, p))
+        return (picked, []) if self.kind == PUSH else ([], picked)
+
+    def act(self, st, user: int, target: int, slot: int):
+        raise NotImplementedError
 
 
-def sequential_pull(st, slot: int):
-    """Each user pulls its lowest-numbered missing piece from its contact."""
-    pieces, mask = st.pieces, st.mask
-    pulls = []
-    for u, t in contacts(st, st.rng, range(st.n)):
-        missing = mask ^ pieces[u]
-        if missing:
-            low = missing & -missing
-            if pieces[t] & low:
-                pulls.append((u, t, low.bit_length()))
-    return [], pulls
+class RandomPull(Protocol):
+    """Each user requests a uniformly random missing piece."""
+
+    def act(self, st, user: int, target: int, slot: int):
+        missing = st.mask ^ st.pieces[user]
+        return missing and random_piece(missing, st.rng)
 
 
-def random_push(st, slot: int):
+class SequentialPull(Protocol):
+    """Each user requests its lowest-numbered missing piece."""
+
+    def act(self, st, user: int, target: int, slot: int):
+        missing = st.mask ^ st.pieces[user]
+        return (missing & -missing).bit_length()
+
+
+class RandomPush(Protocol):
     """Each user holding anything pushes a uniformly random held piece."""
-    pieces, rng = st.pieces, st.rng
-    pushes = []
-    for u, t in contacts(st, rng, range(st.n)):
-        have = pieces[u]
-        if have:
-            pushes.append((u, t, random_piece(have, rng)))
-    return pushes, []
+
+    kind = PUSH
+
+    def act(self, st, user: int, target: int, slot: int):
+        have = st.pieces[user]
+        return have and random_piece(have, st.rng)
 
 
-def priority_push(st, slot: int, spacing: int = 1):
+class PriorityPush(Protocol):
     """Source-paced priority push.
 
     The source works through the pieces in order, dwelling ``spacing``
@@ -117,77 +129,81 @@ def priority_push(st, slot: int, spacing: int = 1):
     highest-numbered piece it holds — the one injected most recently and
     therefore rarest — or idles while empty-handed.
     """
-    pieces, source = st.pieces, st.source
-    due = min((slot + spacing - 1) // spacing, st.k)
-    pushes = []
-    for u, t in contacts(st, st.rng, range(st.n), source):
-        if u == source:
-            pushes.append((u, t, due))
-        elif pieces[u]:
-            pushes.append((u, t, pieces[u].bit_length()))
-    return pushes, []
+
+    kind = PUSH
+    source_contacts_all = True
+
+    def __init__(self, spacing: int = 1):
+        self.spacing = spacing
+
+    def act(self, st, user: int, target: int, slot: int):
+        if user == st.source:
+            return min((slot + self.spacing - 1) // self.spacing, st.k)
+        return st.pieces[user].bit_length()
 
 
-def interleave(st, slot: int):
+class Interleave(Protocol):
     """The odd/even interleave schedule.
 
     Odd slots are the push channel: the source injects one new piece per
     odd slot (in order, capped at k), while every other user relays the
     highest piece it has ever received on the push channel, idling until
-    the channel first reaches it.  Even slots are the pull channel: each
-    user requests its lowest missing piece; complete users idle (but still
-    serve requests).
+    the channel first reaches it.  Even slots are the pull channel, run as
+    sequential pull: each user requests its lowest missing piece; complete
+    users idle (but still serve requests).
     """
-    if not slot & 1:
-        return sequential_pull(st, slot)
-    source, relay, fresh = st.source, st.odd_channel_max, st.next_source_piece
-    pushes = []
-    for u, t in contacts(st, st.rng, range(st.n), source):
-        if u == source:
-            pushes.append((u, t, fresh))
-        elif relay[u] is not None:
-            pushes.append((u, t, relay[u]))
-    st.next_source_piece = min(fresh + 1, st.k)
-    return pushes, []
+
+    kind = PUSH
+    source_contacts_all = True
+
+    def __call__(self, st, slot: int):
+        if not slot & 1:
+            return _PULL_CHANNEL(st, slot)
+        actions = super().__call__(st, slot)
+        st.next_source_piece = min(st.next_source_piece + 1, st.k)
+        return actions
+
+    def act(self, st, user: int, target: int, slot: int):
+        if user == st.source:
+            return st.next_source_piece
+        return st.odd_channel_max[user]
 
 
-def advocate(st, slot: int):
+_PULL_CHANNEL = SequentialPull()
+
+
+class Advocate(Protocol):
     """Pull under the initial-piece advocacy rule.
 
     The contact's own initial piece takes priority whenever the requester
     is missing it; otherwise the requester pulls a uniformly random piece
-    the contact has and it lacks, idling if there is none.  Every user
-    keeps its initial piece, so every request is servable.
+    the contact has and it lacks, idling if there is none.
     """
-    pieces, initial, rng = st.pieces, st.initial_piece, st.rng
-    pulls = []
-    for u, t in contacts(st, rng, range(st.n)):
-        have = pieces[u]
-        p = initial[t]
+
+    def act(self, st, user: int, target: int, slot: int):
+        have = st.pieces[user]
+        p = st.initial_piece[target]
         if not have >> (p - 1) & 1:
-            pulls.append((u, t, p))
-            continue
-        gain = pieces[t] & ~have
-        if gain:
-            pulls.append((u, t, random_piece(gain, rng)))
-    return [], pulls
+            return p
+        gain = st.pieces[target] & ~have
+        return gain and random_piece(gain, st.rng)
 
 
-_SLOT_FUNCTIONS = {
-    RANDOM_PULL: random_pull,
-    SEQUENTIAL_PULL: sequential_pull,
-    RANDOM_PUSH: random_push,
-    INTERLEAVE: interleave,
-    ADVOCATE: advocate,
+_PROTOCOLS = {
+    RANDOM_PULL: RandomPull,
+    SEQUENTIAL_PULL: SequentialPull,
+    RANDOM_PUSH: RandomPush,
+    INTERLEAVE: Interleave,
+    ADVOCATE: Advocate,
 }
 
 
-def make_protocol(config: SimulationConfig):
-    """The slot function of the protocol named by the config."""
+def make_protocol(config: SimulationConfig) -> Protocol:
+    """Instantiate the protocol named by the config."""
     pid = config.protocol
     if pid == PRIORITY_PUSH:
-        return partial(priority_push, spacing=config.spacing)
+        return PriorityPush(config.spacing)
     try:
-        return _SLOT_FUNCTIONS[pid]
+        return _PROTOCOLS[pid]()
     except KeyError:
         raise ValueError(f"unknown protocol id {pid!r}") from None

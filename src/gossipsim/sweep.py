@@ -28,7 +28,7 @@ from .config import (
     SimulationConfig,
 )
 from .engine import RunResult, run as run_engine
-from .metrics import delay_profile, failed_pieces, pieces_reached
+from .metrics import DelayProfile, delay_profile, failed_pieces, pieces_reached
 from .version import VERSION
 
 __all__ = [
@@ -232,8 +232,10 @@ def expand(spec: SweepSpec) -> list[RunPlan]:
     return plans
 
 
-def summarize_run(plan: RunPlan, result: RunResult, wall_time: float) -> dict:
-    """Flatten one run into a result row."""
+def summarize_run(
+    plan: RunPlan, result: RunResult, wall_time: float, profile: DelayProfile
+) -> dict:
+    """Flatten one run, with its delay profile, into a result row."""
     cfg = result.config
     row = {
         "schema_version": SCHEMA_VERSION,
@@ -253,7 +255,7 @@ def summarize_run(plan: RunPlan, result: RunResult, wall_time: float) -> dict:
         "completed": result.completed,
         "completion_slot": result.completion_slot,
         "slots": result.slots,
-        "delay_limit": round(delay_profile(result).limit, 6),
+        "delay_limit": round(profile.limit, 6),
         "failed_piece_count": (
             len(failed_pieces(result)) if result.release_slots is not None else None
         ),
@@ -270,9 +272,11 @@ def summarize_run(plan: RunPlan, result: RunResult, wall_time: float) -> dict:
 def _execute_plan(plan: RunPlan, keep_profile: bool = False) -> dict:
     start = time.perf_counter()
     result = run_engine(plan.config)
-    row = summarize_run(plan, result, time.perf_counter() - start)
+    wall_time = time.perf_counter() - start
+    profile = delay_profile(result)
+    row = summarize_run(plan, result, wall_time, profile)
     if keep_profile:
-        row["profile"] = delay_profile(result)
+        row["profile"] = profile
     return row
 
 
@@ -281,7 +285,7 @@ def execute(plans: list, jobs: int = 1, keep_profile: bool = False) -> list:
     plan order either way.  With `keep_profile` each row also carries the
     run's :class:`DelayProfile` under ``"profile"``, so that a pool worker
     returns the profile rather than the run's (n, k) arrivals matrix."""
-    task = partial(_execute_plan, keep_profile=True) if keep_profile else _execute_plan
+    task = partial(_execute_plan, keep_profile=keep_profile)
     if jobs <= 1 or len(plans) <= 1:
         return [task(plan) for plan in plans]
     with ProcessPoolExecutor(max_workers=jobs) as pool:

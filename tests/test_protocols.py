@@ -1,4 +1,4 @@
-"""Slot functions on hand-built states, including every documented selection
+"""Protocols on hand-built states, including every documented selection
 example.
 
 Each state gives every user a one-entry contact list, so the contact draw
@@ -14,16 +14,23 @@ from scipy import stats
 
 import gossipsim as g
 from gossipsim.bitset import from_pieces, full_mask
-from gossipsim.engine import SystemState
+from gossipsim.engine import Engine, SystemState
 from gossipsim.protocols import (
-    advocate,
-    interleave,
+    Advocate,
+    Interleave,
+    PriorityPush,
+    Protocol,
+    RandomPull,
+    RandomPush,
+    SequentialPull,
     make_protocol,
-    priority_push,
-    random_pull,
-    random_push,
-    sequential_pull,
 )
+
+random_pull = RandomPull()
+sequential_pull = SequentialPull()
+random_push = RandomPush()
+interleave = Interleave()
+advocate = Advocate()
 
 
 def state(holdings, k, targets, seed=0, **extra):
@@ -46,11 +53,11 @@ def state(holdings, k, targets, seed=0, **extra):
     )
 
 
-def draws(fn, st, user, times):
+def draws(protocol, st, user, times):
     """Pieces `user` picks over `times` slots of an unchanging state."""
     picked = Counter()
     for slot in range(1, times + 1):
-        pushes, pulls = fn(st, slot)
+        pushes, pulls = protocol(st, slot)
         picked.update(p for u, _t, p in pushes + pulls if u == user)
     return picked
 
@@ -65,11 +72,10 @@ def test_sequential_pull_picks_lowest_missing():
     everything = range(1, 6)
     st = state([[1, 2, 4], [], everything, everything, [1, 2]], 5, [3, 3, 3, 0, 0])
     # owns {1, 2, 4} of 5 -> lowest missing is 3; owns nothing -> piece 1;
-    # complete users idle
-    assert sequential_pull(st, 1) == ([], [(0, 3, 3), (1, 3, 1)])
-    # a request the contact cannot serve is dropped where it is made
-    st = state([[1, 2, 4], [1]], 5, [1, 0])
-    assert sequential_pull(st, 1) == ([], [(1, 0, 2)])
+    # complete users idle.  User 4 asks for 3 although its contact lacks it:
+    # requests ignore the contact's holdings, and resolve_uploads drops the
+    # ones it cannot serve.
+    assert sequential_pull(st, 1) == ([], [(0, 3, 3), (1, 3, 1), (4, 0, 3)])
 
 
 def test_random_pull_uniform_over_missing():
@@ -92,7 +98,7 @@ def test_priority_push_source_schedule():
     st = state([range(1, 7), []], 6, [1, 0])
 
     def source_piece(slot, spacing):
-        pushes, pulls = priority_push(st, slot, spacing)
+        pushes, pulls = PriorityPush(spacing)(st, slot)
         assert pulls == []
         return [p for u, _t, p in pushes if u == 0]
 
@@ -108,7 +114,8 @@ def test_priority_push_source_schedule():
 
 def test_priority_push_non_source_pushes_highest():
     st = state([range(1, 7), [1, 3], []], 6, [1, 0, 0])
-    pushes, _pulls = priority_push(st, 9, 1)
+    priority_push = PriorityPush(1)
+    pushes, _pulls = priority_push(st, 9)
     assert [(u, p) for u, _t, p in pushes] == [(0, 6), (1, 3)]
     # the source's scheduled pushes ignore its contact list and reach the
     # whole network
@@ -189,8 +196,36 @@ def test_interleave_slot_parity_drives_channel(slot):
     assert interleave(st, slot + 1) == ([(0, 1, 2), (1, 0, 2)], [])
 
 
-def test_make_protocol_returns_the_slot_function():
-    assert make_protocol(g.SimulationConfig(n=2, k=6, protocol=g.RANDOM_PULL)) is random_pull
+def test_make_protocol_returns_the_named_protocol():
+    assert type(make_protocol(g.SimulationConfig(n=2, k=6, protocol=g.RANDOM_PULL))) is RandomPull
     spaced = make_protocol(g.SimulationConfig(n=2, k=6, protocol=g.PRIORITY_PUSH, spacing=2))
     st = state([range(1, 7), []], 6, [1, 0])
     assert spaced(st, 3) == ([(0, 1, 2)], [])
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(protocol=g.RANDOM_PULL),
+        dict(protocol=g.SEQUENTIAL_PULL),
+        dict(protocol=g.RANDOM_PUSH),
+        dict(protocol=g.PRIORITY_PUSH, spacing=2, contact_model=g.FIXED_LISTS, contact_list_size=2),
+        dict(protocol=g.INTERLEAVE),
+        dict(protocol=g.ADVOCATE, initial_state=g.ONE_UNIQUE),
+    ],
+    ids=lambda o: o["protocol"],
+)
+def test_act_runs_once_per_user_and_slot(monkeypatch, overrides):
+    # act is the per-user unit of work: one call for every user in every
+    # slot, the source and complete users included
+    calls = Counter()
+    for cls in Protocol.__subclasses__():
+        def counted(self, st, user, target, slot, _act=cls.act):
+            calls[slot, user] += 1
+            return _act(self, st, user, target, slot)
+
+        monkeypatch.setattr(cls, "act", counted)
+    n = 8
+    result = Engine(g.SimulationConfig(n=n, k=n, seed=3, **overrides)).run()
+    assert result.slots > 0
+    assert calls == Counter({(s, u): 1 for s in range(1, result.slots + 1) for u in range(n)})
