@@ -30,11 +30,10 @@ from .config import (
     SimulationConfig,
     load_config,
 )
-from .engine import Engine, RunResult, TransferEvent, run, trace_digest
+from .engine import Engine, RunResult, Trace, TransferEvent, run, trace_digest
 from .metrics import (
     DelayProfile,
     OccupancySeries,
-    completion_time,
     delay_profile,
     failed_pieces,
     occupancy,
@@ -81,10 +80,10 @@ __all__ = [
     "INITIAL_STATES",
     "Engine",
     "RunResult",
+    "Trace",
     "TransferEvent",
     "run",
     "trace_digest",
-    "completion_time",
     "DelayProfile",
     "delay_profile",
     "failed_pieces",

@@ -14,24 +14,17 @@ __all__ = [
     "full_mask",
     "from_pieces",
     "to_pieces",
-    "has_piece",
-    "count",
     "lowest_piece",
     "highest_piece",
     "random_piece",
 ]
 
-_MASKS: dict[int, int] = {}
-
 
 def full_mask(k: int) -> int:
     """The set {1, .., k} as a bit mask."""
-    mask = _MASKS.get(k)
-    if mask is None:
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        mask = _MASKS[k] = (1 << k) - 1
-    return mask
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    return (1 << k) - 1
 
 
 def from_pieces(pieces) -> int:
@@ -52,15 +45,6 @@ def to_pieces(bits: int) -> list[int]:
         out.append(low.bit_length())
         bits ^= low
     return out
-
-
-def has_piece(bits: int, piece: int) -> bool:
-    return bits >> (piece - 1) & 1 == 1
-
-
-def count(bits: int) -> int:
-    """Number of pieces in the mask."""
-    return bits.bit_count()
 
 
 def lowest_piece(bits: int) -> int:

@@ -18,24 +18,21 @@ invocations with the same inputs are byte-identical, except for the
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import math
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import PRIORITY_PUSH, SCHEMA_VERSION, ConfigError, load_config
+from .config import SCHEMA_VERSION, ConfigError, load_config
 from .engine import run as run_engine
 from .figures import FIGURES, reproduce
-from .metrics import delay_profile, failed_pieces, pieces_reached
+from .metrics import delay_profile
 from .sweep import (
     AGGREGATE_COLUMNS,
-    REACH_DELTA,
-    REACH_WINDOW_FACTOR,
     RUN_COLUMNS,
     load_sweep,
+    reach_summary,
     run_sweep,
     write_rows_csv,
 )
@@ -70,14 +67,9 @@ def run_record(result) -> dict:
         },
         "trace_hash": result.trace_hash,
     }
-    if result.release_slots is not None:
-        record["metrics"]["failed_piece_count"] = len(failed_pieces(result))
-    if cfg.protocol == PRIORITY_PUSH:
-        fraction = 1.0 - math.exp(-cfg.spacing) - REACH_DELTA
-        window = math.ceil(REACH_WINDOW_FACTOR * math.log2(cfg.n))
-        record["metrics"]["reach_fraction"] = round(
-            pieces_reached(result, fraction, window), 6
-        )
+    for name, value in reach_summary(result).items():
+        if value is not None:
+            record["metrics"][name] = value
     return record
 
 
@@ -100,12 +92,14 @@ def cmd_simulate(args) -> int:
     if args.trace:
         trace_path = Path(args.trace)
         trace_path.parent.mkdir(parents=True, exist_ok=True)
+        # Each canonical trace line behind the schema and tool versions,
+        # ended by "\r\n": the bytes csv.writer writes for the same rows.
+        prefix = f"{SCHEMA_VERSION},{VERSION},"
+        newline = "\r\n" + prefix
         with open(trace_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["schema_version", "tool_version", "slot", "from", "to", "piece", "kind"]
-            )
-            writer.writerows((SCHEMA_VERSION, VERSION, *e) for e in result.trace)
+            fh.write("schema_version,tool_version,slot,from,to,piece,kind\r\n")
+            for chunk in result.trace.chunks:
+                fh.write(prefix + chunk[:-1].replace("\n", newline) + "\r\n")
         print(trace_path)
     return 0
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
 from random import Random
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .protocols import PULL, PUSH, contacts, make_protocol
 
 __all__ = [
     "TransferEvent",
+    "Trace",
     "SystemState",
     "RunResult",
     "Engine",
@@ -66,6 +67,36 @@ class TransferEvent(NamedTuple):
 # Builds a TransferEvent from a 5-tuple without NamedTuple's keyword layer.
 _new = tuple.__new__
 _target = itemgetter(1)
+
+
+def _lines(events) -> str:
+    """The canonical text of `events`: a ``slot,from,to,piece,kind\n`` line each."""
+    return "".join(["%d,%d,%d,%d,%s\n" % e for e in events])
+
+
+class Trace:
+    """A run's transfer events as their canonical text: :meth:`add` keeps
+    one slot's lines as one string (a chunk), so a long trace holds no
+    per-event objects.  ``len()`` counts the events; iterating parses the
+    lines back into :class:`TransferEvent` tuples, in recording order."""
+
+    def __init__(self):
+        self.chunks: list[str] = []
+        self.size = 0
+
+    def add(self, events: list) -> None:
+        if events:
+            self.chunks.append(_lines(events))
+            self.size += len(events)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self) -> Iterator[TransferEvent]:
+        for chunk in self.chunks:
+            for line in chunk.splitlines():
+                slot, frm, to, piece, kind = line.split(",")
+                yield _new(TransferEvent, (int(slot), int(frm), int(to), int(piece), kind))
 
 
 @dataclass
@@ -127,11 +158,12 @@ def init_state(config: SimulationConfig) -> SystemState:
         contact_lists = build_contact_lists(n, config.contact_list_size, rng)
     pieces = [0] * n
     arrivals = np.full((n, k), -1, dtype=np.int32)
+    mask = full_mask(k)
     initial_piece = None
     source = None
     if config.initial_state == SINGLE_SOURCE:
         source = 0
-        pieces[0] = full_mask(k)
+        pieces[0] = mask
         arrivals[0, :] = 0
         emergence = [None] * k
     elif config.initial_state == ETA_SEEDED:
@@ -148,7 +180,6 @@ def init_state(config: SimulationConfig) -> SystemState:
             arrivals[u, u] = 0
         initial_piece = list(range(1, n + 1))
         emergence = [0] * k
-    mask = full_mask(k)
     st = SystemState(
         n=n,
         k=k,
@@ -278,7 +309,7 @@ class RunResult:
     emergence: list
     release_slots: list | None
     initial_piece: list | None
-    trace: list | None
+    trace: Trace | None
     trace_hash: str | None
 
 
@@ -290,12 +321,12 @@ class Engine:
         self.config = config
         self.protocol = make_protocol(config)
         self.state = init_state(config)
-        self.trace: list | None = [] if config.record_trace else None
+        self.trace = Trace() if config.record_trace else None
 
     def step(self) -> list:
         events = step_slot(self.state, self.protocol)
         if self.trace is not None:
-            self.trace.extend(events)
+            self.trace.add(events)
         return events
 
     def run(self) -> RunResult:
@@ -329,14 +360,19 @@ def run(config: SimulationConfig) -> RunResult:
 _DIGEST_CHUNK = 20_000
 
 
-def trace_digest(events: Iterable[TransferEvent]) -> str:
+def trace_digest(events: Trace | Iterable[TransferEvent]) -> str:
     """SHA-256 of the canonical event serialization; the regression anchor.
 
     Each event contributes the line ``slot,from,to,piece,kind\n``; lines
     are hashed in chunks, which gives the same digest as one update each.
+    A :class:`Trace` is hashed from the text it already holds.
     """
     h = hashlib.sha256()
-    events = iter(events)
-    while chunk := list(islice(events, _DIGEST_CHUNK)):
-        h.update("".join(["%d,%d,%d,%d,%s\n" % e for e in chunk]).encode())
+    if isinstance(events, Trace):
+        chunks = events.chunks
+    else:  # format _DIGEST_CHUNK events at a time until none are left
+        events = iter(events)
+        chunks = iter(lambda: _lines(islice(events, _DIGEST_CHUNK)), "")
+    for text in chunks:
+        h.update(text.encode())
     return h.hexdigest()

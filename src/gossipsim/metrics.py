@@ -1,4 +1,4 @@
-"""Run metrics: completion time, delay profiles, failed pieces, occupancy.
+"""Run metrics: delay profiles, failed pieces, reach, occupancy.
 
 All metrics are pure functions of a :class:`~gossipsim.engine.RunResult`;
 nothing here touches the PRNG or mutates the run.
@@ -14,7 +14,6 @@ import numpy as np
 from .engine import RunResult
 
 __all__ = [
-    "completion_time",
     "DelayProfile",
     "delay_profile",
     "failed_pieces",
@@ -28,11 +27,6 @@ __all__ = [
 # the post-release window; e/5 is the spread fraction a healthy piece clears
 # with room to spare, making the classifier insensitive to the exact cutoff.
 FAILURE_FRACTION = math.e / 5
-
-
-def completion_time(result: RunResult) -> int | None:
-    """Slot in which the last user finished, or None if the run hit its cap."""
-    return result.completion_slot
 
 
 @dataclass
@@ -87,6 +81,20 @@ def delay_profile(result: RunResult) -> DelayProfile:
     return DelayProfile(np.cumsum(counts) / (n * k))
 
 
+def _holders_within(result: RunResult, window: int) -> np.ndarray:
+    """Per piece, the users holding it within `window` slots of its release
+    by the source; -1 for a piece the source never released."""
+    if result.release_slots is None:
+        raise ValueError(
+            "failed pieces and reach are only defined for source-scheduled protocols "
+            f"(run used {result.config.protocol!r})"
+        )
+    release = np.array([-1 if r is None else r for r in result.release_slots])
+    arrivals = result.arrivals
+    holders = ((arrivals >= 0) & (arrivals <= release + window)).sum(axis=0)
+    return np.where(release >= 0, holders, -1)
+
+
 def failed_pieces(result: RunResult, epsilon: float | None = None) -> list[int]:
     """Pieces that never spread: released but stuck below the failure bar.
 
@@ -95,52 +103,23 @@ def failed_pieces(result: RunResult, epsilon: float | None = None) -> list[int]:
     a piece the source never released at all also counts as failed.  Only
     defined for runs whose protocol releases pieces on a schedule.
     """
-    if result.release_slots is None:
-        raise ValueError(
-            "failed pieces are only defined for source-scheduled protocols "
-            f"(run used {result.config.protocol!r})"
-        )
     if epsilon is None:
         epsilon = result.config.epsilon
-    arrivals = result.arrivals
-    n, k = arrivals.shape
-    need = math.ceil(n * FAILURE_FRACTION)
+    n = result.arrivals.shape[0]
     window = math.floor(2.0 * (1.0 + epsilon) * math.log2(n))
-    failed = []
-    for p in range(1, k + 1):
-        release = result.release_slots[p - 1]
-        if release is None:
-            failed.append(p)
-            continue
-        col = arrivals[:, p - 1]
-        holders = int(((col >= 0) & (col <= release + window)).sum())
-        if holders < need:
-            failed.append(p)
-    return failed
+    holders = _holders_within(result, window)
+    return (np.flatnonzero(holders < math.ceil(n * FAILURE_FRACTION)) + 1).tolist()
 
 
 def pieces_reached(result: RunResult, fraction: float, window: float) -> float:
     """Fraction of pieces reaching ``ceil(fraction * n)`` users within
     ``floor(window)`` slots of their release; unreleased pieces count as
     not reaching.  Only defined for source-scheduled protocols."""
-    if result.release_slots is None:
-        raise ValueError(
-            "reach is only defined for source-scheduled protocols "
-            f"(run used {result.config.protocol!r})"
-        )
-    arrivals = result.arrivals
-    n, k = arrivals.shape
-    need = math.ceil(fraction * n)
-    span = math.floor(window)
-    reached = 0
-    for p in range(1, k + 1):
-        release = result.release_slots[p - 1]
-        if release is None:
-            continue
-        col = arrivals[:, p - 1]
-        if int(((col >= 0) & (col <= release + span)).sum()) >= need:
-            reached += 1
-    return reached / k
+    n, k = result.arrivals.shape
+    holders = _holders_within(result, math.floor(window))
+    # A bar below 0 is met by every released piece and by no unreleased one.
+    need = max(math.ceil(fraction * n), 0)
+    return int((holders >= need).sum()) / k
 
 
 @dataclass

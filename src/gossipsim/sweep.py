@@ -41,6 +41,7 @@ __all__ = [
     "derive_seed",
     "expand",
     "execute",
+    "reach_summary",
     "summarize_run",
     "aggregate",
     "run_sweep",
@@ -232,12 +233,26 @@ def expand(spec: SweepSpec) -> list[RunPlan]:
     return plans
 
 
+def reach_summary(result: RunResult) -> dict:
+    """``failed_piece_count`` (source-scheduled runs) and ``reach_fraction``
+    (priority-push runs) of one run; None where a statistic is undefined."""
+    cfg = result.config
+    summary = {"failed_piece_count": None, "reach_fraction": None}
+    if result.release_slots is not None:
+        summary["failed_piece_count"] = len(failed_pieces(result))
+    if cfg.protocol == PRIORITY_PUSH:
+        fraction = 1.0 - math.exp(-cfg.spacing) - REACH_DELTA
+        window = math.ceil(REACH_WINDOW_FACTOR * math.log2(cfg.n))
+        summary["reach_fraction"] = round(pieces_reached(result, fraction, window), 6)
+    return summary
+
+
 def summarize_run(
     plan: RunPlan, result: RunResult, wall_time: float, profile: DelayProfile
 ) -> dict:
     """Flatten one run, with its delay profile, into a result row."""
     cfg = result.config
-    row = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": VERSION,
         "run_id": plan.run_id,
@@ -256,17 +271,9 @@ def summarize_run(
         "completion_slot": result.completion_slot,
         "slots": result.slots,
         "delay_limit": round(profile.limit, 6),
-        "failed_piece_count": (
-            len(failed_pieces(result)) if result.release_slots is not None else None
-        ),
-        "reach_fraction": None,
+        **reach_summary(result),
         "wall_time_s": round(wall_time, 3),
     }
-    if cfg.protocol == PRIORITY_PUSH:
-        fraction = 1.0 - math.exp(-cfg.spacing) - REACH_DELTA
-        window = math.ceil(REACH_WINDOW_FACTOR * math.log2(cfg.n))
-        row["reach_fraction"] = round(pieces_reached(result, fraction, window), 6)
-    return row
 
 
 def _execute_plan(plan: RunPlan, keep_profile: bool = False) -> dict:

@@ -220,6 +220,23 @@ def test_trace_digest_matches_one_update_per_event():
         assert trace_digest(events) == trace_digest(iter(events)) == h.hexdigest()
 
 
+def test_trace_holds_the_events_each_step_returned():
+    engine = g.Engine(config(n=40, k=60, protocol=g.INTERLEAVE, seed=3, record_trace=True))
+    slots = []
+    step = engine.step
+    engine.step = lambda: slots.append(step()) or slots[-1]
+    res = engine.run()
+    events = [e for slot in slots for e in slot]
+    assert res.completed and res.slots == len(slots) > 100
+    assert {e.kind for e in events} == {"push", "pull"}
+    traced = list(res.trace)
+    assert traced == events
+    assert all(type(e) is g.TransferEvent for e in traced)
+    assert all(type(v) is int for e in traced[:50] for v in e[:4])
+    assert len(res.trace) == len(events)
+    assert trace_digest(traced) == trace_digest(events) == res.trace_hash
+
+
 def test_trace_digest_is_order_sensitive():
     e1 = g.TransferEvent(1, 0, 1, 1, "push")
     e2 = g.TransferEvent(1, 2, 3, 1, "push")

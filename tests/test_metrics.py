@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gossipsim as g
 from gossipsim.engine import RunResult
@@ -165,6 +167,62 @@ def test_pieces_reached_requires_source_schedule():
     res = make_result([[0, 0], [1, 2]], protocol=g.SEQUENTIAL_PULL)
     with pytest.raises(ValueError):
         g.pieces_reached(res, 0.5, 6)
+
+
+def loop_failed_pieces(result, epsilon):
+    """Reference for failed_pieces: one numpy reduction per piece."""
+    arrivals = result.arrivals
+    n, k = arrivals.shape
+    need = math.ceil(n * FAILURE_FRACTION)
+    window = math.floor(2.0 * (1.0 + epsilon) * math.log2(n))
+    failed = []
+    for p in range(1, k + 1):
+        release = result.release_slots[p - 1]
+        col = arrivals[:, p - 1]
+        if release is None or int(((col >= 0) & (col <= release + window)).sum()) < need:
+            failed.append(p)
+    return failed
+
+
+def loop_pieces_reached(result, fraction, window):
+    """Reference for pieces_reached: one numpy reduction per piece."""
+    arrivals = result.arrivals
+    n, k = arrivals.shape
+    need = math.ceil(fraction * n)
+    span = math.floor(window)
+    reached = 0
+    for p in range(1, k + 1):
+        release = result.release_slots[p - 1]
+        if release is None:
+            continue
+        col = arrivals[:, p - 1]
+        if int(((col >= 0) & (col <= release + span)).sum()) >= need:
+            reached += 1
+    return reached / k
+
+
+@st.composite
+def scheduled_runs(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    k = draw(st.integers(min_value=1, max_value=10))
+    slot = st.integers(min_value=-1, max_value=30)
+    arrivals = draw(st.lists(st.lists(slot, min_size=k, max_size=k), min_size=n, max_size=n))
+    release = draw(
+        st.lists(st.none() | st.integers(min_value=1, max_value=30), min_size=k, max_size=k)
+    )
+    return make_result(arrivals, release_slots=release, slots=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    res=scheduled_runs(),
+    epsilon=st.floats(min_value=0.01, max_value=0.99),
+    fraction=st.floats(min_value=-0.5, max_value=1.0),
+    window=st.floats(min_value=-3.0, max_value=30.0),
+)
+def test_reach_metrics_match_the_per_piece_loop(res, epsilon, fraction, window):
+    assert g.failed_pieces(res, epsilon=epsilon) == loop_failed_pieces(res, epsilon)
+    assert g.pieces_reached(res, fraction, window) == loop_pieces_reached(res, fraction, window)
 
 
 # ----------------------------------------------------------------- occupancy

@@ -425,6 +425,35 @@ def test_cli_simulate_trace_csv(tmp_path, capsys):
     assert rows[1:] == [[str(v) for v in (1, g.__version__, *e)] for e in traced.trace]
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"protocol": g.INTERLEAVE},
+        {"protocol": g.PRIORITY_PUSH},
+        {"protocol": g.RANDOM_PULL},
+        # every user starts with every piece: no slot runs, no event is written
+        {"protocol": g.RANDOM_PULL, "initial_state": g.ETA_SEEDED, "eta": 1.0},
+    ],
+    ids=["interleave", "priority-push", "random-pull", "no-events"],
+)
+def test_cli_simulate_trace_csv_bytes_match_csv_writer(tmp_path, capsys, overrides):
+    cfg = sim_config(tmp_path, n=30, k=20, max_slots=400, **overrides)
+    trace = tmp_path / "trace.csv"
+    assert main(["simulate", "--config", cfg, "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    engine = g.Engine(replace(g.load_config(cfg), record_trace=True))
+    events = []
+    step = engine.step
+    engine.step = lambda: events.extend(step())
+    engine.run()
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as fh:  # the rows as csv.writer writes them
+        writer = csv.writer(fh)
+        writer.writerow(["schema_version", "tool_version", "slot", "from", "to", "piece", "kind"])
+        writer.writerows((g.SCHEMA_VERSION, g.__version__, *e) for e in events)
+    assert trace.read_bytes() == reference.read_bytes()
+
+
 def test_cli_rejects_bad_configs(tmp_path, capsys):
     missing = write_yaml(tmp_path / "bad.yaml", {"schema_version": 1, "n": 16})
     assert main(["simulate", "--config", missing]) == 2
