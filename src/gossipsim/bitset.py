@@ -14,8 +14,6 @@ __all__ = [
     "full_mask",
     "from_pieces",
     "to_pieces",
-    "lowest_piece",
-    "highest_piece",
     "random_piece",
 ]
 
@@ -45,20 +43,6 @@ def to_pieces(bits: int) -> list[int]:
         out.append(low.bit_length())
         bits ^= low
     return out
-
-
-def lowest_piece(bits: int) -> int:
-    """Smallest piece number in a non-empty mask."""
-    if not bits:
-        raise ValueError("empty piece set")
-    return (bits & -bits).bit_length()
-
-
-def highest_piece(bits: int) -> int:
-    """Largest piece number in a non-empty mask."""
-    if not bits:
-        raise ValueError("empty piece set")
-    return bits.bit_length()
 
 
 def random_piece(bits: int, rng: Random) -> int:

@@ -4,9 +4,11 @@ One slot proceeds in three phases shared by every protocol:
 
 1. every user samples one contact and picks an action (push, pull, idle);
 2. uploads are resolved against the per-user upload budget;
-3. granted transfers are delivered into a staging area and committed at the
-   end of the slot, so a piece received in slot t is usable (pushable,
-   servable, counted) from slot t+1 on.
+3. granted transfers are delivered through the ``arrivals`` matrix: the
+   first copy of a piece sets the receiver's cell to the slot, and later
+   copies find it set and are spent without new data.  Holdings are read
+   only when users act, so a piece received in slot t is usable (pushable,
+   servable) from slot t+1 on.
 
 Pushes are resolved before pulls: a user's own push claims its upload
 budget first, and under the hard constraint a pushed-at user therefore
@@ -36,7 +38,7 @@ from .config import (
     ConfigError,
     SimulationConfig,
 )
-from .protocols import PULL, PUSH, contacts, make_protocol
+from .protocols import PULL, PUSH, make_protocol
 
 __all__ = [
     "TransferEvent",
@@ -47,7 +49,6 @@ __all__ = [
     "run",
     "init_state",
     "build_contact_lists",
-    "sample_target",
     "resolve_uploads",
     "step_slot",
     "trace_digest",
@@ -83,11 +84,25 @@ class Trace:
     def __init__(self):
         self.chunks: list[str] = []
         self.size = 0
+        self._digits: list[str] = []  # _digits[i] == f"{i},"
 
     def add(self, events: list) -> None:
-        if events:
-            self.chunks.append(_lines(events))
-            self.size += len(events)
+        """Append one slot's events (all with the slot of the first), as
+        :func:`_lines` formats them.  Users and pieces are looked up in a
+        table of decimal strings, which doubles when a number is past its
+        end, so it stays below twice the largest number formatted."""
+        if not events:
+            return
+        head = f"{events[0][0]},"
+        d = self._digits
+        try:
+            text = "".join([f"{head}{d[f]}{d[t]}{d[p]}{kind}\n" for _s, f, t, p, kind in events])
+        except IndexError:  # a number past the table: grow it and retry
+            top = max(max(e[1:4]) for e in events)
+            d += [f"{i}," for i in range(len(d), max(top + 1, 2 * len(d)))]
+            return self.add(events)
+        self.chunks.append(text)
+        self.size += len(events)
 
     def __len__(self) -> int:
         return self.size
@@ -136,11 +151,6 @@ def build_contact_lists(n: int, m: int, rng: Random) -> list:
         ids[u] = u
         ids[-1] = n - 1
     return lists
-
-
-def sample_target(user: int, st: SystemState, rng: Random) -> int:
-    """One contact draw for `user` under the configured contact model."""
-    return next(contacts(st, rng, (user,)))[1]
 
 
 def init_state(config: SimulationConfig) -> SystemState:
@@ -258,9 +268,13 @@ def step_slot(st: SystemState, protocol) -> list:
     pushes, pulls = protocol(st, slot)
     events = resolve_uploads(slot, pushes, pulls, st.constraint, st, st.rng)
 
-    # Deliver into staging; the first copy of a piece fixes its arrival slot.
-    staged: dict = {}
-    rows, cols = [], []
+    # Deliver: one test-and-set per event on the arrivals matrix.  A cell
+    # already >= 0 is a piece the user held, or one that arrived earlier in
+    # this slot; the upload was spent without new data.  New pieces merge
+    # into `pieces` at once: nothing reads them before the next slot.
+    cells = memoryview(st.arrivals).cast("B").cast("i")
+    k = st.k
+    mask = st.mask
     emergence = st.emergence
     relay = st.odd_channel_max if slot & 1 else None
     release = st.release_slots
@@ -272,27 +286,16 @@ def step_slot(st: SystemState, protocol) -> list:
                 relay[to] = piece
             if release is not None and frm == source and release[piece - 1] is None:
                 release[piece - 1] = slot
-        bit = 1 << (piece - 1)
-        if pieces[to] & bit:
-            continue  # duplicate of a committed piece; the upload was spent
-        got = staged.get(to, 0)
-        if got & bit:
-            continue  # second copy within this slot
-        staged[to] = got | bit
-        rows.append(to)
-        cols.append(piece - 1)
+        cell = to * k + piece - 1
+        if cells[cell] >= 0:
+            continue
+        cells[cell] = slot
+        have = pieces[to] | 1 << (piece - 1)
+        pieces[to] = have
+        if have == mask:
+            st.num_complete += 1
         if emergence[piece - 1] is None:
             emergence[piece - 1] = slot
-    if rows:
-        st.arrivals[rows, cols] = slot
-
-    # Commit: staged pieces become usable from the next slot on.  Staged
-    # bits are all new, so a merge that fills the mask completes its user.
-    mask = st.mask
-    for u, got in staged.items():
-        pieces[u] |= got
-        if pieces[u] == mask:
-            st.num_complete += 1
     st.slot = slot
     return events
 

@@ -25,7 +25,6 @@ from .config import (
 __all__ = [
     "PUSH",
     "PULL",
-    "contacts",
     "Protocol",
     "RandomPull",
     "SequentialPull",
@@ -41,38 +40,13 @@ PUSH = "push"
 PULL = "pull"
 
 
-def contacts(st, rng, users, uniform_user=None):
-    """Yield ``(user, contact)`` for each of `users` in order.
-
-    Each contact costs one ``rng.random()`` draw, taken when the pair is
-    requested, so a caller's piece draws for one user fall between that
-    user's contact draw and the next user's.  Under fixed contact lists a
-    user draws from its own list, except `uniform_user` (the source during
-    its scheduled pushes), which draws from the whole network so that fresh
-    pieces are not bottled up inside the source's own list.
-    """
-    rnd = rng.random
-    lists = st.contact_lists
-    others = st.n - 1
-    for u in users:
-        if lists is None or u == uniform_user:
-            r = int(rnd() * others)
-            if r >= others:  # guard the float rounding edge
-                r = others - 1
-            yield u, (r + 1 if r >= u else r)
-        else:
-            lst = lists[u]
-            i = int(rnd() * len(lst))
-            if i >= len(lst):
-                i = len(lst) - 1
-            yield u, lst[i]
-
-
 class Protocol:
     """A protocol's rule for one user in one slot, applied to every user.
 
-    ``kind`` says whether ``act`` picks pieces to push or to request.  With
-    ``source_contacts_all`` the source draws its contact from the whole
+    ``kind`` says whether ``act`` picks pieces to push or to request.  Each
+    user's contact costs one ``rng.random()`` draw: uniform over the other
+    n - 1 users, or under fixed contact lists uniform over the user's own
+    list.  With ``source_contacts_all`` the source draws from the whole
     network even under fixed contact lists, so that the pieces it releases
     are not bottled up inside its own list.
     """
@@ -82,9 +56,24 @@ class Protocol:
 
     def __call__(self, st, slot: int):
         act = self.act
-        picked = []
+        rnd = st.rng.random
+        lists = st.contact_lists
+        others = st.n - 1
         uniform_user = st.source if self.source_contacts_all else None
-        for u, t in contacts(st, st.rng, range(st.n), uniform_user):
+        picked = []
+        for u in range(st.n):
+            if lists is None or u == uniform_user:
+                t = int(rnd() * others)
+                if t >= others:  # guard the float rounding edge
+                    t = others - 1
+                if t >= u:
+                    t += 1
+            else:
+                lst = lists[u]
+                t = int(rnd() * len(lst))
+                if t >= len(lst):
+                    t = len(lst) - 1
+                t = lst[t]
             p = act(st, u, t, slot)
             if p:
                 picked.append((u, t, p))

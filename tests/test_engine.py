@@ -6,15 +6,16 @@ from random import Random
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings, strategies as hs
 
 import gossipsim as g
 from gossipsim.bitset import from_pieces, full_mask, to_pieces
 from gossipsim.engine import (
+    Trace,
+    _lines,
     build_contact_lists,
     init_state,
     resolve_uploads,
-    sample_target,
     step_slot,
     trace_digest,
 )
@@ -67,36 +68,7 @@ def test_eta_seeded_start_places_exact_holder_counts():
     assert st.emergence == [0, 0, 0]
 
 
-# ------------------------------------------------------------- contact draws
-
-
-def test_sample_target_two_users_is_forced():
-    st = init_state(config(n=2, k=1))
-    rng = st.rng
-    assert all(sample_target(0, st, rng) == 1 for _ in range(20))
-    assert all(sample_target(1, st, rng) == 0 for _ in range(20))
-
-
-def test_sample_target_uniform_over_others():
-    st = init_state(config(n=100, k=1))
-    rng = Random(42)
-    draws = Counter(sample_target(7, st, rng) for _ in range(100_000))
-    assert 7 not in draws
-    assert set(draws) == set(range(100)) - {7}
-    _, p = stats.chisquare(list(draws.values()))
-    assert p > 0.01
-
-
-def test_sample_target_fixed_lists_uniform_over_list():
-    st = init_state(
-        config(n=10, k=1, contact_model=g.FIXED_LISTS, contact_list_size=3)
-    )
-    st.contact_lists[0] = (2, 5, 9)
-    rng = Random(1)
-    draws = Counter(sample_target(0, st, rng) for _ in range(10_000))
-    assert set(draws) == {2, 5, 9}
-    for target in (2, 5, 9):
-        assert abs(draws[target] / 10_000 - 1 / 3) < 0.03
+# ------------------------------------------------------------- contact lists
 
 
 def test_build_contact_lists_two_users():
@@ -183,6 +155,33 @@ def test_step_slot_two_user_push_and_availability_delay():
     assert st.arrivals[1, 0] == 1
 
 
+def _delivery_state(constraint):
+    # the source 0 and user 1 hold the only piece; user 2 lacks it
+    st = init_state(config(n=3, k=1, constraint=constraint))
+    st.pieces[1] = full_mask(1)
+    st.arrivals[1, 0] = 0
+    st.num_complete = 2
+    st.slot = 4
+    return st
+
+
+@pytest.mark.parametrize("constraint", [g.HARD, g.SOFT])
+@pytest.mark.parametrize(
+    "pushes, pulls",
+    [([(0, 2, 1)], [(2, 1, 1)]), ([(0, 2, 1), (1, 2, 1)], [])],
+    ids=["push-and-pull", "pushed-twice"],
+)
+def test_only_the_first_copy_of_a_piece_counts(pushes, pulls, constraint):
+    st = _delivery_state(constraint)
+    events = step_slot(st, lambda _st, _slot: (pushes, pulls))
+    assert [(e.to, e.piece) for e in events] == [(2, 1), (2, 1)]  # both uploads spent
+    assert st.slot == 5
+    assert st.arrivals[2, 0] == 5
+    assert st.pieces == [1, 1, 1]
+    assert st.num_complete == 3
+    assert st.emergence == [5]
+
+
 def test_completed_state_is_a_fixed_point():
     cfg = config(n=2, k=1, protocol=g.RANDOM_PUSH, seed=1)
     engine = g.Engine(cfg)
@@ -235,6 +234,59 @@ def test_trace_holds_the_events_each_step_returned():
     assert all(type(v) is int for e in traced[:50] for v in e[:4])
     assert len(res.trace) == len(events)
     assert trace_digest(traced) == trace_digest(events) == res.trace_hash
+
+
+@hs.composite
+def slot_batches(draw):
+    """One run's events, slot by slot: users up to n - 1, pieces up to k,
+    both kinds, and a last slot past max(n, k) holding user n - 1 and
+    piece k."""
+    n = draw(hs.integers(2, 600))
+    k = draw(hs.integers(1, 1200))
+    slots = draw(hs.lists(hs.integers(1, 3 * max(n, k)), max_size=8, unique=True))
+    batches = []
+    for slot in sorted(slots):
+        event = hs.builds(
+            g.TransferEvent,
+            hs.just(slot),
+            hs.integers(0, n - 1),
+            hs.integers(0, n - 1),
+            hs.integers(1, k),
+            hs.sampled_from(("push", "pull")),
+        )
+        batches.append(draw(hs.lists(event, max_size=6)))
+    last = max(n, k) + draw(hs.integers(1, 10**7))
+    batches.append([g.TransferEvent(last, n - 1, 0, k, "push"), g.TransferEvent(last, 0, n - 1, 1, "pull")])
+    return n, k, batches
+
+
+@settings(deadline=None)
+@given(slot_batches())
+def test_trace_text_matches_the_canonical_lines(case):
+    n, k, batches = case
+    trace = Trace()
+    for events in batches:
+        trace.add(events)
+    flat = [e for events in batches for e in events]
+    assert "".join(trace.chunks) == _lines(flat)
+    assert trace.chunks == [_lines(events) for events in batches if events]
+    assert len(trace) == len(flat)
+    assert list(trace) == flat
+    # the digit table stays below twice the largest number formatted
+    assert len(trace._digits) <= 2 * max(n - 1, k) + 1
+
+
+def test_trace_table_grows_for_a_later_slot():
+    trace = Trace()
+    small = [g.TransferEvent(1, 0, 1, 1, "push"), g.TransferEvent(1, 1, 0, 2, "pull")]
+    large = [g.TransferEvent(2, 3, 499, 1000, "pull"), g.TransferEvent(2, 2, 0, 999, "push")]
+    trace.add(small)
+    before = len(trace._digits)
+    trace.add(large)
+    assert before == 3  # the numbers 0, 1 and 2
+    assert 1000 < len(trace._digits) <= 2001
+    trace.add(small)
+    assert trace.chunks == [_lines(small), _lines(large), _lines(small)]
 
 
 def test_trace_digest_is_order_sensitive():

@@ -3,9 +3,11 @@ trace digests that pin the exact sampled behavior per protocol.
 
 The audit rebuilds every user's holdings slot by slot from the trace and
 cross-checks the arrivals matrix, so a violation anywhere in the upload
-pipeline (budget, staging, commit order) surfaces as a failed replay.
+pipeline (budget, delivery, availability delay) surfaces as a failed replay.
 """
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,6 +127,37 @@ def test_advocate_needs_a_slot_per_user():
     res = g.run(config(n=12, k=12, protocol=g.ADVOCATE, constraint=g.SOFT, initial_state=g.ONE_UNIQUE))
     assert res.completed
     assert res.completion_slot >= 12 - 1
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(protocol=g.RANDOM_PULL),
+        dict(protocol=g.SEQUENTIAL_PULL),
+        dict(protocol=g.RANDOM_PUSH),
+        dict(protocol=g.PRIORITY_PUSH, spacing=2),
+        dict(protocol=g.INTERLEAVE),
+        dict(protocol=g.ADVOCATE, initial_state=g.ONE_UNIQUE),
+    ],
+    ids=lambda o: o["protocol"],
+)
+def test_holdings_match_arrivals_after_every_slot(overrides):
+    # a delivery sets the arrival cell and merges the piece at once, so
+    # between slots the arrivals matrix and the holdings say the same
+    contacts = [dict(), dict(contact_model=g.FIXED_LISTS, contact_list_size=3)]
+    for contact in contacts:
+        for constraint in (g.HARD, g.SOFT):
+            cfg = config(n=12, k=12, constraint=constraint, max_slots=300, **contact, **overrides)
+            engine = g.Engine(cfg)
+            state = engine.state
+            delivered = 0
+            while state.num_complete < state.n and state.slot < 300:
+                delivered += len(engine.step())
+                held = [[p >> i & 1 for i in range(12)] for p in state.pieces]
+                assert ((state.arrivals >= 0) == np.array(held, dtype=bool)).all(), cfg
+                assert state.num_complete == sum(p == state.mask for p in state.pieces)
+                assert (state.arrivals <= state.slot).all()
+            assert delivered > 0
 
 
 @settings(max_examples=25, deadline=None)

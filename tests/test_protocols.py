@@ -14,7 +14,7 @@ from scipy import stats
 
 import gossipsim as g
 from gossipsim.bitset import from_pieces, full_mask
-from gossipsim.engine import Engine, SystemState
+from gossipsim.engine import Engine, SystemState, init_state
 from gossipsim.protocols import (
     Advocate,
     Interleave,
@@ -66,6 +66,57 @@ def assert_uniform(counts, support, times):
     assert set(counts) == set(support)
     assert sum(counts.values()) == times
     assert stats.chisquare([counts[p] for p in support]).pvalue > 1e-3
+
+
+class RecordContacts(Protocol):
+    """Idles every user and records each ``(user, contact)`` the slot loop
+    draws."""
+
+    def __init__(self):
+        self.seen = []
+
+    def act(self, st, user, target, slot):
+        self.seen.append((user, target))
+
+
+def contact_draws(st, slots, seed):
+    st.rng = Random(seed)
+    record = RecordContacts()
+    for slot in range(1, slots + 1):
+        assert record(st, slot) == ([], [])
+    return record.seen
+
+
+def test_contact_draw_two_users_is_forced():
+    st = init_state(g.SimulationConfig(n=2, k=1, protocol=g.RANDOM_PULL, seed=0))
+    assert contact_draws(st, 20, 0) == [(0, 1), (1, 0)] * 20
+
+
+def test_contact_draw_uniform_over_others():
+    st = init_state(g.SimulationConfig(n=100, k=1, protocol=g.RANDOM_PULL, seed=0))
+    seen = contact_draws(st, 2000, 42)
+    assert [u for u, _t in seen] == list(range(100)) * 2000
+    pairs = Counter(seen)
+    # every user draws every other user and never itself
+    assert set(pairs) == {(u, t) for u in range(100) for t in range(100) if t != u}
+    _, p = stats.chisquare(list(pairs.values()))
+    assert p > 0.01
+    _, p = stats.chisquare([pairs[7, t] for t in range(100) if t != 7])
+    assert p > 0.01
+
+
+def test_contact_draw_fixed_lists_uniform_over_list():
+    cfg = g.SimulationConfig(
+        n=10, k=1, protocol=g.RANDOM_PULL, seed=0, contact_model=g.FIXED_LISTS, contact_list_size=3
+    )
+    st = init_state(cfg)
+    st.contact_lists[0] = (2, 5, 9)
+    seen = contact_draws(st, 10_000, 1)
+    assert all(t in st.contact_lists[u] for u, t in seen)
+    draws = Counter(t for u, t in seen if u == 0)
+    assert set(draws) == {2, 5, 9}
+    for target in (2, 5, 9):
+        assert abs(draws[target] / 10_000 - 1 / 3) < 0.03
 
 
 def test_sequential_pull_picks_lowest_missing():
