@@ -88,6 +88,15 @@ class ConfigError(ValueError):
     """A configuration value is missing, malformed, or inconsistent."""
 
 
+def is_int(value) -> bool:
+    """An integer that is not a bool: YAML's ``true`` must not pass as 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class SimulationConfig:
     """Complete description of one simulation run."""
@@ -108,9 +117,9 @@ class SimulationConfig:
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` on the first inconsistent field."""
-        if not isinstance(self.n, int) or self.n < 2:
+        if not is_int(self.n) or self.n < 2:
             raise ConfigError(f"n: need an integer >= 2, got {self.n!r}")
-        if not isinstance(self.k, int) or self.k < 1:
+        if not is_int(self.k) or self.k < 1:
             raise ConfigError(f"k: need an integer >= 1, got {self.k!r}")
         if self.n * self.k > MAX_CELLS:
             raise ConfigError(
@@ -132,7 +141,7 @@ class SimulationConfig:
             )
         if self.contact_model == FIXED_LISTS:
             m = self.contact_list_size
-            if not isinstance(m, int) or not 1 <= m <= self.n - 1:
+            if not is_int(m) or not 1 <= m <= self.n - 1:
                 raise ConfigError(
                     "contact_list_size: fixed-lists needs an integer in "
                     f"[1, n-1] = [1, {self.n - 1}], got {m!r}"
@@ -148,7 +157,7 @@ class SimulationConfig:
                 f"{INITIAL_STATES}"
             )
         if self.initial_state == ETA_SEEDED:
-            if not isinstance(self.eta, (int, float)) or not 0 < self.eta <= 1:
+            if not _is_real(self.eta) or not 0 < self.eta <= 1:
                 raise ConfigError(
                     f"eta: eta-seeded needs a value in (0, 1], got {self.eta!r}"
                 )
@@ -159,7 +168,7 @@ class SimulationConfig:
                 "initial_state: one-unique-per-user requires k == n, got "
                 f"k={self.k}, n={self.n}"
             )
-        if not isinstance(self.spacing, int) or self.spacing < 1:
+        if not is_int(self.spacing) or self.spacing < 1:
             raise ConfigError(
                 f"spacing: need an integer >= 1, got {self.spacing!r}"
             )
@@ -168,7 +177,7 @@ class SimulationConfig:
                 "spacing: only the priority-push protocol takes a release "
                 "spacing other than 1"
             )
-        if not 0 < self.epsilon < 1:
+        if not _is_real(self.epsilon) or not 0 < self.epsilon < 1:
             raise ConfigError(
                 f"epsilon: need a value in (0, 1), got {self.epsilon!r}"
             )
@@ -180,15 +189,19 @@ class SimulationConfig:
             raise ConfigError(
                 f"protocol: {self.protocol} requires the single-source start"
             )
-        if not isinstance(self.seed, int) or not 0 <= self.seed < _MAX_SEED:
+        if not is_int(self.seed) or not 0 <= self.seed < _MAX_SEED:
             raise ConfigError(
                 f"seed: need an integer in [0, 2**64), got {self.seed!r}"
             )
         if self.max_slots is not None and (
-            not isinstance(self.max_slots, int) or self.max_slots < 1
+            not is_int(self.max_slots) or self.max_slots < 1
         ):
             raise ConfigError(
                 f"max_slots: need an integer >= 1 or null, got {self.max_slots!r}"
+            )
+        if not isinstance(self.record_trace, bool):
+            raise ConfigError(
+                f"record_trace: need true or false, got {self.record_trace!r}"
             )
 
     def effective_max_slots(self) -> int:

@@ -2,13 +2,24 @@
 
 One slot proceeds in three phases shared by every protocol:
 
-1. every user samples one contact and picks an action (push, pull, idle);
-2. uploads are resolved against the per-user upload budget;
+1. every user samples one contact and picks an action (push, pull, idle).
+   A protocol whose per-user rule draws nothing draws all n contacts in one
+   batch that consumes the PRNG exactly as n single draws do; the pushes
+   come back as an (m, 3) array of (user, target, piece) rows;
+2. uploads are resolved against the per-user upload budget: pushes pass
+   through as they are, pull requests are filtered, sorted and arbitrated
+   in Python;
 3. granted transfers are delivered through the ``arrivals`` matrix: the
    first copy of a piece sets the receiver's cell to the slot, and later
-   copies find it set and are spent without new data.  Holdings are read
-   only when users act, so a piece received in slot t is usable (pushable,
-   servable) from slot t+1 on.
+   copies find it set and are spent without new data.  Pushes are
+   delivered as columns, with one gather and test on the flat matrix, and
+   pulls one by one; the new cells of both merge into the holdings through
+   one helper.  Holdings are read only when users act, so a piece received
+   in slot t is usable (pushable, servable) from slot t+1 on.
+
+A slot's granted uploads are a :class:`SlotEvents`: ``len()`` counts them,
+and iterating builds their :class:`TransferEvent` tuples only then, so an
+untraced run builds no push events at all.
 
 Pushes are resolved before pulls: a user's own push claims its upload
 budget first, and under the hard constraint a pushed-at user therefore
@@ -19,8 +30,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from random import Random
 from typing import Iterable, Iterator, NamedTuple
@@ -42,6 +54,7 @@ from .protocols import PULL, PUSH, make_protocol
 
 __all__ = [
     "TransferEvent",
+    "SlotEvents",
     "Trace",
     "SystemState",
     "RunResult",
@@ -75,6 +88,30 @@ def _lines(events) -> str:
     return "".join(["%d,%d,%d,%d,%s\n" % e for e in events])
 
 
+class SlotEvents:
+    """One slot's granted uploads, in the order they were granted: first
+    the pushes, an (m, 3) int array of ``(from, to, piece)`` rows in user
+    order, then the pull grants, ``(from, to, piece)`` tuples listed by
+    granting user.  ``len()`` counts them; iterating yields them as
+    :class:`TransferEvent` tuples, built only then."""
+
+    __slots__ = ("slot", "pushes", "pulls")
+
+    def __init__(self, slot: int, pushes: np.ndarray, pulls: list):
+        self.slot = slot
+        self.pushes = pushes
+        self.pulls = pulls
+
+    def __len__(self) -> int:
+        return len(self.pushes) + len(self.pulls)
+
+    def __iter__(self) -> Iterator[TransferEvent]:
+        slot = self.slot
+        events = [_new(TransferEvent, (slot, f, t, p, PUSH)) for f, t, p in self.pushes.tolist()]
+        events += [_new(TransferEvent, (slot, f, t, p, PULL)) for f, t, p in self.pulls]
+        return iter(events)
+
+
 class Trace:
     """A run's transfer events as their canonical text: :meth:`add` keeps
     one slot's lines as one string (a chunk), so a long trace holds no
@@ -86,23 +123,27 @@ class Trace:
         self.size = 0
         self._digits: list[str] = []  # _digits[i] == f"{i},"
 
-    def add(self, events: list) -> None:
-        """Append one slot's events (all with the slot of the first), as
-        :func:`_lines` formats them.  Users and pieces are looked up in a
-        table of decimal strings, which doubles when a number is past its
-        end, so it stays below twice the largest number formatted."""
-        if not events:
+    def add(self, events: SlotEvents) -> None:
+        """Append one slot's events, as :func:`_lines` formats them; push
+        lines are formatted straight from their rows.  Users and pieces are
+        looked up in a table of decimal strings, which doubles when a
+        number is past its end, so it stays below twice the largest number
+        formatted."""
+        if not len(events):
             return
-        head = f"{events[0][0]},"
+        head = f"{events.slot},"
         d = self._digits
+        pushes = events.pushes.tolist()
+        pulls = events.pulls
         try:
-            text = "".join([f"{head}{d[f]}{d[t]}{d[p]}{kind}\n" for _s, f, t, p, kind in events])
+            lines = [f"{head}{d[f]}{d[t]}{d[p]}push\n" for f, t, p in pushes]
+            lines += [f"{head}{d[f]}{d[t]}{d[p]}pull\n" for f, t, p in pulls]
         except IndexError:  # a number past the table: grow it and retry
-            top = max(max(e[1:4]) for e in events)
+            top = max(map(max, chain(pushes, pulls)))
             d += [f"{i}," for i in range(len(d), max(top + 1, 2 * len(d)))]
             return self.add(events)
-        self.chunks.append(text)
-        self.size += len(events)
+        self.chunks.append("".join(lines))
+        self.size += len(lines)
 
     def __len__(self) -> int:
         return self.size
@@ -131,8 +172,9 @@ class SystemState:
     num_complete: int = 0
     source: int | None = None
     contact_lists: list | None = None
+    contact_table: np.ndarray | None = None  # contact_lists as an (n, m) array
     initial_piece: list | None = None  # one-unique start: piece per user
-    odd_channel_max: list | None = None  # interleave push-channel memory
+    odd_channel_max: array | None = None  # interleave push-channel memory, 0 = none
     next_source_piece: int | None = None  # interleave source schedule
     release_slots: list | None = None  # first source push per piece
 
@@ -206,7 +248,7 @@ def init_state(config: SimulationConfig) -> SystemState:
         num_complete=sum(1 for b in pieces if b == mask),
     )
     if config.protocol == INTERLEAVE:
-        st.odd_channel_max = [None] * n
+        st.odd_channel_max = array("q", bytes(8 * n))
         st.next_source_piece = 1
     if config.protocol in SOURCE_SCHEDULED:
         st.release_slots = [None] * k
@@ -215,32 +257,36 @@ def init_state(config: SimulationConfig) -> SystemState:
 
 def resolve_uploads(
     slot: int,
-    pushes: list,
+    pushes,
     pull_requests: list,
     constraint: str,
     st: SystemState,
     rng: Random,
-) -> list:
-    """Grant uploads against the per-user budget; returns the event list.
+) -> SlotEvents:
+    """Grant uploads against the per-user budget; returns the slot's events.
 
-    Pushes are the uploader's own decision and always go through.  Pull
-    requests compete for the *target's* budget: requests for pieces the
-    target does not (yet) hold are dropped, and under the hard constraint
-    a target that pushed this slot serves nobody while any other target
-    serves exactly one surviving request, chosen uniformly at random.
-    The soft constraint serves every surviving request.  Pull grants are
-    listed by target, and in request order within one target.
+    `pushes` and `pull_requests` hold ``(user, target, piece)`` rows; the
+    pushes may be an (m, 3) int array (as protocols return them) or any
+    sequence numpy turns into one.  Pushes are the uploader's own decision
+    and always go through.  Pull requests compete for the *target's*
+    budget: requests for pieces the target does not (yet) hold are dropped,
+    and under the hard constraint a target that pushed this slot serves
+    nobody while any other target serves exactly one surviving request,
+    chosen uniformly at random.  The soft constraint serves every surviving
+    request.  Pull grants are listed by target, and in request order within
+    one target.
     """
-    events = [_new(TransferEvent, (slot, u, t, p, PUSH)) for u, t, p in pushes]
+    if not isinstance(pushes, np.ndarray):
+        pushes = np.array(pushes, dtype=np.int64).reshape(-1, 3)
     pieces = st.pieces
     valid = [q for q in pull_requests if pieces[q[1]] >> (q[2] - 1) & 1]
     if not valid:
-        return events
+        return SlotEvents(slot, pushes, [])
     valid.sort(key=_target)
     if constraint != HARD:
-        events += [_new(TransferEvent, (slot, t, r, p, PULL)) for r, t, p in valid]
-        return events
-    busy = {u for u, _t, _p in pushes}
+        return SlotEvents(slot, pushes, [(t, r, p) for r, t, p in valid])
+    busy = set(pushes[:, 0].tolist())
+    grants = []
     end = len(valid)
     i = 0
     while i < end:
@@ -255,12 +301,30 @@ def resolve_uploads(
                 if pick >= j:  # guard the float rounding edge
                     pick = j - 1
             r, _t, p = valid[pick]
-            events.append(_new(TransferEvent, (slot, t, r, p, PULL)))
+            grants.append((t, r, p))
         i = j
-    return events
+    return SlotEvents(slot, pushes, grants)
 
 
-def step_slot(st: SystemState, protocol) -> list:
+def _merge(st: SystemState, slot: int, cells) -> None:
+    """Merge newly served flat cells ``user * k + piece - 1`` of the
+    arrivals matrix into the holdings, the complete count and the
+    emergence slots."""
+    k = st.k
+    mask = st.mask
+    pieces = st.pieces
+    emergence = st.emergence
+    for cell in cells:
+        to, bit = divmod(cell, k)
+        have = pieces[to] | 1 << bit
+        pieces[to] = have
+        if have == mask:
+            st.num_complete += 1
+        if emergence[bit] is None:
+            emergence[bit] = slot
+
+
+def step_slot(st: SystemState, protocol) -> SlotEvents:
     """Advance the world by one slot under `protocol` (from
     :func:`~gossipsim.protocols.make_protocol`); returns the granted
     transfer events."""
@@ -268,34 +332,36 @@ def step_slot(st: SystemState, protocol) -> list:
     pushes, pulls = protocol(st, slot)
     events = resolve_uploads(slot, pushes, pulls, st.constraint, st, st.rng)
 
-    # Deliver: one test-and-set per event on the arrivals matrix.  A cell
-    # already >= 0 is a piece the user held, or one that arrived earlier in
-    # this slot; the upload was spent without new data.  New pieces merge
-    # into `pieces` at once: nothing reads them before the next slot.
-    cells = memoryview(st.arrivals).cast("B").cast("i")
+    # Deliver: a cell of the arrivals matrix already >= 0 is a piece the
+    # user held, or one that arrived earlier in this slot; the upload was
+    # spent without new data.  New pieces merge into `pieces` at once:
+    # nothing reads them before the next slot.
     k = st.k
-    mask = st.mask
-    emergence = st.emergence
-    relay = st.odd_channel_max if slot & 1 else None
-    release = st.release_slots
-    source = st.source
-    pieces = st.pieces
-    for _slot, frm, to, piece, kind in events:
-        if kind == PUSH:
-            if relay is not None and (relay[to] is None or relay[to] < piece):
-                relay[to] = piece
-            if release is not None and frm == source and release[piece - 1] is None:
-                release[piece - 1] = slot
-        cell = to * k + piece - 1
-        if cells[cell] >= 0:
-            continue
-        cells[cell] = slot
-        have = pieces[to] | 1 << (piece - 1)
-        pieces[to] = have
-        if have == mask:
-            st.num_complete += 1
-        if emergence[piece - 1] is None:
-            emergence[piece - 1] = slot
+    rows = events.pushes
+    if len(rows):
+        frm, to, piece = rows.T
+        if slot & 1 and st.odd_channel_max is not None:
+            np.maximum.at(np.frombuffer(st.odd_channel_max, dtype=np.int64), to, piece)
+        release = st.release_slots
+        if release is not None:
+            for p in piece[frm == st.source].tolist():
+                if release[p - 1] is None:
+                    release[p - 1] = slot
+        flat = st.arrivals.reshape(-1)
+        cells = to * k + (piece - 1)
+        cells = cells[flat[cells] < 0]
+        flat[cells] = slot
+        # a piece pushed twice to one user this slot merges once
+        _merge(st, slot, set(cells.tolist()))
+    if events.pulls:
+        arrived = memoryview(st.arrivals).cast("B").cast("i")
+        fresh = []
+        for _frm, to, piece in events.pulls:
+            cell = to * k + piece - 1
+            if arrived[cell] < 0:
+                arrived[cell] = slot
+                fresh.append(cell)
+        _merge(st, slot, fresh)
     st.slot = slot
     return events
 
@@ -326,7 +392,7 @@ class Engine:
         self.state = init_state(config)
         self.trace = Trace() if config.record_trace else None
 
-    def step(self) -> list:
+    def step(self) -> SlotEvents:
         events = step_slot(self.state, self.protocol)
         if self.trace is not None:
             self.trace.add(events)

@@ -2,14 +2,24 @@
 
 A protocol's ``act(st, user, target, slot)`` is its rule for one user in one
 slot: from the holdings at the start of the slot, the piece `user` pushes to
-its contact `target` or requests from it, or a false value to idle.  Calling
-the protocol, ``protocol(st, slot)``, draws every user's contact and applies
-``act`` to each user in user order; it returns ``(pushes, pull_requests)``,
-two lists of ``(user, target, piece)``.  The PRNG is consumed in that order:
-per user, one contact draw and then that user's piece draws.
+its contact `target` or requests from it, or 0 to idle.  Calling the
+protocol, ``protocol(st, slot)``, draws every user's contact and applies
+``act`` to each user in user order; it returns ``(pushes, pull_requests)``:
+the pushes as an (m, 3) integer array of ``(user, target, piece)`` rows, the
+requests as a list of ``(user, target, piece)`` tuples.
+
+The PRNG is consumed in user order: per user, one contact draw and then
+that user's piece draws.  A protocol whose ``act`` draws nothing draws all
+n contacts at once with :func:`uniforms`, which consumes exactly the words
+of n ``rng.random()`` calls, so both ways leave the same stream.
 """
 
 from __future__ import annotations
+
+from itertools import chain, repeat
+from random import Random
+
+import numpy as np
 
 from .bitset import random_piece
 from .config import (
@@ -25,6 +35,7 @@ from .config import (
 __all__ = [
     "PUSH",
     "PULL",
+    "NO_PUSHES",
     "Protocol",
     "RandomPull",
     "SequentialPull",
@@ -33,11 +44,70 @@ __all__ = [
     "Interleave",
     "Advocate",
     "make_protocol",
+    "uniforms",
+    "draw_contacts",
 ]
 
 # Transfer kinds, as recorded in trace events.
 PUSH = "push"
 PULL = "pull"
+
+# The pushes of a slot without any: (user, target, piece) rows.
+NO_PUSHES = np.empty((0, 3), dtype=np.int64)
+NO_PUSHES.flags.writeable = False
+
+# Users per getrandbits call in a batch draw: bounds the integer it builds
+# to 512 KiB whatever n is.
+_CHUNK = 1 << 16
+
+
+def uniforms(rng: Random, n: int) -> np.ndarray:
+    """The next n values of ``rng.random()``, as a float64 array, leaving
+    `rng` in the state n calls would.
+
+    ``rng.getrandbits(64 m)`` consumes the next 2m 32-bit Mersenne Twister
+    words, the first one least significant, so each 64-bit word w of its
+    little-endian bytes holds two consecutive words a (low) and b (high).
+    ``random()`` makes its double from them as ``((a >> 5) 2**26 + (b >>
+    6)) / 2**53``: an integer below 2**53 scaled by a power of two, which
+    float64 holds exactly, so numpy gives the same bits.
+    """
+    parts = []
+    for start in range(0, n, _CHUNK):
+        m = min(_CHUNK, n - start)
+        w = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), dtype="<u8")
+        parts.append((((w & 0xFFFFFFE0) << 21) | (w >> 38)) * (1.0 / 9007199254740992.0))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _uniform_other(x, users, others: int):
+    """Contacts uniform over the other users: ``int(x * others)`` with the
+    float rounding edge guarded, skipping the user itself.  Takes arrays
+    or one user's scalars."""
+    t = np.minimum((x * others).astype(np.intp), others - 1)
+    return t + (t >= users)
+
+
+def draw_contacts(st, source_all: bool = False) -> np.ndarray:
+    """Every user's contact for one slot, drawn as :class:`Protocol` draws
+    them one by one: uniform over the other users, or under fixed lists
+    uniform over the user's own list, and with `source_all` the source
+    uniform over the whole network."""
+    n = st.n
+    x = uniforms(st.rng, n)
+    lists = st.contact_lists
+    if lists is None:
+        return _uniform_other(x, np.arange(n), n - 1)
+    table = st.contact_table
+    if table is None:  # the lists are fixed for the run: convert them once
+        table = st.contact_table = np.array(lists, dtype=np.intp)
+    m = table.shape[1]
+    j = np.minimum((x * m).astype(np.intp), m - 1)
+    targets = table[np.arange(n), j]
+    s = st.source
+    if source_all and s is not None:
+        targets[s] = _uniform_other(x[s], s, n - 1)
+    return targets
 
 
 class Protocol:
@@ -49,12 +119,36 @@ class Protocol:
     list.  With ``source_contacts_all`` the source draws from the whole
     network even under fixed contact lists, so that the pieces it releases
     are not bottled up inside its own list.
+
+    ``draws`` says whether ``act`` draws from ``st.rng``.  If it does, each
+    contact is drawn just before that user acts; if not, all contacts are
+    drawn in one batch (:func:`draw_contacts`) before the first act, which
+    consumes the same draws in the same order.
     """
 
     kind = PULL
     source_contacts_all = False
+    draws = True
 
     def __call__(self, st, slot: int):
+        if self.draws:
+            picked = self._draw_and_act(st, slot)
+            if self.kind == PULL:
+                return NO_PUSHES, picked
+            rows = np.fromiter(chain.from_iterable(picked), np.int64, 3 * len(picked))
+            return rows.reshape(-1, 3), []
+        n = st.n
+        targets = draw_contacts(st, self.source_contacts_all)
+        listed = targets.tolist()
+        acts = map(self.act, repeat(st), range(n), listed, repeat(slot))
+        if self.kind == PULL:
+            return NO_PUSHES, [(u, t, p) for u, t, p in zip(range(n), listed, acts) if p]
+        picks = np.fromiter(acts, np.int64, n)
+        return np.array((np.arange(n), targets, picks)).T[picks > 0], []
+
+    def _draw_and_act(self, st, slot: int) -> list:
+        """Each user's contact draw and then its act, user by user; the
+        ``(user, target, piece)`` of every user that does not idle."""
         act = self.act
         rnd = st.rng.random
         lists = st.contact_lists
@@ -77,7 +171,7 @@ class Protocol:
             p = act(st, u, t, slot)
             if p:
                 picked.append((u, t, p))
-        return (picked, []) if self.kind == PUSH else ([], picked)
+        return picked
 
     def act(self, st, user: int, target: int, slot: int):
         raise NotImplementedError
@@ -93,6 +187,8 @@ class RandomPull(Protocol):
 
 class SequentialPull(Protocol):
     """Each user requests its lowest-numbered missing piece."""
+
+    draws = False
 
     def act(self, st, user: int, target: int, slot: int):
         missing = st.mask ^ st.pieces[user]
@@ -121,6 +217,7 @@ class PriorityPush(Protocol):
 
     kind = PUSH
     source_contacts_all = True
+    draws = False
 
     def __init__(self, spacing: int = 1):
         self.spacing = spacing
@@ -139,11 +236,13 @@ class Interleave(Protocol):
     highest piece it has ever received on the push channel, idling until
     the channel first reaches it.  Even slots are the pull channel, run as
     sequential pull: each user requests its lowest missing piece; complete
-    users idle (but still serve requests).
+    users idle (but still serve requests).  ``st.odd_channel_max`` holds
+    each user's highest push-channel piece, 0 before the first.
     """
 
     kind = PUSH
     source_contacts_all = True
+    draws = False
 
     def __call__(self, st, slot: int):
         if not slot & 1:

@@ -26,6 +26,7 @@ from .config import (
     SCHEMA_VERSION,
     ConfigError,
     SimulationConfig,
+    is_int,
 )
 from .engine import RunResult, run as run_engine
 from .metrics import DelayProfile, delay_profile, failed_pieces, pieces_reached
@@ -160,10 +161,10 @@ class SweepSpec:
                 raise ConfigError(f"{where}: axis {name!r} needs a non-empty list")
             axes.append((name, list(values)))
         seeds = data.get("seeds", 1)
-        if not isinstance(seeds, int) or seeds < 1:
+        if not is_int(seeds) or seeds < 1:
             raise ConfigError(f"{where}: 'seeds' must be an integer >= 1")
         master_seed = data.get("master_seed", 0)
-        if not isinstance(master_seed, int) or master_seed < 0:
+        if not is_int(master_seed) or master_seed < 0:
             raise ConfigError(f"{where}: 'master_seed' must be an integer >= 0")
         return cls(base=dict(base), axes=axes, seeds=seeds, master_seed=master_seed)
 

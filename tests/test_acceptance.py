@@ -15,9 +15,17 @@ around the deterministic mean-map curve.  Their clauses live in pure helpers
 (``_advocate_clauses``, ``_pull_clauses``, ``_gossip_clauses``), and the
 control tests at the end feed each helper synthetic data of the measured
 shape, which must pass, and of a shape the paper rules out, which must fail.
+
+The two largest grids, criteria 1/3 (interleave) and 4 (advocate), run on
+a process pool with one worker per CPU; each worker returns only a run's
+completion slot, and the slots come back in plan order, so every clause
+sees the same numbers as in a serial run.
 """
 
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from statistics import fmean
 
 import numpy as np
@@ -54,6 +62,20 @@ def _seeded(tag, value, idx) -> int:
     return derive_seed(MASTER, ((tag, value),), idx)
 
 
+def _completion_slot(cfg: g.SimulationConfig):
+    """One run's completion slot, None if it hit its slot cap: all that
+    criteria 1, 3 and 4 read of a run."""
+    return g.run(cfg).completion_slot
+
+
+def _completion_slots(configs: list) -> list:
+    """The completion slots of `configs`, in their order, from one spawned
+    worker process per CPU."""
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(os.cpu_count(), mp_context=spawn) as pool:
+        return list(pool.map(_completion_slot, configs))
+
+
 # -------------------------------------------------- criteria 1 and 3 (shared)
 
 
@@ -61,9 +83,8 @@ def _seeded(tag, value, idx) -> int:
 def interleave_completions():
     """Completion slots at n=500, k=1000 for list sizes {2, 8, 16, 32} and
     the full view, 10 seeds per cell."""
-    cells = {}
+    plan = []
     for m in (2, 8, 16, 32, FULL):
-        comps = []
         for idx in range(10):
             kw = dict(
                 n=500,
@@ -73,10 +94,11 @@ def interleave_completions():
             )
             if m != FULL:
                 kw.update(contact_model=g.FIXED_LISTS, contact_list_size=m)
-            res = g.run(g.SimulationConfig(**kw))
-            assert res.completed, f"interleave m={m} hit its slot cap"
-            comps.append(res.completion_slot)
-        cells[m] = comps
+            plan.append((m, g.SimulationConfig(**kw)))
+    cells = {}
+    for (m, _cfg), slot in zip(plan, _completion_slots([cfg for _m, cfg in plan])):
+        assert slot is not None, f"interleave m={m} hit its slot cap"
+        cells.setdefault(m, []).append(slot)
     return cells
 
 
@@ -181,19 +203,21 @@ def _advocate_clauses(slots: dict) -> dict:
 
 
 def test_criterion_04_advocate_linear_completion():
+    plan = [
+        g.SimulationConfig(
+            n=n,
+            k=n,
+            protocol=g.ADVOCATE,
+            constraint=g.SOFT,
+            initial_state=g.ONE_UNIQUE,
+            seed=_seeded("advocate-n", n, idx),
+        )
+        for n in (128, 256, 512, 1024)
+        for idx in range(20)
+    ]
     slots = {}
-    for n in (128, 256, 512, 1024):
-        slots[n] = []
-        for idx in range(20):
-            cfg = g.SimulationConfig(
-                n=n,
-                k=n,
-                protocol=g.ADVOCATE,
-                constraint=g.SOFT,
-                initial_state=g.ONE_UNIQUE,
-                seed=_seeded("advocate-n", n, idx),
-            )
-            slots[n].append(g.run(cfg).completion_slot)
+    for cfg, slot in zip(plan, _completion_slots(plan)):
+        slots.setdefault(cfg.n, []).append(slot)
     _report(4, list(_advocate_clauses(slots).values()))
 
 

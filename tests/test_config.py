@@ -16,6 +16,7 @@ from gossipsim.config import (
     SimulationConfig,
     load_config,
 )
+from gossipsim.sweep import SweepSpec
 
 
 def make(**overrides):
@@ -60,6 +61,19 @@ def test_minimal_config_validates():
         (dict(seed=-1), "seed:"),
         (dict(seed=2**64), "seed:"),
         (dict(max_slots=0), "max_slots:"),
+        # YAML booleans are not integers or reals, and strings are not
+        # numbers or booleans
+        (dict(n=True), "n:"),
+        (dict(k=True), "k:"),
+        (dict(contact_model=FIXED_LISTS, contact_list_size=True), "contact_list_size:"),
+        (dict(initial_state=ETA_SEEDED, eta=True), "eta:"),
+        (dict(protocol=PRIORITY_PUSH, spacing=True), "spacing:"),
+        (dict(epsilon="0.1"), "epsilon:"),
+        (dict(epsilon=True), "epsilon:"),
+        (dict(seed=True), "seed:"),
+        (dict(max_slots=True), "max_slots:"),
+        (dict(record_trace="false"), "record_trace:"),
+        (dict(record_trace=1), "record_trace:"),
     ],
 )
 def test_invalid_configs_name_the_field(overrides, fragment):
@@ -138,3 +152,23 @@ def test_load_config_rejects_bad_yaml(tmp_path):
     path.write_text("n: [unclosed\n")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("k", "true"), ("max_slots", "true"), ("epsilon", '"0.1"'), ("record_trace", '"false"')],
+)
+def test_load_config_rejects_mistyped_yaml_values(tmp_path, field, value):
+    path = tmp_path / "run.yaml"
+    path.write_text(
+        f"schema_version: {SCHEMA_VERSION}\nn: 8\nk: 2\nprotocol: random-pull\n{field}: {value}\n"
+    )
+    with pytest.raises(ConfigError, match=f"{field}:"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("field", ["seeds", "master_seed"])
+def test_sweep_spec_rejects_boolean_counts(field):
+    data = {"base": {"n": 8, "k": 2, "protocol": RANDOM_PULL}, field: True}
+    with pytest.raises(ConfigError, match=f"'{field}'"):
+        SweepSpec.from_mapping(data)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as hs
 import gossipsim as g
 from gossipsim.bitset import from_pieces, full_mask, to_pieces
 from gossipsim.engine import (
+    SlotEvents,
     Trace,
     _lines,
     build_contact_lists,
@@ -104,7 +105,7 @@ def test_hard_constraint_grants_exactly_one_pull_uniformly():
     rng = Random(9)
     grants = Counter()
     for _ in range(10_000):
-        events = resolve_uploads(1, [], [(0, 2, 1), (1, 2, 1)], g.HARD, st, rng)
+        events = list(resolve_uploads(1, [], [(0, 2, 1), (1, 2, 1)], g.HARD, st, rng))
         assert len(events) == 1
         assert events[0].frm == 2 and events[0].kind == "pull"
         grants[events[0].to] += 1
@@ -115,27 +116,30 @@ def test_hard_constraint_grants_exactly_one_pull_uniformly():
 def test_soft_constraint_grants_every_valid_pull():
     st = _arbitration_state()
     events = resolve_uploads(1, [], [(0, 2, 1), (1, 2, 1)], g.SOFT, st, Random(0))
+    assert len(events) == 2
     assert {(e.frm, e.to, e.piece) for e in events} == {(2, 0, 1), (2, 1, 1)}
 
 
 def test_no_requests_yield_no_events():
     st = _arbitration_state()
-    assert resolve_uploads(1, [], [], g.HARD, st, Random(0)) == []
+    assert list(resolve_uploads(1, [], [], g.HARD, st, Random(0))) == []
 
 
 def test_requests_for_unheld_pieces_are_dropped():
     st = _arbitration_state()
     events = resolve_uploads(1, [], [(0, 1, 1)], g.HARD, st, Random(0))
-    assert events == []
+    assert list(events) == []
 
 
 def test_hard_pushing_user_serves_no_pulls():
     st = _arbitration_state()
-    pushes = [(2, 0, 1)]  # user 2's own upload claims its budget
-    events = resolve_uploads(1, pushes, [(1, 2, 1)], g.HARD, st, Random(0))
-    assert [(e.frm, e.to, e.kind) for e in events] == [(2, 0, "push")]
-    soft_events = resolve_uploads(1, pushes, [(1, 2, 1)], g.SOFT, st, Random(0))
-    assert len(soft_events) == 2
+    # user 2's own upload claims its budget, given as a list or as the
+    # protocols give pushes, an (m, 3) array of rows
+    for pushes in ([(2, 0, 1)], np.array([[2, 0, 1]])):
+        events = resolve_uploads(1, pushes, [(1, 2, 1)], g.HARD, st, Random(0))
+        assert [(e.frm, e.to, e.kind) for e in events] == [(2, 0, "push")]
+        soft_events = resolve_uploads(1, pushes, [(1, 2, 1)], g.SOFT, st, Random(0))
+        assert len(soft_events) == 2
 
 
 # -------------------------------------------------------------------- stepping
@@ -236,27 +240,27 @@ def test_trace_holds_the_events_each_step_returned():
     assert trace_digest(traced) == trace_digest(events) == res.trace_hash
 
 
+def slot_events(slot, pushes=(), pulls=()):
+    """A slot's events as step_slot returns them: pushes as (m, 3) rows,
+    pull grants as tuples, each (from, to, piece)."""
+    return SlotEvents(slot, np.array(pushes, dtype=np.int64).reshape(-1, 3), list(pulls))
+
+
 @hs.composite
 def slot_batches(draw):
     """One run's events, slot by slot: users up to n - 1, pieces up to k,
-    both kinds, and a last slot past max(n, k) holding user n - 1 and
-    piece k."""
+    pushes and pull grants, and a last slot past max(n, k) holding user
+    n - 1 and piece k."""
     n = draw(hs.integers(2, 600))
     k = draw(hs.integers(1, 1200))
     slots = draw(hs.lists(hs.integers(1, 3 * max(n, k)), max_size=8, unique=True))
+    upload = hs.tuples(hs.integers(0, n - 1), hs.integers(0, n - 1), hs.integers(1, k))
     batches = []
     for slot in sorted(slots):
-        event = hs.builds(
-            g.TransferEvent,
-            hs.just(slot),
-            hs.integers(0, n - 1),
-            hs.integers(0, n - 1),
-            hs.integers(1, k),
-            hs.sampled_from(("push", "pull")),
-        )
-        batches.append(draw(hs.lists(event, max_size=6)))
+        pushes = draw(hs.lists(upload, max_size=6))
+        batches.append(slot_events(slot, pushes, draw(hs.lists(upload, max_size=6))))
     last = max(n, k) + draw(hs.integers(1, 10**7))
-    batches.append([g.TransferEvent(last, n - 1, 0, k, "push"), g.TransferEvent(last, 0, n - 1, 1, "pull")])
+    batches.append(slot_events(last, [(n - 1, 0, k)], [(0, n - 1, 1)]))
     return n, k, batches
 
 
@@ -268,18 +272,30 @@ def test_trace_text_matches_the_canonical_lines(case):
     for events in batches:
         trace.add(events)
     flat = [e for events in batches for e in events]
+    assert all(type(v) is int for e in flat for v in e[:4])
     assert "".join(trace.chunks) == _lines(flat)
-    assert trace.chunks == [_lines(events) for events in batches if events]
+    assert trace.chunks == [_lines(events) for events in batches if len(events)]
     assert len(trace) == len(flat)
     assert list(trace) == flat
     # the digit table stays below twice the largest number formatted
     assert len(trace._digits) <= 2 * max(n - 1, k) + 1
 
 
+def test_slot_events_list_pushes_then_pulls():
+    events = slot_events(3, [(0, 1, 2), (4, 0, 1)], [(1, 2, 2)])
+    assert len(events) == 3
+    assert list(events) == [
+        g.TransferEvent(3, 0, 1, 2, "push"),
+        g.TransferEvent(3, 4, 0, 1, "push"),
+        g.TransferEvent(3, 1, 2, 2, "pull"),
+    ]
+    assert len(slot_events(3)) == 0 and list(slot_events(3)) == []
+
+
 def test_trace_table_grows_for_a_later_slot():
     trace = Trace()
-    small = [g.TransferEvent(1, 0, 1, 1, "push"), g.TransferEvent(1, 1, 0, 2, "pull")]
-    large = [g.TransferEvent(2, 3, 499, 1000, "pull"), g.TransferEvent(2, 2, 0, 999, "push")]
+    small = slot_events(1, [(0, 1, 1)], [(1, 0, 2)])
+    large = slot_events(2, [(2, 0, 999)], [(3, 499, 1000)])
     trace.add(small)
     before = len(trace._digits)
     trace.add(large)

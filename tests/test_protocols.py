@@ -1,15 +1,17 @@
 """Protocols on hand-built states, including every documented selection
-example.
+example, and the contact draw.
 
-Each state gives every user a one-entry contact list, so the contact draw
-is forced and the test fixes who asks whom.
+Each hand-built state gives every user a one-entry contact list, so the
+contact draw is forced and the test fixes who asks whom.
 """
 
+from array import array
 from collections import Counter
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 from scipy import stats
 
 import gossipsim as g
@@ -23,7 +25,9 @@ from gossipsim.protocols import (
     RandomPull,
     RandomPush,
     SequentialPull,
+    draw_contacts,
     make_protocol,
+    uniforms,
 )
 
 random_pull = RandomPull()
@@ -53,11 +57,19 @@ def state(holdings, k, targets, seed=0, **extra):
     )
 
 
+def uploads(actions):
+    """A protocol's ``(pushes, pull_requests)`` with the push rows as
+    tuples."""
+    pushes, pulls = actions
+    assert pushes.ndim == 2 and pushes.shape[1] == 3
+    return [tuple(row) for row in pushes.tolist()], pulls
+
+
 def draws(protocol, st, user, times):
     """Pieces `user` picks over `times` slots of an unchanging state."""
     picked = Counter()
     for slot in range(1, times + 1):
-        pushes, pulls = protocol(st, slot)
+        pushes, pulls = uploads(protocol(st, slot))
         picked.update(p for u, _t, p in pushes + pulls if u == user)
     return picked
 
@@ -70,31 +82,42 @@ def assert_uniform(counts, support, times):
 
 class RecordContacts(Protocol):
     """Idles every user and records each ``(user, contact)`` the slot loop
-    draws."""
+    draws.  With `draws` set, ``act`` also draws once from the PRNG, so
+    contacts are drawn user by user; without it they come in one batch."""
 
-    def __init__(self):
+    def __init__(self, draws):
+        self.draws = draws
         self.seen = []
 
     def act(self, st, user, target, slot):
         self.seen.append((user, target))
+        if self.draws:
+            st.rng.random()
+        return 0
 
 
-def contact_draws(st, slots, seed):
+# the contact draw of a protocol whose act draws, and of one whose act does not
+CONTACT_PATHS = pytest.mark.parametrize("act_draws", [True, False], ids=["drawing", "batch"])
+
+
+def contact_draws(st, slots, seed, act_draws):
     st.rng = Random(seed)
-    record = RecordContacts()
+    record = RecordContacts(act_draws)
     for slot in range(1, slots + 1):
-        assert record(st, slot) == ([], [])
+        assert uploads(record(st, slot)) == ([], [])
     return record.seen
 
 
-def test_contact_draw_two_users_is_forced():
+@CONTACT_PATHS
+def test_contact_draw_two_users_is_forced(act_draws):
     st = init_state(g.SimulationConfig(n=2, k=1, protocol=g.RANDOM_PULL, seed=0))
-    assert contact_draws(st, 20, 0) == [(0, 1), (1, 0)] * 20
+    assert contact_draws(st, 20, 0, act_draws) == [(0, 1), (1, 0)] * 20
 
 
-def test_contact_draw_uniform_over_others():
+@CONTACT_PATHS
+def test_contact_draw_uniform_over_others(act_draws):
     st = init_state(g.SimulationConfig(n=100, k=1, protocol=g.RANDOM_PULL, seed=0))
-    seen = contact_draws(st, 2000, 42)
+    seen = contact_draws(st, 2000, 42, act_draws)
     assert [u for u, _t in seen] == list(range(100)) * 2000
     pairs = Counter(seen)
     # every user draws every other user and never itself
@@ -105,18 +128,72 @@ def test_contact_draw_uniform_over_others():
     assert p > 0.01
 
 
-def test_contact_draw_fixed_lists_uniform_over_list():
+@CONTACT_PATHS
+def test_contact_draw_fixed_lists_uniform_over_list(act_draws):
     cfg = g.SimulationConfig(
         n=10, k=1, protocol=g.RANDOM_PULL, seed=0, contact_model=g.FIXED_LISTS, contact_list_size=3
     )
     st = init_state(cfg)
     st.contact_lists[0] = (2, 5, 9)
-    seen = contact_draws(st, 10_000, 1)
+    seen = contact_draws(st, 10_000, 1, act_draws)
     assert all(t in st.contact_lists[u] for u, t in seen)
     draws = Counter(t for u, t in seen if u == 0)
     assert set(draws) == {2, 5, 9}
     for target in (2, 5, 9):
         assert abs(draws[target] / 10_000 - 1 / 3) < 0.03
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=hs.integers(0, 2**64 - 1), n=hs.integers(1, 3000))
+def test_batch_uniforms_equal_sequential_draws(seed, n):
+    batch, single = Random(seed), Random(seed)
+    x = uniforms(batch, n)
+    assert x.dtype == np.float64
+    assert x.tolist() == [single.random() for _ in range(n)]
+    assert batch.random() == single.random()
+
+
+def test_batch_uniforms_in_chunks(monkeypatch):
+    monkeypatch.setattr("gossipsim.protocols._CHUNK", 7)
+    batch, single = Random(5), Random(5)
+    assert uniforms(batch, 30).tolist() == [single.random() for _ in range(30)]
+    assert batch.getstate() == single.getstate()
+
+
+class PerUserContacts(Protocol):
+    """The user-by-user contact draw, with an act that draws nothing."""
+
+    def __init__(self, source_all):
+        self.source_contacts_all = source_all
+        self.seen = []
+
+    def act(self, st, user, target, slot):
+        self.seen.append(target)
+        return 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=hs.integers(2, 300),
+    seed=hs.integers(0, 2**64 - 1),
+    m=hs.integers(1, 299),
+    fixed=hs.booleans(),
+    source_all=hs.booleans(),
+    source=hs.integers(0, 299),
+)
+def test_batch_contacts_equal_the_per_user_draw(n, seed, m, fixed, source_all, source):
+    # uniform contacts, fixed lists, and the source drawing over the whole
+    # network: one batch gives the contacts and PRNG state of n single draws
+    extra = dict(contact_model=g.FIXED_LISTS, contact_list_size=min(m, n - 1)) if fixed else {}
+    st = init_state(g.SimulationConfig(n=n, k=1, protocol=g.RANDOM_PULL, seed=seed, **extra))
+    st.source = source % n
+    per_user = PerUserContacts(source_all)
+    start = st.rng.getstate()
+    per_user(st, 1)
+    after = st.rng.getstate()
+    st.rng.setstate(start)
+    assert draw_contacts(st, source_all).tolist() == per_user.seen
+    assert st.rng.getstate() == after
 
 
 def test_sequential_pull_picks_lowest_missing():
@@ -126,7 +203,7 @@ def test_sequential_pull_picks_lowest_missing():
     # complete users idle.  User 4 asks for 3 although its contact lacks it:
     # requests ignore the contact's holdings, and resolve_uploads drops the
     # ones it cannot serve.
-    assert sequential_pull(st, 1) == ([], [(0, 3, 3), (1, 3, 1), (4, 0, 3)])
+    assert uploads(sequential_pull(st, 1)) == ([], [(0, 3, 3), (1, 3, 1), (4, 0, 3)])
 
 
 def test_random_pull_uniform_over_missing():
@@ -134,7 +211,7 @@ def test_random_pull_uniform_over_missing():
     counts = draws(random_pull, st, 1, 6000)  # missing {1, 3, 5}
     assert_uniform(counts, (1, 3, 5), 6000)
     # the complete users 0 and 2 never pull
-    assert all(u == 1 for u, _t, _p in random_pull(st, 1)[1])
+    assert all(u == 1 for u, _t, _p in uploads(random_pull(st, 1))[1])
 
 
 def test_random_push_uniform_over_owned():
@@ -142,14 +219,14 @@ def test_random_push_uniform_over_owned():
     counts = draws(random_push, st, 1, 4000)
     assert_uniform(counts, (1, 5), 4000)
     # the empty-handed user 2 never pushes
-    assert all(u != 2 for u, _t, _p in random_push(st, 1)[0])
+    assert all(u != 2 for u, _t, _p in uploads(random_push(st, 1))[0])
 
 
 def test_priority_push_source_schedule():
     st = state([range(1, 7), []], 6, [1, 0])
 
     def source_piece(slot, spacing):
-        pushes, pulls = PriorityPush(spacing)(st, slot)
+        pushes, pulls = uploads(PriorityPush(spacing)(st, slot))
         assert pulls == []
         return [p for u, _t, p in pushes if u == 0]
 
@@ -166,26 +243,28 @@ def test_priority_push_source_schedule():
 def test_priority_push_non_source_pushes_highest():
     st = state([range(1, 7), [1, 3], []], 6, [1, 0, 0])
     priority_push = PriorityPush(1)
-    pushes, _pulls = priority_push(st, 9)
+    pushes, _pulls = uploads(priority_push(st, 9))
     assert [(u, p) for u, _t, p in pushes] == [(0, 6), (1, 3)]
     # the source's scheduled pushes ignore its contact list and reach the
     # whole network
-    targets = {t for slot in range(1, 200) for u, t, _p in priority_push(st, slot)[0] if u == 0}
+    targets = {t for slot in range(1, 200) for u, t, _p in uploads(priority_push(st, slot))[0] if u == 0}
     assert targets == {1, 2}
 
 
 def interleave_state(holdings, k, targets, relay, fresh=1):
-    return state(holdings, k, targets, odd_channel_max=relay, next_source_piece=fresh)
+    """`relay[u]`: the highest piece user u got on the push channel, 0 for
+    none yet."""
+    return state(holdings, k, targets, odd_channel_max=array("q", relay), next_source_piece=fresh)
 
 
 def test_interleave_source_pushes_schedule_on_odd_slots():
     # source has released up to 4, so its next odd-slot push is piece 5
-    st = interleave_state([range(1, 10), []], 9, [1, 0], [None, None], fresh=5)
-    assert interleave(st, 11) == ([(0, 1, 5)], [])
+    st = interleave_state([range(1, 10), []], 9, [1, 0], [0, 0], fresh=5)
+    assert uploads(interleave(st, 11)) == ([(0, 1, 5)], [])
     assert st.next_source_piece == 6
     # the schedule is capped at k
     st.next_source_piece = 9
-    assert interleave(st, 13) == ([(0, 1, 9)], [])
+    assert uploads(interleave(st, 13)) == ([(0, 1, 9)], [])
     assert st.next_source_piece == 9
 
 
@@ -194,18 +273,18 @@ def test_interleave_relay_uses_odd_channel_memory_only():
     # it relays 6, never 9; user 2 has nothing from the odd channel yet
     # and idles on odd slots
     owned = [6, 9]
-    st = interleave_state([range(1, 10), owned, owned], 9, [1, 0, 0], [None, 6, None], fresh=3)
-    pushes, pulls = interleave(st, 7)
+    st = interleave_state([range(1, 10), owned, owned], 9, [1, 0, 0], [0, 6, 0], fresh=3)
+    pushes, pulls = uploads(interleave(st, 7))
     assert pulls == []
     assert [(u, p) for u, _t, p in pushes] == [(0, 3), (1, 6)]
 
 
 def test_interleave_even_slots_pull_lowest_missing():
     full = range(1, 7)
-    st = interleave_state([full, [1, 2, 5], full], 6, [2, 0, 0], [None, 5, 6], fresh=3)
+    st = interleave_state([full, [1, 2, 5], full], 6, [2, 0, 0], [0, 5, 6], fresh=3)
     # user 1 pulls 3; the complete user 2 and the complete source idle on
     # the pull channel
-    assert interleave(st, 8) == ([], [(1, 0, 3)])
+    assert uploads(interleave(st, 8)) == ([], [(1, 0, 3)])
     assert st.next_source_piece == 3  # even slots leave the schedule alone
 
 
@@ -218,7 +297,7 @@ def test_advocate_prefers_target_initial_piece():
     # user 0 holds {1, 2}; its contact, user 2 (initial piece 3), holds
     # {3, 4, 8}
     st = advocate_state([[1, 2], [2], [3, 4, 8], [4], [5], [6], [7], [8]], [2] + [0] * 7)
-    _pushes, pulls = advocate(st, 1)
+    _pushes, pulls = uploads(advocate(st, 1))
     assert pulls[0] == (0, 2, 3)
 
 
@@ -236,22 +315,22 @@ def test_advocate_idles_when_target_offers_nothing():
     # user 1 holds {1, 2, 3}; its contact, user 0 (initial piece 1), holds
     # {1, 3}
     st = advocate_state([[1, 3], [1, 2, 3], [3]], [1, 0, 0])
-    _pushes, pulls = advocate(st, 1)
+    _pushes, pulls = uploads(advocate(st, 1))
     assert all(u != 1 for u, _t, _p in pulls)
 
 
 @pytest.mark.parametrize("slot", [2, 4, 100])
 def test_interleave_slot_parity_drives_channel(slot):
-    st = interleave_state([range(1, 5), [2]], 4, [1, 0], [None, 2], fresh=2)
-    assert interleave(st, slot) == ([], [(1, 0, 1)])
-    assert interleave(st, slot + 1) == ([(0, 1, 2), (1, 0, 2)], [])
+    st = interleave_state([range(1, 5), [2]], 4, [1, 0], [0, 2], fresh=2)
+    assert uploads(interleave(st, slot)) == ([], [(1, 0, 1)])
+    assert uploads(interleave(st, slot + 1)) == ([(0, 1, 2), (1, 0, 2)], [])
 
 
 def test_make_protocol_returns_the_named_protocol():
     assert type(make_protocol(g.SimulationConfig(n=2, k=6, protocol=g.RANDOM_PULL))) is RandomPull
     spaced = make_protocol(g.SimulationConfig(n=2, k=6, protocol=g.PRIORITY_PUSH, spacing=2))
     st = state([range(1, 7), []], 6, [1, 0])
-    assert spaced(st, 3) == ([(0, 1, 2)], [])
+    assert uploads(spaced(st, 3)) == ([(0, 1, 2)], [])
 
 
 @pytest.mark.parametrize(

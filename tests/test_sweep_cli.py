@@ -463,6 +463,13 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     capsys.readouterr()
     assert main(["simulate", "--config", str(tmp_path / "absent.yaml")]) == 2
     capsys.readouterr()
+    # a string where a number belongs is a config error, not a TypeError
+    quoted = write_yaml(
+        tmp_path / "eps.yaml",
+        {"schema_version": 1, "n": 16, "k": 4, "protocol": "random-pull", "epsilon": "0.1"},
+    )
+    assert main(["simulate", "--config", quoted]) == 2
+    assert "config error: epsilon" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_subcommand_and_theorem(tmp_path):
