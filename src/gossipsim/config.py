@@ -22,6 +22,7 @@ __all__ = [
     "ConfigError",
     "SimulationConfig",
     "load_config",
+    "read_versioned_yaml",
     "MAX_CELLS",
     "RANDOM_PULL",
     "SEQUENTIAL_PULL",
@@ -240,12 +241,9 @@ class SimulationConfig:
         return config
 
 
-def load_config(path: str | Path) -> SimulationConfig:
-    """Load one run configuration from a YAML file.
-
-    The file must carry ``schema_version`` matching :data:`SCHEMA_VERSION`;
-    the remaining keys are :class:`SimulationConfig` fields.
-    """
+def read_versioned_yaml(path: str | Path) -> dict:
+    """The top-level mapping of a YAML file, without its ``schema_version``,
+    which must match :data:`SCHEMA_VERSION`."""
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text())
@@ -258,4 +256,11 @@ def load_config(path: str | Path) -> SimulationConfig:
         raise ConfigError(
             f"{path}: schema_version must be {SCHEMA_VERSION}, got {version!r}"
         )
-    return SimulationConfig.from_mapping(raw, where=str(path))
+    return raw
+
+
+def load_config(path: str | Path) -> SimulationConfig:
+    """Load one run configuration from a schema-versioned YAML file whose
+    other keys are :class:`SimulationConfig` fields."""
+    where = str(Path(path))
+    return SimulationConfig.from_mapping(read_versioned_yaml(path), where=where)

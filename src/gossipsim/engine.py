@@ -163,7 +163,6 @@ class SystemState:
     k: int
     mask: int
     constraint: str
-    protocol_id: str
     rng: Random
     pieces: list[int]
     arrivals: np.ndarray  # (n, k) int32; arrivals[u, p-1] = slot, -1 = never
@@ -237,7 +236,6 @@ def init_state(config: SimulationConfig) -> SystemState:
         k=k,
         mask=mask,
         constraint=config.constraint,
-        protocol_id=config.protocol,
         rng=rng,
         pieces=pieces,
         arrivals=arrivals,

@@ -3,7 +3,8 @@ or across processes, and written as versioned CSVs.
 
 Per-run seeds are derived by hashing (master seed, cell, seed index), so a
 sweep's outcome is independent of execution order and worker count, and any
-single run can be reproduced in isolation from its row.
+single run can be reproduced in isolation from its row.  Sweeps and the
+report figures plan their runs through the one :func:`plan`.
 """
 
 from __future__ import annotations
@@ -19,14 +20,13 @@ from pathlib import Path
 from statistics import fmean
 from typing import Any, Mapping
 
-import yaml
-
 from .config import (
     PRIORITY_PUSH,
     SCHEMA_VERSION,
     ConfigError,
     SimulationConfig,
     is_int,
+    read_versioned_yaml,
 )
 from .engine import RunResult, run as run_engine
 from .metrics import DelayProfile, delay_profile, failed_pieces, pieces_reached
@@ -39,7 +39,9 @@ __all__ = [
     "SweepSpec",
     "RunPlan",
     "load_sweep",
+    "check_seeds",
     "derive_seed",
+    "plan",
     "expand",
     "execute",
     "reach_summary",
@@ -161,29 +163,25 @@ class SweepSpec:
                 raise ConfigError(f"{where}: axis {name!r} needs a non-empty list")
             axes.append((name, list(values)))
         seeds = data.get("seeds", 1)
-        if not is_int(seeds) or seeds < 1:
-            raise ConfigError(f"{where}: 'seeds' must be an integer >= 1")
         master_seed = data.get("master_seed", 0)
-        if not is_int(master_seed) or master_seed < 0:
-            raise ConfigError(f"{where}: 'master_seed' must be an integer >= 0")
+        check_seeds(seeds, master_seed, where)
         return cls(base=dict(base), axes=axes, seeds=seeds, master_seed=master_seed)
+
+
+def check_seeds(seeds, master_seed, where: str) -> None:
+    """The seed plan rule shared by sweeps and figures: at least one seed
+    per cell and a non-negative master seed, both integers (not bools)."""
+    if not is_int(seeds) or seeds < 1:
+        raise ConfigError(f"{where}: 'seeds' must be an integer >= 1, got {seeds!r}")
+    if not is_int(master_seed) or master_seed < 0:
+        raise ConfigError(
+            f"{where}: 'master_seed' must be an integer >= 0, got {master_seed!r}"
+        )
 
 
 def load_sweep(path: str | Path) -> SweepSpec:
     """Load a sweep spec from a YAML file (schema-versioned like configs)."""
-    path = Path(path)
-    try:
-        raw = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected a mapping at top level")
-    version = raw.pop("schema_version", None)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"{path}: schema_version must be {SCHEMA_VERSION}, got {version!r}"
-        )
-    return SweepSpec.from_mapping(raw, where=str(path))
+    return SweepSpec.from_mapping(read_versioned_yaml(path), where=str(Path(path)))
 
 
 @dataclass(frozen=True)
@@ -213,25 +211,34 @@ def _cell_product(axes: list) -> list:
     return cells
 
 
-def expand(spec: SweepSpec) -> list[RunPlan]:
-    """All run plans for a sweep, validated up front so bad cells fail
-    before any simulation starts."""
+def plan(cells, seeds: int, master_seed: int) -> list[RunPlan]:
+    """`seeds` run plans for each (cell, config data) pair, in cell order.
+
+    A run's seed and run id hash (master seed, cell, seed index), so they
+    depend on the cell's tag and not on its position.  Every config is
+    validated up front, so a bad cell fails before any simulation starts.
+    """
     plans = []
-    for cell in _cell_product(spec.axes):
-        overrides = {AXIS_FIELDS[name]: value for name, value in cell}
-        for seed_index in range(spec.seeds):
-            seed = derive_seed(spec.master_seed, cell, seed_index)
-            data = dict(spec.base)
-            data.update(overrides)
-            data["seed"] = seed
-            where = "sweep cell " + ",".join(f"{a}={v}" for a, v in cell)
-            config = SimulationConfig.from_mapping(data, where=where)
-            tag = f"{spec.master_seed}|{cell}|{seed_index}"
+    for cell, data in cells:
+        where = "sweep cell " + ",".join(f"{a}={v}" for a, v in cell)
+        for seed_index in range(seeds):
+            seed = derive_seed(master_seed, cell, seed_index)
+            config = SimulationConfig.from_mapping({**data, "seed": seed}, where=where)
+            tag = f"{master_seed}|{cell}|{seed_index}"
             run_id = hashlib.sha256(tag.encode()).hexdigest()[:12]
             plans.append(
                 RunPlan(run_id=run_id, cell=cell, seed_index=seed_index, config=config)
             )
     return plans
+
+
+def expand(spec: SweepSpec) -> list[RunPlan]:
+    """All run plans for a sweep: the base config under each axis cell."""
+    cells = [
+        (cell, {**spec.base, **{AXIS_FIELDS[name]: value for name, value in cell}})
+        for cell in _cell_product(spec.axes)
+    ]
+    return plan(cells, spec.seeds, spec.master_seed)
 
 
 def reach_summary(result: RunResult) -> dict:

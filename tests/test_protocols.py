@@ -46,7 +46,6 @@ def state(holdings, k, targets, seed=0, **extra):
         k=k,
         mask=full_mask(k),
         constraint=g.HARD,
-        protocol_id="",
         rng=Random(seed),
         pieces=[from_pieces(h) for h in holdings],
         arrivals=np.full((n, k), -1, dtype=np.int32),

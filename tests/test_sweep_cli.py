@@ -1,6 +1,7 @@
 """Sweeps, result files, bound verification, figures, and the CLI."""
 
 import csv
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -349,6 +350,10 @@ def test_reproduce_is_deterministic_and_validates():
         reproduce("fig1", scale=0.0)
     with pytest.raises(ConfigError):
         reproduce("fig1", seeds=0)
+    # the sweep's seed-plan rule: integers, not bools or floats
+    for bad in ({"seeds": True}, {"seeds": 1.5}, {"master_seed": -7}, {"master_seed": True}):
+        with pytest.raises(ConfigError):
+            reproduce("fig1", scale=0.04, **bad)
 
 
 # ---------------------------------------------------------------------- CLI
@@ -470,6 +475,10 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     )
     assert main(["simulate", "--config", quoted]) == 2
     assert "config error: epsilon" in capsys.readouterr().err
+    # reproduce applies the sweep's seed-plan rule
+    argv = ["reproduce", "--figure", "fig1", "--scale", "0.04", "--out", str(tmp_path)]
+    assert main(argv + ["--master-seed", "-7"]) == 2
+    assert "config error: reproduce: 'master_seed'" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_subcommand_and_theorem(tmp_path):
@@ -597,7 +606,7 @@ def test_cli_reproduce_writes_figure_csv(tmp_path, capsys):
     assert all(r["figure"] == "fig1" for r in rows)
 
 
-@pytest.mark.parametrize("figure", ["fig2", "fig3"])
+@pytest.mark.parametrize("figure", ["fig1", "fig2", "fig3"])
 def test_cli_reproduce_csv_does_not_depend_on_jobs(tmp_path, capsys, figure):
     written = []
     for jobs in ("1", "2"):
@@ -607,6 +616,56 @@ def test_cli_reproduce_csv_does_not_depend_on_jobs(tmp_path, capsys, figure):
         written.append((out / f"{figure}.csv").read_bytes())
     capsys.readouterr()
     assert written[0] == written[1]
+
+
+def csv_digest(path):
+    """sha256 of a result CSV without its wall_time_s and tool_version
+    columns, the only ones that may differ between commits or runs."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    keep = [i for i, c in enumerate(rows[0]) if c not in ("wall_time_s", "tool_version")]
+    text = "\n".join(",".join(row[i] for i in keep) for row in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Frozen digests of figure and sweep CSVs: any change to how runs are
+# planned (seed derivation, run ids, cell order) or summarised shows up
+# here.  Figures at scale 0.04 with 2 seeds and the default master seed.
+GOLDEN_CSVS = {
+    "fig1": "6277cf02186551bfe5ffc0651536f9acdd8b264bad6f4bd3e66b89301845fd09",
+    "fig2": "efec81d92a66ce7dd87f2163be80df2c6bde1b812070ceffbaa88d0f6012bf0e",
+    "fig3": "7228ef0a633ccd30de7536bff8ac0ab5cf43ca795868d249c7d9302f43c64546",
+    "runs": "d3c4d68260877e1e9df6324aa21c3de41e7eca91db01e32a23ae627d9db14719",
+    "aggregate": "590c05312d922be29e359dade13615bccbd54d4e39e13ef6a460fc595f800ad7",
+}
+
+
+def test_figure_and_sweep_csvs_match_golden_digests(tmp_path, capsys):
+    for figure in ("fig1", "fig2", "fig3"):
+        argv = ["reproduce", "--figure", figure, "--scale", "0.04", "--seeds", "2"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+    spec = {
+        "schema_version": 1,
+        "base": {"k": 8},
+        "axes": {
+            "protocol": [
+                g.RANDOM_PULL,
+                g.SEQUENTIAL_PULL,
+                g.RANDOM_PUSH,
+                g.PRIORITY_PUSH,
+                g.INTERLEAVE,
+            ],
+            "n": [16, 24],
+            "constraint": [g.HARD, g.SOFT],
+        },
+        "seeds": 2,
+        "master_seed": 11,
+    }
+    cfg = write_yaml(tmp_path / "sweep.yaml", spec)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for name, digest in GOLDEN_CSVS.items():
+        assert csv_digest(tmp_path / f"{name}.csv") == digest, f"{name}: digest changed"
 
 
 def test_load_sweep_requires_schema_version(tmp_path):
