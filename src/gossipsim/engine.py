@@ -12,9 +12,9 @@ One slot proceeds in three phases shared by every protocol:
 3. granted transfers are delivered through the ``arrivals`` matrix: the
    first copy of a piece sets the receiver's cell to the slot, and later
    copies find it set and are spent without new data.  Pushes are
-   delivered as columns, with one gather and test on the flat matrix, and
-   pulls one by one; the new cells of both merge into the holdings through
-   one helper.  Holdings are read only when users act, so a piece received
+   delivered as columns, with one gather and test on the flat matrix,
+   then merged as (user, piece) rows; each pull is tested, set and merged
+   at once.  Holdings are read only when users act, so a piece received
    in slot t is usable (pushable, servable) from slot t+1 on.
 
 A slot's granted uploads are a :class:`SlotEvents`: ``len()`` counts them,
@@ -64,6 +64,7 @@ __all__ = [
     "build_contact_lists",
     "resolve_uploads",
     "step_slot",
+    "emergence",
     "trace_digest",
 ]
 
@@ -157,7 +158,7 @@ class Trace:
 
 @dataclass
 class SystemState:
-    """Mutable world state for one run."""
+    """Mutable world state for one run; emergence is derived: :func:`emergence`."""
 
     n: int
     k: int
@@ -166,7 +167,6 @@ class SystemState:
     rng: Random
     pieces: list[int]
     arrivals: np.ndarray  # (n, k) int32; arrivals[u, p-1] = slot, -1 = never
-    emergence: list  # per piece: first slot a non-endowed copy appeared
     slot: int = 0
     num_complete: int = 0
     source: int | None = None
@@ -181,9 +181,7 @@ class SystemState:
 def build_contact_lists(n: int, m: int, rng: Random) -> list:
     """Sample each user's fixed contact list: m distinct others, immutable."""
     if not 1 <= m <= n - 1:
-        raise ConfigError(
-            f"contact_list_size: need an integer in [1, n-1], got {m!r}"
-        )
+        raise ConfigError(f"contact_list_size: need an integer in [1, n-1], got {m!r}")
     lists = []
     ids = list(range(n))
     for u in range(n):
@@ -216,7 +214,6 @@ def init_state(config: SimulationConfig) -> SystemState:
         source = 0
         pieces[0] = mask
         arrivals[0, :] = 0
-        emergence = [None] * k
     elif config.initial_state == ETA_SEEDED:
         holders = math.ceil(config.eta * n)
         for p in range(1, k + 1):
@@ -224,13 +221,11 @@ def init_state(config: SimulationConfig) -> SystemState:
             for u in rng.sample(range(n), holders):
                 pieces[u] |= bit
                 arrivals[u, p - 1] = 0
-        emergence = [0] * k
     else:  # one unique piece per user; validate() guarantees k == n
         for u in range(n):
             pieces[u] = 1 << u
             arrivals[u, u] = 0
         initial_piece = list(range(1, n + 1))
-        emergence = [0] * k
     st = SystemState(
         n=n,
         k=k,
@@ -239,7 +234,6 @@ def init_state(config: SimulationConfig) -> SystemState:
         rng=rng,
         pieces=pieces,
         arrivals=arrivals,
-        emergence=emergence,
         source=source,
         contact_lists=contact_lists,
         initial_piece=initial_piece,
@@ -304,22 +298,16 @@ def resolve_uploads(
     return SlotEvents(slot, pushes, grants)
 
 
-def _merge(st: SystemState, slot: int, cells) -> None:
-    """Merge newly served flat cells ``user * k + piece - 1`` of the
-    arrivals matrix into the holdings, the complete count and the
-    emergence slots."""
-    k = st.k
+def _merge(st: SystemState, pairs) -> None:
+    """Merge newly served ``(user, piece)`` pairs into the holdings and the
+    complete count; a second copy of a pair finds the piece held and is skipped."""
     mask = st.mask
     pieces = st.pieces
-    emergence = st.emergence
-    for cell in cells:
-        to, bit = divmod(cell, k)
-        have = pieces[to] | 1 << bit
-        pieces[to] = have
-        if have == mask:
+    for to, piece in pairs:
+        old = pieces[to]
+        pieces[to] = have = old | 1 << piece - 1
+        if have == mask and old != mask:
             st.num_complete += 1
-        if emergence[bit] is None:
-            emergence[bit] = slot
 
 
 def step_slot(st: SystemState, protocol) -> SlotEvents:
@@ -347,21 +335,32 @@ def step_slot(st: SystemState, protocol) -> SlotEvents:
                     release[p - 1] = slot
         flat = st.arrivals.reshape(-1)
         cells = to * k + (piece - 1)
-        cells = cells[flat[cells] < 0]
-        flat[cells] = slot
-        # a piece pushed twice to one user this slot merges once
-        _merge(st, slot, set(cells.tolist()))
+        new = flat[cells] < 0
+        flat[cells[new]] = slot
+        _merge(st, zip(to[new].tolist(), piece[new].tolist()))
     if events.pulls:
         arrived = memoryview(st.arrivals).cast("B").cast("i")
-        fresh = []
+        mask, pieces = st.mask, st.pieces
         for _frm, to, piece in events.pulls:
             cell = to * k + piece - 1
-            if arrived[cell] < 0:
+            if arrived[cell] < 0:  # so the holdings lack it
                 arrived[cell] = slot
-                fresh.append(cell)
-        _merge(st, slot, fresh)
+                pieces[to] = have = pieces[to] | 1 << piece - 1
+                if have == mask:
+                    st.num_complete += 1
     st.slot = slot
     return events
+
+
+def emergence(st: SystemState) -> list:
+    """Per piece, the first slot a copy existed outside the initial endowment:
+    under a single source (user 0) the least slot in which another user holds
+    it, or ``None``; 0 under any other start.  As uint32, -1 (never) is the
+    largest slot, so a column minimum over a view of the other rows does it."""
+    if st.source is None:
+        return [0] * st.k
+    first = st.arrivals[1:].view(np.uint32).min(axis=0).tolist()
+    return [None if t == 0xFFFFFFFF else t for t in first]
 
 
 @dataclass
@@ -410,7 +409,7 @@ class Engine:
             completion_slot=completion,
             slots=st.slot,
             arrivals=st.arrivals,
-            emergence=st.emergence,
+            emergence=emergence(st),
             release_slots=st.release_slots,
             initial_piece=st.initial_piece,
             trace=self.trace,

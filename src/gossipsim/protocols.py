@@ -191,8 +191,9 @@ class SequentialPull(Protocol):
     draws = False
 
     def act(self, st, user: int, target: int, slot: int):
-        missing = st.mask ^ st.pieces[user]
-        return (missing & -missing).bit_length()
+        have = st.pieces[user]
+        p = (have ^ (have + 1)).bit_length()  # k + 1: complete
+        return p if p <= st.k else 0
 
 
 class RandomPush(Protocol):

@@ -34,6 +34,7 @@ from .version import VERSION
 
 __all__ = [
     "AXIS_FIELDS",
+    "MAX_JOBS",
     "REACH_DELTA",
     "REACH_WINDOW_FACTOR",
     "SweepSpec",
@@ -73,6 +74,10 @@ AXIS_FIELDS = {
 # log2 n) coverage guarantee checked by `verify --theorem thm5`.
 REACH_DELTA = 0.08
 REACH_WINDOW_FACTOR = 1.3
+
+# Most worker processes a sweep or figure may ask for: a process pool
+# starts all its workers at once, however few runs there are.
+MAX_JOBS = 64
 
 RUN_COLUMNS = (
     "schema_version",
@@ -299,11 +304,15 @@ def execute(plans: list, jobs: int = 1, keep_profile: bool = False) -> list:
     """Run all plans, serially or with a process pool; row order follows
     plan order either way.  With `keep_profile` each row also carries the
     run's :class:`DelayProfile` under ``"profile"``, so that a pool worker
-    returns the profile rather than the run's (n, k) arrivals matrix."""
+    returns the profile rather than the run's (n, k) arrivals matrix.
+    `jobs` must be an integer in [1, MAX_JOBS]; the pool has at most one
+    worker per plan."""
+    if not is_int(jobs) or not 1 <= jobs <= MAX_JOBS:
+        raise ConfigError(f"jobs: need an integer in [1, {MAX_JOBS}], got {jobs!r}")
     task = partial(_execute_plan, keep_profile=keep_profile)
-    if jobs <= 1 or len(plans) <= 1:
+    if jobs == 1 or len(plans) <= 1:
         return [task(plan) for plan in plans]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(plans))) as pool:
         return list(pool.map(task, plans))
 
 

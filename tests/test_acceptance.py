@@ -16,16 +16,18 @@ around the deterministic mean-map curve.  Their clauses live in pure helpers
 control tests at the end feed each helper synthetic data of the measured
 shape, which must pass, and of a shape the paper rules out, which must fail.
 
-The two largest grids, criteria 1/3 (interleave) and 4 (advocate), run on
-a process pool with one worker per CPU; each worker returns only a run's
-completion slot, and the slots come back in plan order, so every clause
-sees the same numbers as in a serial run.
+The run grids of criteria 1 to 6 run on a process pool with one worker
+per CPU; each worker returns only the numbers a criterion reads of a run
+(its completion slot, or criterion 2's delay limit and reach), and they
+come back in plan order, so every clause sees the same numbers as in a
+serial run.
 """
 
 import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from statistics import fmean
 
 import numpy as np
@@ -64,16 +66,24 @@ def _seeded(tag, value, idx) -> int:
 
 def _completion_slot(cfg: g.SimulationConfig):
     """One run's completion slot, None if it hit its slot cap: all that
-    criteria 1, 3 and 4 read of a run."""
+    criteria 1, 3, 4, 5 and 6 read of a run."""
     return g.run(cfg).completion_slot
 
 
-def _completion_slots(configs: list) -> list:
-    """The completion slots of `configs`, in their order, from one spawned
-    worker process per CPU."""
+def _limit_and_reach(cfg: g.SimulationConfig, window: int) -> tuple:
+    """One run's delay-profile limit and the share of its pieces held by
+    ceil(0.55 n) users within `window` slots of release: what criterion 2
+    reads of a run."""
+    res = g.run(cfg)
+    return g.delay_profile(res).limit, g.pieces_reached(res, 0.55, window)
+
+
+def _pool_map(fn, configs: list) -> list:
+    """`fn` of each of `configs`, in their order, from one spawned worker
+    process per CPU."""
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(os.cpu_count(), mp_context=spawn) as pool:
-        return list(pool.map(_completion_slot, configs))
+        return list(pool.map(fn, configs))
 
 
 # -------------------------------------------------- criteria 1 and 3 (shared)
@@ -96,7 +106,7 @@ def interleave_completions():
                 kw.update(contact_model=g.FIXED_LISTS, contact_list_size=m)
             plan.append((m, g.SimulationConfig(**kw)))
     cells = {}
-    for (m, _cfg), slot in zip(plan, _completion_slots([cfg for _m, cfg in plan])):
+    for (m, _cfg), slot in zip(plan, _pool_map(_completion_slot, [cfg for _m, cfg in plan])):
         assert slot is not None, f"interleave m={m} hit its slot cap"
         cells.setdefault(m, []).append(slot)
     return cells
@@ -130,21 +140,23 @@ def test_criterion_03_interleave_within_upper_bound(interleave_completions):
 def test_criterion_02_spaced_push_plateau_and_reach():
     n, k, seeds = 500, 600, 10
     reach_window = math.ceil(1.3 * math.log2(n))  # 12 slots
+    plan = [
+        g.SimulationConfig(
+            n=n,
+            k=k,
+            protocol=g.PRIORITY_PUSH,
+            spacing=spacing,
+            seed=_seeded("push-l", spacing, idx),
+            max_slots=k * spacing + 6 * math.ceil(math.log2(n)) + 24,
+        )
+        for spacing in (1, 2, 3)
+        for idx in range(seeds)
+    ]
+    measured = _pool_map(partial(_limit_and_reach, window=reach_window), plan)
     clauses = []
     for spacing in (1, 2, 3):
-        limits, reaches = [], []
-        for idx in range(seeds):
-            cfg = g.SimulationConfig(
-                n=n,
-                k=k,
-                protocol=g.PRIORITY_PUSH,
-                spacing=spacing,
-                seed=_seeded("push-l", spacing, idx),
-                max_slots=k * spacing + 6 * math.ceil(math.log2(n)) + 24,
-            )
-            res = g.run(cfg)
-            limits.append(g.delay_profile(res).limit)
-            reaches.append(g.pieces_reached(res, 0.55, reach_window))
+        cell = [lr for cfg, lr in zip(plan, measured) if cfg.spacing == spacing]
+        limits, reaches = [limit for limit, _ in cell], [reach for _, reach in cell]
         mean_limit = fmean(limits)
         target = 1.0 - math.exp(-spacing)
         clauses.append(
@@ -216,7 +228,7 @@ def test_criterion_04_advocate_linear_completion():
         for idx in range(20)
     ]
     slots = {}
-    for cfg, slot in zip(plan, _completion_slots(plan)):
+    for cfg, slot in zip(plan, _pool_map(_completion_slot, plan)):
         slots.setdefault(cfg.n, []).append(slot)
     _report(4, list(_advocate_clauses(slots).values()))
 
@@ -264,21 +276,21 @@ def _pull_clauses(grid: dict) -> dict:
 
 
 def test_criterion_05_pull_scaling_grid():
+    plan = [
+        g.SimulationConfig(
+            n=n,
+            k=k,
+            protocol=g.RANDOM_PULL,
+            seed=derive_seed(MASTER, (("pull-n", n), ("pull-k", k)), idx),
+        )
+        for n in (64, 256, 1024)
+        for k in (8, 32)
+        for idx in range(10)
+    ]
     grid = {}
-    for n in (64, 256, 1024):
-        for k in (8, 32):
-            comps = []
-            for idx in range(10):
-                cfg = g.SimulationConfig(
-                    n=n,
-                    k=k,
-                    protocol=g.RANDOM_PULL,
-                    seed=derive_seed(MASTER, (("pull-n", n), ("pull-k", k)), idx),
-                )
-                res = g.run(cfg)
-                assert res.completed
-                comps.append(res.completion_slot)
-            grid[(n, k)] = comps
+    for cfg, slot in zip(plan, _pool_map(_completion_slot, plan)):
+        assert slot is not None
+        grid.setdefault((cfg.n, cfg.k), []).append(slot)
     _report(5, list(_pull_clauses(grid).values()))
 
 
@@ -288,20 +300,23 @@ def test_criterion_05_pull_scaling_grid():
 def test_criterion_06_seeded_pull_bound_coverage():
     n, k, eta = 1000, 50, 0.5
     bound = bound_value("thm2", n=n, k=k, eta=eta, c=1.0)
-    violations = []
-    for protocol in (g.RANDOM_PULL, g.SEQUENTIAL_PULL):
-        for idx in range(100):
-            cfg = g.SimulationConfig(
-                n=n,
-                k=k,
-                protocol=protocol,
-                initial_state=g.ETA_SEEDED,
-                eta=eta,
-                seed=_seeded("seeded-pull", protocol, idx),
-            )
-            res = g.run(cfg)
-            if not res.completed or res.completion_slot > bound:
-                violations.append(f"{protocol} seed#{idx}")
+    plan = [
+        g.SimulationConfig(
+            n=n,
+            k=k,
+            protocol=protocol,
+            initial_state=g.ETA_SEEDED,
+            eta=eta,
+            seed=_seeded("seeded-pull", protocol, idx),
+        )
+        for protocol in (g.RANDOM_PULL, g.SEQUENTIAL_PULL)
+        for idx in range(100)
+    ]
+    violations = [
+        f"{cfg.protocol} seed#{i % 100}"
+        for i, (cfg, slot) in enumerate(zip(plan, _pool_map(_completion_slot, plan)))
+        if slot is None or slot > bound
+    ]
     fraction = 1.0 - len(violations) / 200
     required = 0.999 * (1.0 - 1.0 / n)
     _report(

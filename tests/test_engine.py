@@ -15,6 +15,7 @@ from gossipsim.engine import (
     Trace,
     _lines,
     build_contact_lists,
+    emergence,
     init_state,
     resolve_uploads,
     step_slot,
@@ -38,7 +39,7 @@ def test_single_source_start():
     assert st.pieces[0] == full_mask(2)
     assert st.pieces[1] == 0 and st.pieces[2] == 0
     assert list(st.arrivals[0]) == [0, 0]
-    assert st.emergence == [None, None]
+    assert emergence(st) == [None, None]
     assert st.num_complete == 1
 
 
@@ -50,7 +51,7 @@ def test_one_unique_start():
         assert to_pieces(st.pieces[u]) == [u + 1]
         assert st.arrivals[u, u] == 0
     assert st.initial_piece == [1, 2, 3, 4]
-    assert st.emergence == [0, 0, 0, 0]
+    assert emergence(st) == [0, 0, 0, 0]
 
 
 def test_eta_seeded_start_places_exact_holder_counts():
@@ -66,7 +67,7 @@ def test_eta_seeded_start_places_exact_holder_counts():
             assert (st.arrivals[holders, p] == 0).all()
         placements.add(tuple(st.pieces))
     assert len(placements) > 1  # placement varies with the seed
-    assert st.emergence == [0, 0, 0]
+    assert emergence(st) == [0, 0, 0]
 
 
 # ------------------------------------------------------------- contact lists
@@ -160,10 +161,10 @@ def test_step_slot_two_user_push_and_availability_delay():
 
 
 def _delivery_state(constraint):
-    # the source 0 and user 1 hold the only piece; user 2 lacks it
+    # the source 0 and user 1 (since slot 3) hold the only piece; user 2 lacks it
     st = init_state(config(n=3, k=1, constraint=constraint))
     st.pieces[1] = full_mask(1)
-    st.arrivals[1, 0] = 0
+    st.arrivals[1, 0] = 3
     st.num_complete = 2
     st.slot = 4
     return st
@@ -183,7 +184,7 @@ def test_only_the_first_copy_of_a_piece_counts(pushes, pulls, constraint):
     assert st.arrivals[2, 0] == 5
     assert st.pieces == [1, 1, 1]
     assert st.num_complete == 3
-    assert st.emergence == [5]
+    assert emergence(st) == [3]  # user 1's copy came first
 
 
 def test_completed_state_is_a_fixed_point():
@@ -336,6 +337,47 @@ def test_emergence_tracks_first_non_endowed_arrival():
     for p in range(2):
         non_source = result.arrivals[1:, p]
         assert result.emergence[p] == non_source[non_source >= 0].min()
+
+
+def per_cell_emergence(cfg, trace):
+    """The rule emergence was once kept by, slot by slot: a piece emerges
+    with its first delivered copy that is new to its receiver, or at 0 if
+    the start endows anyone but a single source with it."""
+    st = init_state(cfg)
+    held = {(u, p) for u, p in zip(*np.nonzero(st.arrivals >= 0))}
+    first = [None if st.source is not None else 0] * cfg.k
+    for e in trace:
+        if (e.to, e.piece - 1) not in held:
+            held.add((e.to, e.piece - 1))
+            if first[e.piece - 1] is None:
+                first[e.piece - 1] = e.slot
+    return first
+
+
+def test_derived_emergence_equals_the_per_cell_rule():
+    seen = set()
+    for protocol in g.PROTOCOLS:
+        for start in g.INITIAL_STATES:
+            for constraint in (g.HARD, g.SOFT):
+                extra = dict(eta=0.25) if start == g.ETA_SEEDED else {}
+                cfg = config(
+                    n=8, k=8, protocol=protocol, initial_state=start, constraint=constraint,
+                    record_trace=True, seed=11, **extra,
+                )
+                try:
+                    result = g.run(cfg)
+                except g.ConfigError:  # a protocol that does not run from this start
+                    continue
+                assert result.emergence == per_cell_emergence(cfg, result.trace), cfg
+                seen.add((protocol, start, constraint))
+    assert {p for p, _s, _c in seen} == set(g.PROTOCOLS)
+    assert {s for _p, s, _c in seen} == set(g.INITIAL_STATES)
+    assert {c for _p, _s, c in seen} == {g.HARD, g.SOFT}
+    # a capped run: pieces 3..8 were never released, so never emerged
+    cfg = config(n=16, k=8, protocol=g.PRIORITY_PUSH, spacing=2, max_slots=4, record_trace=True)
+    result = g.run(cfg)
+    assert not result.completed and result.emergence[2:] == [None] * 6
+    assert result.emergence == per_cell_emergence(cfg, result.trace)
 
 
 def test_release_slots_follow_the_priority_schedule():

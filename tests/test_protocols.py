@@ -8,6 +8,7 @@ contact draw is forced and the test fixes who asks whom.
 from array import array
 from collections import Counter
 from random import Random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -49,7 +50,6 @@ def state(holdings, k, targets, seed=0, **extra):
         rng=Random(seed),
         pieces=[from_pieces(h) for h in holdings],
         arrivals=np.full((n, k), -1, dtype=np.int32),
-        emergence=[None] * k,
         source=0,
         contact_lists=[(t,) for t in targets],
         **extra,
@@ -203,6 +203,30 @@ def test_sequential_pull_picks_lowest_missing():
     # requests ignore the contact's holdings, and resolve_uploads drops the
     # ones it cannot serve.
     assert uploads(sequential_pull(st, 1)) == ([], [(0, 3, 3), (1, 3, 1), (4, 0, 3)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=hs.data(),
+    k=hs.integers(1, 3000),
+    shape=hs.sampled_from(["empty", "full", "prefix", "any"]),
+)
+def test_lowest_missing_rule_equals_the_lowest_missing_bit(data, k, shape):
+    mask = full_mask(k)
+    if shape == "empty":
+        have = 0
+    elif shape == "full":
+        have = mask
+    elif shape == "prefix":  # pieces 1..j held, maybe a few above j + 1
+        j = data.draw(hs.integers(0, k))
+        above = data.draw(hs.integers(0, mask)) << (j + 1)
+        have = full_mask(j) | above & mask
+    else:
+        have = data.draw(hs.integers(0, mask))
+    missing = mask ^ have
+    # the rule reads the holdings and k only; complete users idle
+    st = SimpleNamespace(pieces=[have], k=k)
+    assert sequential_pull.act(st, 0, 1, 1) == (missing & -missing).bit_length()
 
 
 def test_random_pull_uniform_over_missing():

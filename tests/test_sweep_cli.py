@@ -10,15 +10,18 @@ import pytest
 import yaml
 
 import gossipsim as g
+from gossipsim import sweep
 from gossipsim.cli import main
 from gossipsim.config import ConfigError
 from gossipsim.figures import reproduce
 from gossipsim.sweep import (
     AGGREGATE_COLUMNS,
+    MAX_JOBS,
     RUN_COLUMNS,
     SweepSpec,
     aggregate,
     derive_seed,
+    execute,
     expand,
     load_sweep,
     run_sweep,
@@ -111,6 +114,59 @@ def test_parallel_sweep_matches_serial():
     strip = lambda rs: [{k: v for k, v in r.items() if k != "wall_time_s"} for r in rs]
     assert strip(rows1) == strip(rows2)
     assert agg1 == agg2
+
+
+def pool_recorder(sizes: list):
+    """A stand-in for ProcessPoolExecutor that appends each pool size asked
+    for to `sizes` and runs the tasks in this process."""
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    return Pool
+
+
+def test_jobs_out_of_range_is_refused_before_any_run(tmp_path, capsys, monkeypatch):
+    def no_run(config):
+        raise AssertionError("a run started")
+
+    sizes = []
+    monkeypatch.setattr(sweep, "run_engine", no_run)
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", pool_recorder(sizes))
+    plans = expand(small_spec())
+    for jobs in (0, -3, MAX_JOBS + 1, True, 2.0, "2"):
+        with pytest.raises(ConfigError, match=rf"^jobs: need an integer in \[1, {MAX_JOBS}\]"):
+            execute(plans, jobs=jobs)
+    cfg = sweep_yaml(tmp_path)
+    assert main(["sweep", "--config", cfg, "--jobs", "0", "--out", str(tmp_path)]) == 2
+    assert "config error: jobs" in capsys.readouterr().err
+    argv = ["reproduce", "--figure", "fig3", "--scale", "0.04", "--seeds", "1"]
+    assert main(argv + ["--jobs", "-3", "--out", str(tmp_path)]) == 2
+    assert "config error: jobs" in capsys.readouterr().err
+    assert sizes == []
+    assert not (tmp_path / "runs.csv").exists() and not (tmp_path / "fig3.csv").exists()
+
+
+def test_pool_has_at_most_one_worker_per_plan(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", pool_recorder(sizes))
+    plans = expand(small_spec())  # 6 plans
+    serial = execute(plans, jobs=1)
+    strip = lambda rs: [{k: v for k, v in r.items() if k != "wall_time_s"} for r in rs]
+    for jobs in (2, MAX_JOBS):
+        assert strip(execute(plans, jobs=jobs)) == strip(serial)
+    assert execute(plans[:1], jobs=MAX_JOBS)[0]["run_id"] == serial[0]["run_id"]
+    assert sizes == [2, 6]  # one plan runs without a pool
 
 
 def test_priority_push_rows_record_reach():
