@@ -24,13 +24,16 @@ untraced run builds no push events at all.
 Pushes are resolved before pulls: a user's own push claims its upload
 budget first, and under the hard constraint a pushed-at user therefore
 serves no pull requests that slot.  Downloads are never constrained.
+
+The engine holds no protocol's rule.  What a protocol remembers between
+slots (interleave's relay memory) lives on its instance, one per run, and
+a run's release slots come from the protocol's source schedule.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from array import array
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import itemgetter
@@ -40,16 +43,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .bitset import full_mask
-from .config import (
-    ETA_SEEDED,
-    FIXED_LISTS,
-    HARD,
-    INTERLEAVE,
-    SINGLE_SOURCE,
-    SOURCE_SCHEDULED,
-    ConfigError,
-    SimulationConfig,
-)
+from .config import ETA_SEEDED, FIXED_LISTS, HARD, SINGLE_SOURCE, ConfigError, SimulationConfig
 from .protocols import PULL, PUSH, make_protocol
 
 __all__ = [
@@ -158,7 +152,8 @@ class Trace:
 
 @dataclass
 class SystemState:
-    """Mutable world state for one run; emergence is derived: :func:`emergence`."""
+    """Mutable world state for one run, the same for every protocol;
+    emergence is derived (:func:`emergence`)."""
 
     n: int
     k: int
@@ -173,9 +168,6 @@ class SystemState:
     contact_lists: list | None = None
     contact_table: np.ndarray | None = None  # contact_lists as an (n, m) array
     initial_piece: list | None = None  # one-unique start: piece per user
-    odd_channel_max: array | None = None  # interleave push-channel memory, 0 = none
-    next_source_piece: int | None = None  # interleave source schedule
-    release_slots: list | None = None  # first source push per piece
 
 
 def build_contact_lists(n: int, m: int, rng: Random) -> list:
@@ -226,7 +218,7 @@ def init_state(config: SimulationConfig) -> SystemState:
             pieces[u] = 1 << u
             arrivals[u, u] = 0
         initial_piece = list(range(1, n + 1))
-    st = SystemState(
+    return SystemState(
         n=n,
         k=k,
         mask=mask,
@@ -239,45 +231,33 @@ def init_state(config: SimulationConfig) -> SystemState:
         initial_piece=initial_piece,
         num_complete=sum(1 for b in pieces if b == mask),
     )
-    if config.protocol == INTERLEAVE:
-        st.odd_channel_max = array("q", bytes(8 * n))
-        st.next_source_piece = 1
-    if config.protocol in SOURCE_SCHEDULED:
-        st.release_slots = [None] * k
-    return st
 
 
 def resolve_uploads(
-    slot: int,
-    pushes,
-    pull_requests: list,
-    constraint: str,
-    st: SystemState,
-    rng: Random,
+    slot: int, pushes: np.ndarray, pull_requests: list, st: SystemState
 ) -> SlotEvents:
-    """Grant uploads against the per-user budget; returns the slot's events.
+    """Grant uploads against the per-user budget ``st.constraint``, drawing
+    from ``st.rng``; returns the slot's events.
 
-    `pushes` and `pull_requests` hold ``(user, target, piece)`` rows; the
-    pushes may be an (m, 3) int array (as protocols return them) or any
-    sequence numpy turns into one.  Pushes are the uploader's own decision
-    and always go through.  Pull requests compete for the *target's*
-    budget: requests for pieces the target does not (yet) hold are dropped,
-    and under the hard constraint a target that pushed this slot serves
-    nobody while any other target serves exactly one surviving request,
-    chosen uniformly at random.  The soft constraint serves every surviving
-    request.  Pull grants are listed by target, and in request order within
-    one target.
+    `pushes` is an (m, 3) int array and `pull_requests` a list, both of
+    ``(user, target, piece)`` rows, as protocols return them.  Pushes are
+    the uploader's own decision and always go through.  Pull requests
+    compete for the *target's* budget: requests for pieces the target does
+    not (yet) hold are dropped, and under the hard constraint a target that
+    pushed this slot serves nobody while any other target serves exactly
+    one surviving request, chosen uniformly at random.  The soft constraint
+    serves every surviving request.  Pull grants are listed by target, and
+    in request order within one target.
     """
-    if not isinstance(pushes, np.ndarray):
-        pushes = np.array(pushes, dtype=np.int64).reshape(-1, 3)
     pieces = st.pieces
     valid = [q for q in pull_requests if pieces[q[1]] >> (q[2] - 1) & 1]
     if not valid:
         return SlotEvents(slot, pushes, [])
     valid.sort(key=_target)
-    if constraint != HARD:
+    if st.constraint != HARD:
         return SlotEvents(slot, pushes, [(t, r, p) for r, t, p in valid])
     busy = set(pushes[:, 0].tolist())
+    rng = st.rng
     grants = []
     end = len(valid)
     i = 0
@@ -316,7 +296,7 @@ def step_slot(st: SystemState, protocol) -> SlotEvents:
     transfer events."""
     slot = st.slot + 1
     pushes, pulls = protocol(st, slot)
-    events = resolve_uploads(slot, pushes, pulls, st.constraint, st, st.rng)
+    events = resolve_uploads(slot, pushes, pulls, st)
 
     # Deliver: a cell of the arrivals matrix already >= 0 is a piece the
     # user held, or one that arrived earlier in this slot; the upload was
@@ -325,14 +305,7 @@ def step_slot(st: SystemState, protocol) -> SlotEvents:
     k = st.k
     rows = events.pushes
     if len(rows):
-        frm, to, piece = rows.T
-        if slot & 1 and st.odd_channel_max is not None:
-            np.maximum.at(np.frombuffer(st.odd_channel_max, dtype=np.int64), to, piece)
-        release = st.release_slots
-        if release is not None:
-            for p in piece[frm == st.source].tolist():
-                if release[p - 1] is None:
-                    release[p - 1] = slot
+        _frm, to, piece = rows.T
         flat = st.arrivals.reshape(-1)
         cells = to * k + (piece - 1)
         new = flat[cells] < 0
@@ -410,7 +383,7 @@ class Engine:
             slots=st.slot,
             arrivals=st.arrivals,
             emergence=emergence(st),
-            release_slots=st.release_slots,
+            release_slots=self.protocol.release_slots(st.k, st.slot),
             initial_piece=st.initial_piece,
             trace=self.trace,
             trace_hash=trace_digest(self.trace) if self.trace is not None else None,

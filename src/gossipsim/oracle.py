@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .config import ConfigError
+
 __all__ = [
     "gossip_mean_map",
     "deterministic_gossip",
@@ -118,20 +120,21 @@ def geo_sum_tail(n: int, k: int, eps: float) -> float:
 
 
 def _require(params: dict, theorem: str, **ranges):
-    """Pull named parameters out of `params`, checking presence and range."""
+    """Pull named parameters out of `params`, checking presence and range;
+    a missing or out-of-range parameter is a :class:`ConfigError`."""
     out = []
     for name, (lo, hi, lo_open, hi_open) in ranges.items():
         if name not in params:
-            raise ValueError(f"{theorem}: missing parameter {name!r}")
+            raise ConfigError(f"{theorem}: missing parameter {name!r}")
         v = params[name]
         if not isinstance(v, (int, float)):
-            raise ValueError(f"{theorem}: {name} must be a number, got {v!r}")
+            raise ConfigError(f"{theorem}: {name} must be a number, got {v!r}")
         ok_lo = v > lo if lo_open else v >= lo
         ok_hi = v < hi if hi_open else v <= hi
         if not (ok_lo and ok_hi):
             bra = "(" if lo_open else "["
             ket = ")" if hi_open else "]"
-            raise ValueError(
+            raise ConfigError(
                 f"{theorem}: {name} must lie in {bra}{lo}, {hi}{ket}, got {v}"
             )
         out.append(v)

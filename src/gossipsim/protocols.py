@@ -16,6 +16,7 @@ of n ``rng.random()`` calls, so both ways leave the same stream.
 
 from __future__ import annotations
 
+from array import array
 from itertools import chain, repeat
 from random import Random
 
@@ -124,11 +125,27 @@ class Protocol:
     contact is drawn just before that user acts; if not, all contacts are
     drawn in one batch (:func:`draw_contacts`) before the first act, which
     consumes the same draws in the same order.
+
+    A source-scheduled protocol sets ``spacing``: in slot t its source
+    pushes :meth:`source_piece`, piece ``ceil(t / spacing)`` capped at k.
     """
 
     kind = PULL
     source_contacts_all = False
     draws = True
+    spacing: int | None = None
+
+    def source_piece(self, slot: int, k: int) -> int:
+        return min((slot + self.spacing - 1) // self.spacing, k)
+
+    def release_slots(self, k: int, slots: int) -> list | None:
+        """Per piece, the slot the source first pushes it, (p - 1) spacing + 1
+        (a push is never refused), or None if past `slots`; None for a
+        protocol without a source schedule."""
+        l = self.spacing
+        if l is None:
+            return None
+        return [t if t <= slots else None for t in range(1, k * l + 1, l)]
 
     def __call__(self, st, slot: int):
         if self.draws:
@@ -210,10 +227,9 @@ class PriorityPush(Protocol):
     """Source-paced priority push.
 
     The source works through the pieces in order, dwelling ``spacing``
-    slots on each: in slot t it pushes piece ``ceil(t / spacing)``, capped
-    at k once the schedule is exhausted.  Every other user pushes the
-    highest-numbered piece it holds — the one injected most recently and
-    therefore rarest — or idles while empty-handed.
+    slots on each (:meth:`~Protocol.source_piece`).  Every other user
+    pushes the highest-numbered piece it holds — the one injected most
+    recently and therefore rarest — or idles while empty-handed.
     """
 
     kind = PUSH
@@ -225,37 +241,42 @@ class PriorityPush(Protocol):
 
     def act(self, st, user: int, target: int, slot: int):
         if user == st.source:
-            return min((slot + self.spacing - 1) // self.spacing, st.k)
+            return self.source_piece(slot, st.k)
         return st.pieces[user].bit_length()
 
 
 class Interleave(Protocol):
-    """The odd/even interleave schedule.
+    """The odd/even interleave schedule over n users.
 
-    Odd slots are the push channel: the source injects one new piece per
-    odd slot (in order, capped at k), while every other user relays the
-    highest piece it has ever received on the push channel, idling until
-    the channel first reaches it.  Even slots are the pull channel, run as
-    sequential pull: each user requests its lowest missing piece; complete
-    users idle (but still serve requests).  ``st.odd_channel_max`` holds
-    each user's highest push-channel piece, 0 before the first.
+    Odd slots are the push channel: in slot t the source injects piece
+    (t + 1) / 2, capped at k (``spacing`` 2), while every other user
+    relays the highest piece it has ever received on the push channel,
+    idling until the channel first reaches it.  Even slots are the pull
+    channel, run as sequential pull: each user requests its lowest missing
+    piece; complete users idle (but still serve requests).  ``relayed[u]``
+    is user u's highest push-channel piece, 0 before the first; pushes are
+    never refused, so it takes in an odd slot's pushes once all have acted.
     """
 
     kind = PUSH
     source_contacts_all = True
     draws = False
+    spacing = 2
+
+    def __init__(self, n: int):
+        self.relayed = array("q", bytes(8 * n))
 
     def __call__(self, st, slot: int):
         if not slot & 1:
             return _PULL_CHANNEL(st, slot)
-        actions = super().__call__(st, slot)
-        st.next_source_piece = min(st.next_source_piece + 1, st.k)
-        return actions
+        pushes, pulls = super().__call__(st, slot)
+        np.maximum.at(np.frombuffer(self.relayed, np.int64), pushes[:, 1], pushes[:, 2])
+        return pushes, pulls
 
     def act(self, st, user: int, target: int, slot: int):
         if user == st.source:
-            return st.next_source_piece
-        return st.odd_channel_max[user]
+            return self.source_piece(slot, st.k)
+        return self.relayed[user]
 
 
 _PULL_CHANNEL = SequentialPull()
@@ -282,7 +303,6 @@ _PROTOCOLS = {
     RANDOM_PULL: RandomPull,
     SEQUENTIAL_PULL: SequentialPull,
     RANDOM_PUSH: RandomPush,
-    INTERLEAVE: Interleave,
     ADVOCATE: Advocate,
 }
 
@@ -292,6 +312,8 @@ def make_protocol(config: SimulationConfig) -> Protocol:
     pid = config.protocol
     if pid == PRIORITY_PUSH:
         return PriorityPush(config.spacing)
+    if pid == INTERLEAVE:
+        return Interleave(config.n)
     try:
         return _PROTOCOLS[pid]()
     except KeyError:

@@ -155,6 +155,11 @@ class SweepSpec:
         base = data.get("base")
         if not isinstance(base, Mapping):
             raise ConfigError(f"{where}: 'base' must be a mapping")
+        if "seed" in base:
+            raise ConfigError(
+                f"{where}: base.seed is not used: each run's seed is derived "
+                "from 'master_seed'; set that instead"
+            )
         axes_raw = data.get("axes") or {}
         if not isinstance(axes_raw, Mapping):
             raise ConfigError(f"{where}: 'axes' must be a mapping of axis -> list")
@@ -166,6 +171,9 @@ class SweepSpec:
                 )
             if not isinstance(values, list) or not values:
                 raise ConfigError(f"{where}: axis {name!r} needs a non-empty list")
+            for i, value in enumerate(values):
+                if value in values[:i]:  # by ==: unhashable values are compared too
+                    raise ConfigError(f"{where}: axis {name!r} lists {value!r} twice")
             axes.append((name, list(values)))
         seeds = data.get("seeds", 1)
         master_seed = data.get("master_seed", 0)

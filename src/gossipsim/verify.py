@@ -103,16 +103,19 @@ _INT_FIELDS = (
 _FLOAT_FIELDS = ("eta", "delay_limit", "reach_fraction", "wall_time_s")
 
 
-def _coerce(row: dict) -> dict:
+def _coerce(row: dict, where: str) -> dict:
     out = dict(row)
-    for name in _INT_FIELDS:
-        v = out.get(name)
-        if isinstance(v, str):
-            out[name] = int(v) if v else None
-    for name in _FLOAT_FIELDS:
-        v = out.get(name)
-        if isinstance(v, str):
-            out[name] = float(v) if v else None
+    for names, kind, what in (
+        (_INT_FIELDS, int, "an integer"),
+        (_FLOAT_FIELDS, float, "a number"),
+    ):
+        for name in names:
+            v = out.get(name)
+            if isinstance(v, str):
+                try:
+                    out[name] = kind(v) if v else None
+                except ValueError:
+                    raise ConfigError(f"{where}: {name}: need {what}, got {v!r}") from None
     v = out.get("completed")
     if isinstance(v, str):
         out["completed"] = v.strip().lower() in ("true", "1", "yes")
@@ -120,14 +123,20 @@ def _coerce(row: dict) -> dict:
 
 
 def load_results(path: str | Path) -> list:
-    """Load result rows from a sweep CSV or a simulate JSONL file."""
+    """Load result rows from a sweep CSV or a simulate JSONL file; a line
+    that does not parse is a :class:`ConfigError` naming the file and line."""
     path = Path(path)
     if path.suffix == ".jsonl":
         rows = []
-        for line in path.read_text().splitlines():
+        for number, line in enumerate(path.read_text().splitlines(), 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}: line {number}: not JSON: {exc.msg}") from None
+            if not isinstance(rec, dict):
+                raise ConfigError(f"{path}: line {number}: need a JSON object")
             row = dict(rec.get("config", {}))
             for key, value in rec.items():
                 if key != "config" and not isinstance(value, dict):
@@ -139,7 +148,8 @@ def load_results(path: str | Path) -> list:
     import csv
 
     with open(path, newline="") as fh:
-        return [_coerce(row) for row in csv.DictReader(fh)]
+        reader = csv.DictReader(fh)
+        return [_coerce(row, f"{path}: line {reader.line_num}") for row in reader]
 
 
 def _check_applicability(theorem: str, rows: list) -> None:

@@ -21,7 +21,7 @@ from gossipsim.engine import (
     step_slot,
     trace_digest,
 )
-from gossipsim.protocols import make_protocol
+from gossipsim.protocols import NO_PUSHES, make_protocol
 
 
 def config(**overrides):
@@ -95,18 +95,18 @@ def test_build_contact_lists_seed_sensitive():
 # ------------------------------------------------------------ resolve_uploads
 
 
-def _arbitration_state():
-    st = init_state(config(n=3, k=1, protocol=g.RANDOM_PULL))
+def _arbitration_state(constraint=g.HARD, seed=0):
+    st = init_state(config(n=3, k=1, protocol=g.RANDOM_PULL, constraint=constraint))
     st.pieces[2] = from_pieces([1])
+    st.rng = Random(seed)
     return st
 
 
 def test_hard_constraint_grants_exactly_one_pull_uniformly():
-    st = _arbitration_state()
-    rng = Random(9)
+    st = _arbitration_state(seed=9)
     grants = Counter()
     for _ in range(10_000):
-        events = list(resolve_uploads(1, [], [(0, 2, 1), (1, 2, 1)], g.HARD, st, rng))
+        events = list(resolve_uploads(1, NO_PUSHES, [(0, 2, 1), (1, 2, 1)], st))
         assert len(events) == 1
         assert events[0].frm == 2 and events[0].kind == "pull"
         grants[events[0].to] += 1
@@ -115,32 +115,31 @@ def test_hard_constraint_grants_exactly_one_pull_uniformly():
 
 
 def test_soft_constraint_grants_every_valid_pull():
-    st = _arbitration_state()
-    events = resolve_uploads(1, [], [(0, 2, 1), (1, 2, 1)], g.SOFT, st, Random(0))
+    st = _arbitration_state(g.SOFT)
+    events = resolve_uploads(1, NO_PUSHES, [(0, 2, 1), (1, 2, 1)], st)
     assert len(events) == 2
     assert {(e.frm, e.to, e.piece) for e in events} == {(2, 0, 1), (2, 1, 1)}
 
 
 def test_no_requests_yield_no_events():
     st = _arbitration_state()
-    assert list(resolve_uploads(1, [], [], g.HARD, st, Random(0))) == []
+    assert list(resolve_uploads(1, NO_PUSHES, [], st)) == []
 
 
 def test_requests_for_unheld_pieces_are_dropped():
     st = _arbitration_state()
-    events = resolve_uploads(1, [], [(0, 1, 1)], g.HARD, st, Random(0))
+    events = resolve_uploads(1, NO_PUSHES, [(0, 1, 1)], st)
     assert list(events) == []
 
 
 def test_hard_pushing_user_serves_no_pulls():
-    st = _arbitration_state()
-    # user 2's own upload claims its budget, given as a list or as the
-    # protocols give pushes, an (m, 3) array of rows
-    for pushes in ([(2, 0, 1)], np.array([[2, 0, 1]])):
-        events = resolve_uploads(1, pushes, [(1, 2, 1)], g.HARD, st, Random(0))
-        assert [(e.frm, e.to, e.kind) for e in events] == [(2, 0, "push")]
-        soft_events = resolve_uploads(1, pushes, [(1, 2, 1)], g.SOFT, st, Random(0))
-        assert len(soft_events) == 2
+    # user 2's own upload, an (m, 3) array of rows as protocols give
+    # pushes, claims its budget
+    pushes = np.array([[2, 0, 1]])
+    events = resolve_uploads(1, pushes, [(1, 2, 1)], _arbitration_state())
+    assert [(e.frm, e.to, e.kind) for e in events] == [(2, 0, "push")]
+    soft_events = resolve_uploads(1, pushes, [(1, 2, 1)], _arbitration_state(g.SOFT))
+    assert len(soft_events) == 2
 
 
 # -------------------------------------------------------------------- stepping
@@ -178,7 +177,8 @@ def _delivery_state(constraint):
 )
 def test_only_the_first_copy_of_a_piece_counts(pushes, pulls, constraint):
     st = _delivery_state(constraint)
-    events = step_slot(st, lambda _st, _slot: (pushes, pulls))
+    rows = np.array(pushes, dtype=np.int64)  # as protocols return pushes
+    events = step_slot(st, lambda _st, _slot: (rows, pulls))
     assert [(e.to, e.piece) for e in events] == [(2, 1), (2, 1)]  # both uploads spent
     assert st.slot == 5
     assert st.arrivals[2, 0] == 5
@@ -378,6 +378,42 @@ def test_derived_emergence_equals_the_per_cell_rule():
     result = g.run(cfg)
     assert not result.completed and result.emergence[2:] == [None] * 6
     assert result.emergence == per_cell_emergence(cfg, result.trace)
+
+
+def first_source_pushes(k, trace):
+    """The rule release slots were once kept by, slot by slot: a piece is
+    released in the first slot the source (user 0) pushes it."""
+    first = [None] * k
+    for e in trace:
+        if e.frm == 0 and e.kind == "push" and first[e.piece - 1] is None:
+            first[e.piece - 1] = e.slot
+    return first
+
+
+FIXED = dict(contact_model=g.FIXED_LISTS, contact_list_size=2)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(protocol=g.INTERLEAVE),
+        dict(protocol=g.INTERLEAVE, **FIXED),
+        dict(protocol=g.INTERLEAVE, max_slots=7),
+        dict(protocol=g.PRIORITY_PUSH, spacing=1),
+        dict(protocol=g.PRIORITY_PUSH, spacing=2),
+        dict(protocol=g.PRIORITY_PUSH, spacing=3),
+        dict(protocol=g.PRIORITY_PUSH, spacing=2, max_slots=9),
+        dict(protocol=g.PRIORITY_PUSH, spacing=2, **FIXED),
+    ],
+    ids=lambda o: "-".join(str(v) for v in o.values()),
+)
+def test_derived_release_slots_equal_the_first_source_push(overrides):
+    for seed in range(4):
+        cfg = config(n=12, k=8, seed=seed, record_trace=True, **overrides)
+        result = g.run(cfg)
+        assert result.release_slots == first_source_pushes(cfg.k, result.trace), cfg
+    if "max_slots" in overrides:  # a capped run leaves pieces unreleased
+        assert not result.completed and result.release_slots[-1] is None
 
 
 def test_release_slots_follow_the_priority_schedule():

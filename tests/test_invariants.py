@@ -225,14 +225,9 @@ def test_upload_arbitration_property(data):
     ).copy()
     pulls = [(r, t, p) for r, t, p in pulls if r != t]
     hard = data.draw(st.booleans(), label="hard")
-    events = resolve_uploads(
-        1,
-        pushes,
-        pulls,
-        g.HARD if hard else g.SOFT,
-        state,
-        state.rng,
-    )
+    state.constraint = g.HARD if hard else g.SOFT
+    rows = np.array(pushes, dtype=np.int64).reshape(-1, 3)
+    events = resolve_uploads(1, rows, pulls, state)
     push_events = [e for e in events if e.kind == PUSH]
     pull_events = [e for e in events if e.kind == PULL]
     # pushes always go through, exactly as submitted

@@ -34,7 +34,6 @@ from gossipsim.protocols import (
 random_pull = RandomPull()
 sequential_pull = SequentialPull()
 random_push = RandomPush()
-interleave = Interleave()
 advocate = Advocate()
 
 
@@ -274,21 +273,24 @@ def test_priority_push_non_source_pushes_highest():
     assert targets == {1, 2}
 
 
-def interleave_state(holdings, k, targets, relay, fresh=1):
-    """`relay[u]`: the highest piece user u got on the push channel, 0 for
-    none yet."""
-    return state(holdings, k, targets, odd_channel_max=array("q", relay), next_source_piece=fresh)
+def interleave_with(relay):
+    """An interleave protocol whose relay memory is `relay`: `relay[u]` is
+    the highest piece user u got on the push channel, 0 for none yet."""
+    interleave = Interleave(len(relay))
+    interleave.relayed[:] = array("q", relay)
+    return interleave
 
 
 def test_interleave_source_pushes_schedule_on_odd_slots():
-    # source has released up to 4, so its next odd-slot push is piece 5
-    st = interleave_state([range(1, 10), []], 9, [1, 0], [0, 0], fresh=5)
-    assert uploads(interleave(st, 11)) == ([(0, 1, 5)], [])
-    assert st.next_source_piece == 6
-    # the schedule is capped at k
-    st.next_source_piece = 9
-    assert uploads(interleave(st, 13)) == ([(0, 1, 9)], [])
-    assert st.next_source_piece == 9
+    # odd slot t releases piece (t + 1) / 2: slot 9 gives piece 5
+    st = state([range(1, 10), []], 9, [1, 0])
+    interleave = interleave_with([0, 0])
+    assert uploads(interleave(st, 9)) == ([(0, 1, 5)], [])
+    # the push is relayed from the next odd slot on
+    assert interleave.relayed.tolist() == [0, 5]
+    # the schedule is capped at k: any odd slot >= 2k - 1 gives k
+    for slot in (17, 19, 101):
+        assert uploads(interleave_with([0, 0])(st, slot)) == ([(0, 1, 9)], [])
 
 
 def test_interleave_relay_uses_odd_channel_memory_only():
@@ -296,19 +298,42 @@ def test_interleave_relay_uses_odd_channel_memory_only():
     # it relays 6, never 9; user 2 has nothing from the odd channel yet
     # and idles on odd slots
     owned = [6, 9]
-    st = interleave_state([range(1, 10), owned, owned], 9, [1, 0, 0], [0, 6, 0], fresh=3)
-    pushes, pulls = uploads(interleave(st, 7))
+    st = state([range(1, 10), owned, owned], 9, [1, 0, 0])
+    interleave = interleave_with([0, 6, 0])
+    pushes, pulls = uploads(interleave(st, 5))
     assert pulls == []
     assert [(u, p) for u, _t, p in pushes] == [(0, 3), (1, 6)]
+    # the memory keeps each user's highest push-channel piece: user 0 got
+    # 6 from user 1, and the source's 3 went to user 1, which keeps its
+    # 6, or to user 2
+    source_target = pushes[0][1]
+    assert interleave.relayed.tolist() == [6, 6, 3 if source_target == 2 else 0]
 
 
 def test_interleave_even_slots_pull_lowest_missing():
     full = range(1, 7)
-    st = interleave_state([full, [1, 2, 5], full], 6, [2, 0, 0], [0, 5, 6], fresh=3)
+    st = state([full, [1, 2, 5], full], 6, [2, 0, 0])
+    interleave = interleave_with([0, 5, 6])
     # user 1 pulls 3; the complete user 2 and the complete source idle on
     # the pull channel
     assert uploads(interleave(st, 8)) == ([], [(1, 0, 3)])
-    assert st.next_source_piece == 3  # even slots leave the schedule alone
+    assert interleave.relayed.tolist() == [0, 5, 6]  # even slots leave the memory alone
+
+
+def test_interleave_relay_memory_is_the_highest_odd_slot_push():
+    for overrides in (dict(), dict(contact_model=g.FIXED_LISTS, contact_list_size=2)):
+        for seed in range(3):
+            cfg = g.SimulationConfig(
+                n=12, k=10, protocol=g.INTERLEAVE, seed=seed, record_trace=True, **overrides
+            )
+            engine = Engine(cfg)
+            result = engine.run()
+            highest = [0] * cfg.n
+            for e in result.trace:
+                if e.slot & 1:
+                    assert e.kind == "push"
+                    highest[e.to] = max(highest[e.to], e.piece)
+            assert engine.protocol.relayed.tolist() == highest
 
 
 def advocate_state(holdings, targets):
@@ -342,11 +367,12 @@ def test_advocate_idles_when_target_offers_nothing():
     assert all(u != 1 for u, _t, _p in pulls)
 
 
-@pytest.mark.parametrize("slot", [2, 4, 100])
-def test_interleave_slot_parity_drives_channel(slot):
-    st = interleave_state([range(1, 5), [2]], 4, [1, 0], [0, 2], fresh=2)
+@pytest.mark.parametrize("slot, released", [(2, 2), (4, 3), (100, 4)], ids=["2", "4", "100"])
+def test_interleave_slot_parity_drives_channel(slot, released):
+    st = state([range(1, 5), [2]], 4, [1, 0])
+    interleave = interleave_with([0, 2])
     assert uploads(interleave(st, slot)) == ([], [(1, 0, 1)])
-    assert uploads(interleave(st, slot + 1)) == ([(0, 1, 2), (1, 0, 2)], [])
+    assert uploads(interleave(st, slot + 1)) == ([(0, 1, released), (1, 0, 2)], [])
 
 
 def test_make_protocol_returns_the_named_protocol():

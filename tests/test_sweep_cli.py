@@ -59,6 +59,20 @@ def test_spec_from_mapping_rejects_bad_shapes():
         small_spec(master_seed=-1)
 
 
+def test_spec_refuses_base_seed_and_repeated_axis_values():
+    # every run's seed is derived from master_seed, so a base seed would be ignored
+    with pytest.raises(ConfigError, match="base.seed .*'master_seed'"):
+        small_spec(base={"k": 2, "protocol": g.RANDOM_PULL, "seed": 5})
+    # a repeated value would run its cell's runs twice
+    with pytest.raises(ConfigError, match="axis 'n' lists 8 twice"):
+        small_spec(axes={"n": [8, 12, 8]})
+    with pytest.raises(ConfigError, match="axis 'n' lists \\[1\\] twice"):
+        small_spec(axes={"n": [[1], [1]]})
+    # an unhashable value stays a config error of its cell
+    with pytest.raises(ConfigError, match="n: need an integer"):
+        expand(small_spec(axes={"n": [[1]]}))
+
+
 def test_expand_cell_and_seed_counts():
     plans = expand(small_spec())
     assert len(plans) == 6  # 2 cells x 3 seeds
@@ -535,6 +549,41 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     argv = ["reproduce", "--figure", "fig1", "--scale", "0.04", "--out", str(tmp_path)]
     assert main(argv + ["--master-seed", "-7"]) == 2
     assert "config error: reproduce: 'master_seed'" in capsys.readouterr().err
+    # a sweep refuses a base seed and an axis value given twice
+    spec = {"schema_version": 1, "base": {"k": 8, "protocol": g.RANDOM_PULL}, "seeds": 2}
+    seeded = write_yaml(tmp_path / "seeded.yaml", {**spec, "base": {**spec["base"], "seed": 5}})
+    repeated = write_yaml(tmp_path / "repeated.yaml", {**spec, "axes": {"n": [16, 16]}})
+    for path, expected in ((seeded, "base.seed"), (repeated, "axis 'n'")):
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and expected in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_verify_usage_errors_exit_2(tmp_path, capsys):
+    # exit 1 means a violated bound; bad parameters and unreadable rows are usage errors
+    spec = {"schema_version": 1, "base": {"k": 4, "protocol": g.RANDOM_PULL}, "axes": {"n": [8]}}
+    assert main(["sweep", "--config", write_yaml(tmp_path / "s.yaml", spec), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    runs = tmp_path / "runs.csv"
+    header, row = runs.read_text().splitlines()
+    bad_n = tmp_path / "bad_n.csv"
+    bad_n.write_text(header + "\n" + row.replace(",random-pull,8,", ",random-pull,abc,") + "\n")
+    bad_json = tmp_path / "bad.jsonl"
+    bad_json.write_text('{"n": 3\n')
+    scalar_json = tmp_path / "scalar.jsonl"
+    scalar_json.write_text("5\n")
+    cases = [
+        (runs, ["--eps", "5"], "config error: thm1: eps must lie in (0, 1), got 5.0"),
+        (runs, ["--beta", "-1"], "config error: thm1: beta must lie in (0, 1], got -1.0"),
+        (bad_json, [], f"config error: {bad_json}: line 1: not JSON"),
+        (scalar_json, [], f"config error: {scalar_json}: line 1: need a JSON object"),
+        (bad_n, [], f"config error: {bad_n}: line 2: n: need an integer, got 'abc'"),
+    ]
+    for results, extra, expected in cases:
+        assert main(["verify", "--results", str(results), "--theorem", "thm1"] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(expected) and err.count("\n") == 1, err
 
 
 def test_cli_rejects_unknown_subcommand_and_theorem(tmp_path):
