@@ -365,6 +365,97 @@ def test_verify_linear_mechanics():
     assert verify_rows(slow, "thm7").verdict is False  # exceeds n + C ln n
 
 
+def sweep_rows(base, axes, seeds=3):
+    spec = SweepSpec.from_mapping({"base": base, "axes": axes, "seeds": seeds, "master_seed": 7})
+    return run_sweep(spec)[0]
+
+
+def golden_report_cases():
+    """(name, rows, theorem, params): every bound on small seeded sweeps,
+    at its defaults and at other parameters, passing and failing."""
+    pull = sweep_rows({"k": 8, "protocol": g.RANDOM_PULL}, {"n": [16, 32]})
+    seeded = sweep_rows(
+        {"k": 8, "protocol": g.RANDOM_PULL, "initial_state": g.ETA_SEEDED},
+        {"n": [16, 32], "eta": [0.5, 1.0]},
+    )
+    push = sweep_rows({"k": 8, "protocol": g.RANDOM_PUSH}, {"n": [16, 32]})
+    spaced = sweep_rows({"k": 24, "protocol": g.PRIORITY_PUSH}, {"n": [32, 64], "l": [1, 2]})
+    interleave = interleave_rows()
+    late = [dict(r) for r in interleave]
+    late[0]["completion_slot"] = 10**6
+    advocate = [
+        row
+        for n in (16, 32)
+        for row in sweep_rows(
+            {"k": n, "protocol": g.ADVOCATE, "initial_state": g.ONE_UNIQUE, "constraint": g.SOFT},
+            {"n": [n]},
+        )
+    ]
+    whp = [
+        {
+            "run_id": f"r{i}",
+            "protocol": g.RANDOM_PULL,
+            "initial_state": g.ETA_SEEDED,
+            "n": 1000,
+            "k": 50,
+            "eta": 0.5,
+            "completed": True,
+            "completion_slot": 10**6 if i == 0 else 60,
+            "slots": 10**6 if i == 0 else 60,
+        }
+        for i in range(1000)
+    ]
+    return [
+        ("thm1", pull, "thm1", {}),
+        ("thm1-beta-eps", pull, "thm1", {"beta": 0.9, "eps": 0.05}),
+        ("thm2", seeded, "thm2", {}),
+        ("thm2-eta-c", seeded, "thm2", {"eta": 0.25, "c": 2.0}),
+        ("thm2-whp-margin", whp, "thm2", {}),
+        ("thm3", pull, "thm3", {}),
+        ("thm3-delta-c", pull, "thm3", {"delta": 0.5, "c": 0.5}),
+        ("thm4", push, "thm4", {}),
+        ("thm4-beta", push, "thm4", {"beta": 1.0}),
+        ("thm5-fail", spaced, "thm5", {}),  # mean reach 0.70 at these small n
+        ("thm5-pass", [dict(r, reach_fraction=0.95) for r in spaced], "thm5", {}),
+        ("thm6", interleave, "thm6", {}),
+        ("thm6-eps", interleave, "thm6", {"eps": 0.5}),
+        ("thm6-late", late, "thm6", {}),
+        ("thm7", advocate, "thm7", {}),
+        ("thm7-const", advocate, "thm7", {"C": 0.25}),
+        ("thm7-floor", [dict(r, completion_slot=5) for r in advocate], "thm7", {}),
+    ]
+
+
+# sha256 of each report's to_json(): the reports are part of the CLI's output
+GOLDEN_REPORTS = {
+    "thm1": "0fd13a3b43c9a28cd4bf7de3d38a27ec6760234f38f5e98a99aa469dba8f5f34",  # PASS
+    "thm1-beta-eps": "e61073f49099e22919e9979a82dcc97177877864ac907ebf7ce43f182fa2cf54",  # PASS
+    "thm2": "010b396aaad39ccf67ee8045213f7736df0b301dbfddb40f4bec487704b3e6bf",  # PASS
+    "thm2-eta-c": "570f89b85d0c33c13cebd3b748b66aef2016342220643076173801ba64d6b58a",  # PASS
+    "thm2-whp-margin": "4e1eef2aaba0f0f10b9c20014b9650c2c625204d8b294283f2158ae626355988",  # PASS
+    "thm3": "4aa5875eaac8ed02e7afcfc7478f60764cd8541258cba340f5dcaa0506df98c5",  # PASS
+    "thm3-delta-c": "8854b140cb3e9b2edf57d4e36d296da15c6c322ae7a3266ddbb5a8153d3f6b65",  # PASS
+    "thm4": "89ca4ca6862a27c82ae49a3b9387347005b206b6eb006733e20cbd6a71a59fcb",  # PASS
+    "thm4-beta": "ff80c03869df43e3f0a93906620ceebf6c0b5816d0f0eb9ba90b81fc31650969",  # PASS
+    "thm5-fail": "f9228609e525311957cd96b9425d16aa01711b61dd19f6742f6e03ff3fb343a2",  # FAIL
+    "thm5-pass": "e3e756e2333933b8dd2744c188ba5959a351f984ba30192548b6116172bc6aa6",  # PASS
+    "thm6": "02af5dcd1048ed4c4c4ae1267d5f0fe41d6f2f328b90c09143506963e6ec38cd",  # PASS
+    "thm6-eps": "a1326f04f242935df7b1f282daeb93fa9c1ea658ea082f18dd7fd8063eb248e1",  # PASS
+    "thm6-late": "9ec983539ac7e5ec42f7c4d4e0e21df25eb12b60f97ca7dc70dd338a272f809b",  # FAIL
+    "thm7": "67dc7893e80a83bd7d106055b298bd02e7cebb999f1594d29011c5f0c5597692",  # PASS
+    "thm7-const": "9c9d7aab05e76b16f8076a8353ff64027939af8983d6ef00fe52c93a244f89c8",  # FAIL
+    "thm7-floor": "3ced4403e7f77dbcc249b739a9783541a661e5d2e190091b4b78e9b67d7cf8f1",  # FAIL
+}
+
+
+def test_verify_reports_match_golden_digests():
+    digests = {
+        name: hashlib.sha256(verify_rows(rows, theorem, params).to_json().encode()).hexdigest()
+        for name, rows, theorem, params in golden_report_cases()
+    }
+    assert digests == GOLDEN_REPORTS
+
+
 # ------------------------------------------------------------------ figures
 
 
