@@ -28,6 +28,7 @@ from .config import SCHEMA_VERSION, ConfigError, load_config
 from .engine import run as run_engine
 from .figures import FIGURES, reproduce
 from .metrics import delay_profile
+from .oracle import THEOREMS
 from .sweep import (
     AGGREGATE_COLUMNS,
     RUN_COLUMNS,
@@ -124,7 +125,7 @@ def cmd_verify(args) -> int:
             params[name] = value
     if args.const is not None:
         params["C"] = args.const
-    report = verify_rows(rows, args.theorem, params)
+    report = verify_rows(rows, args.theorem, params, where=str(args.results))
     out = report.to_json()
     if args.out:
         path = Path(args.out)
@@ -175,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--theorem",
         required=True,
-        choices=[f"thm{i}" for i in range(1, 8)],
+        choices=sorted(THEOREMS),
         help="bound catalog entry",
     )
     p.add_argument("--beta", type=float, default=None, help="lower-bound coefficient")
@@ -183,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None, help="slack parameter")
     p.add_argument("--c", type=float, default=None, help="probability exponent")
     p.add_argument("--eta", type=float, default=None, help="seeding density override")
-    p.add_argument("--const", type=float, default=None, help="linear-excess constant (thm7)")
+    p.add_argument("--const", type=float, default=None, help="band constant C in n + C ln n")
     p.add_argument("--out", default=None, help="also write the JSON report here")
     p.set_defaults(func=cmd_verify)
 

@@ -237,7 +237,10 @@ class SimulationConfig:
         if missing:
             raise ConfigError(f"{where}: missing required keys {missing}")
         config = cls(**dict(data))
-        config.validate()
+        try:
+            config.validate()
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
         return config
 
 

@@ -11,7 +11,19 @@ import math
 
 import numpy as np
 
-from .config import ConfigError
+from .config import (
+    ADVOCATE,
+    ETA_SEEDED,
+    INTERLEAVE,
+    ONE_UNIQUE,
+    PRIORITY_PUSH,
+    RANDOM_PULL,
+    RANDOM_PUSH,
+    SEQUENTIAL_PULL,
+    SINGLE_SOURCE,
+    SOFT,
+    ConfigError,
+)
 
 __all__ = [
     "gossip_mean_map",
@@ -20,7 +32,9 @@ __all__ = [
     "geo_sum_sample",
     "geo_sum_mean",
     "geo_sum_tail",
+    "REACH_DELTA",
     "THEOREMS",
+    "theorem_entry",
     "bound_value",
 ]
 
@@ -119,156 +133,147 @@ def geo_sum_tail(n: int, k: int, eps: float) -> float:
     return 2.0 * math.exp(-k * n ** (eps - 1.0))
 
 
-def _require(params: dict, theorem: str, **ranges):
-    """Pull named parameters out of `params`, checking presence and range;
-    a missing or out-of-range parameter is a :class:`ConfigError`."""
-    out = []
-    for name, (lo, hi, lo_open, hi_open) in ranges.items():
+# Spaced-push runs record reach_fraction at this delta (see
+# `sweep.reach_summary`), so the coverage pair is checked at it only.
+REACH_DELTA = 0.08
+
+# Parameter ranges: (low, high, brackets), where "(" and ")" exclude an end.
+_N = (2, math.inf, "[)")
+_K = (1, math.inf, "[)")
+_POSITIVE = (0, math.inf, "()")
+_OPEN_UNIT = (0, 1, "()")
+_HALF_OPEN_UNIT = (0, 1, "(]")
+
+
+def _pull_lower(n, k, beta, eps):
+    return beta * (1.0 - eps) * k * math.log(n)
+
+
+def _seeded_pull_upper(n, k, eta, c):
+    growth = math.log1p(eta / math.e)
+    return (math.log1p(math.e / eta) / growth) * k + ((1.0 + c) / growth) * math.log(n)
+
+
+_PULL = (RANDOM_PULL, SEQUENTIAL_PULL)
+
+# Catalog of completion-time bounds.  Each entry is all `verify` knows of
+# its theorem:
+#   kind     -- "lower" or "upper" on completion slots, or "pair" for a
+#               (coverage fraction, slot window) guarantee
+#   fn       -- the bound, called with one keyword per parameter
+#   params   -- each parameter's range
+#   defaults -- the values `verify` uses for parameters not given
+#   columns  -- the run column each remaining parameter is read from
+#   applies  -- the run values the theorem's hypotheses allow
+# Two optional keys qualify the kind.  "whp": an upper bound that holds
+# with probability 1 - n^-c, so that share of runs may straggle.  "floor"
+# and "band": a lower bound whose runs must also finish, between floor
+# and fn slots; "band" states the two ends for reports.
+THEOREMS = {
+    "thm1": {
+        "kind": "lower",
+        "fn": _pull_lower,
+        "summary": "pull protocols need at least beta (1-eps) k ln n slots",
+        "params": {"n": _N, "k": _K, "beta": _HALF_OPEN_UNIT, "eps": _OPEN_UNIT},
+        "defaults": {"beta": 0.5, "eps": 0.1},
+        "columns": {"n": "n", "k": "k"},
+        "applies": {"protocol": _PULL},
+    },
+    "thm2": {
+        "kind": "upper",
+        "fn": _seeded_pull_upper,
+        "summary": "seeded random pull finishes in O(k + ln n) slots whp",
+        "params": {"n": _N, "k": _K, "eta": _HALF_OPEN_UNIT, "c": _POSITIVE},
+        "defaults": {"c": 1.0},
+        "columns": {"n": "n", "k": "k", "eta": "eta"},
+        "applies": {"protocol": _PULL, "initial_state": (ETA_SEEDED,)},
+        "whp": True,
+    },
+    "thm3": {
+        "kind": "upper",
+        "fn": lambda n, k, delta, c: 4.0 * math.e * (1.0 + delta) * (
+            k * math.log(k) + (1.0 + c) * k * math.log(n)
+        ),
+        "summary": "random pull from one source finishes in O(k ln(kn)) slots whp",
+        "params": {"n": _N, "k": _K, "delta": _POSITIVE, "c": _POSITIVE},
+        "defaults": {"delta": 0.1, "c": 1.0},
+        "columns": {"n": "n", "k": "k"},
+        "applies": {"protocol": _PULL, "initial_state": (SINGLE_SOURCE, ONE_UNIQUE)},
+    },
+    "thm4": {
+        "kind": "lower",
+        "fn": _pull_lower,
+        "summary": "push protocols need at least beta (1-eps) k ln n slots",
+        "params": {"n": _N, "k": _K, "beta": _HALF_OPEN_UNIT, "eps": _OPEN_UNIT},
+        "defaults": {"beta": 0.5, "eps": 0.1},
+        "columns": {"n": "n", "k": "k"},
+        "applies": {"protocol": (RANDOM_PUSH, PRIORITY_PUSH)},
+    },
+    "thm5": {
+        "kind": "pair",
+        "fn": lambda n, l, delta: (1.0 - math.exp(-l) - delta, (1.0 + delta) * math.log2(n)),
+        "summary": "spaced priority push reaches most users within ~log2 n slots per piece",
+        "params": {"n": _N, "l": _K, "delta": _OPEN_UNIT},
+        "defaults": {"delta": REACH_DELTA},
+        "columns": {"n": "n", "l": "spacing"},
+        "applies": {"protocol": (PRIORITY_PUSH,)},
+    },
+    "thm6": {
+        "kind": "upper",
+        "fn": lambda n, k, eps: 9.0 * k + 2.0 * (1.0 + eps) * math.log2(n),
+        "summary": "interleave completes within 9k + 2(1+eps) log2 n slots whp",
+        "params": {"n": _N, "k": _K, "eps": _OPEN_UNIT},
+        "defaults": {"eps": 0.1},
+        "columns": {"n": "n", "k": "k"},
+        "applies": {"protocol": (INTERLEAVE,), "initial_state": (SINGLE_SOURCE,)},
+    },
+    "thm7": {
+        "kind": "lower",
+        "fn": lambda n, C: n + C * math.log(n),
+        "summary": "advocate pull completes in n + O(ln n) slots",
+        "params": {"n": _N, "C": _POSITIVE},
+        "defaults": {"C": 3.0},
+        "columns": {"n": "n"},
+        "applies": {
+            "protocol": (ADVOCATE,),
+            "initial_state": (ONE_UNIQUE,),
+            "constraint": (SOFT,),
+        },
+        "floor": lambda n, C: n - 1,
+        "band": {"floor": "n - 1", "ceiling": "n + {C} ln n"},
+    },
+}
+
+
+def theorem_entry(theorem: str) -> dict:
+    """The catalog entry of `theorem`; an unknown id is a :class:`ConfigError`."""
+    entry = THEOREMS.get(theorem)
+    if entry is None:
+        raise ConfigError(f"unknown theorem id {theorem!r}; known: {sorted(THEOREMS)}")
+    return entry
+
+
+def bound_value(theorem: str, **params):
+    """Evaluate one catalog entry; returns a float, or a pair for a "pair" kind.
+
+    Raises :class:`ConfigError` for an unknown id, and for a parameter that
+    is missing, outside its range, or not one the theorem takes.
+    """
+    entry = theorem_entry(theorem)
+    ranges = entry["params"]
+    for name in params:
+        if name not in ranges:
+            raise ConfigError(f"{theorem}: takes no parameter {name!r}; takes {sorted(ranges)}")
+    for name, (lo, hi, brackets) in ranges.items():
         if name not in params:
             raise ConfigError(f"{theorem}: missing parameter {name!r}")
         v = params[name]
         if not isinstance(v, (int, float)):
             raise ConfigError(f"{theorem}: {name} must be a number, got {v!r}")
-        ok_lo = v > lo if lo_open else v >= lo
-        ok_hi = v < hi if hi_open else v <= hi
+        ok_lo = v > lo if brackets[0] == "(" else v >= lo
+        ok_hi = v < hi if brackets[1] == ")" else v <= hi
         if not (ok_lo and ok_hi):
-            bra = "(" if lo_open else "["
-            ket = ")" if hi_open else "]"
             raise ConfigError(
-                f"{theorem}: {name} must lie in {bra}{lo}, {hi}{ket}, got {v}"
+                f"{theorem}: {name} must lie in {brackets[0]}{lo}, {hi}{brackets[1]}, got {v}"
             )
-        out.append(v)
-    return out
-
-
-_INF = math.inf
-
-
-def _pull_lower(theorem: str, params: dict) -> float:
-    n, k, beta, eps = _require(
-        params,
-        theorem,
-        n=(2, _INF, False, True),
-        k=(1, _INF, False, True),
-        beta=(0, 1, True, False),
-        eps=(0, 1, True, True),
-    )
-    return beta * (1.0 - eps) * k * math.log(n)
-
-
-def _thm2(params: dict) -> float:
-    n, k, eta, c = _require(
-        params,
-        "thm2",
-        n=(2, _INF, False, True),
-        k=(1, _INF, False, True),
-        eta=(0, 1, True, False),
-        c=(0, _INF, True, True),
-    )
-    ratio = math.e / eta
-    growth = math.log1p(eta / math.e)
-    return (math.log1p(ratio) / growth) * k + ((1.0 + c) / growth) * math.log(n)
-
-
-def _thm3(params: dict) -> float:
-    n, k, delta, c = _require(
-        params,
-        "thm3",
-        n=(2, _INF, False, True),
-        k=(1, _INF, False, True),
-        delta=(0, _INF, True, True),
-        c=(0, _INF, True, True),
-    )
-    return 4.0 * math.e * (1.0 + delta) * (
-        k * math.log(k) + (1.0 + c) * k * math.log(n)
-    )
-
-
-def _thm5(params: dict) -> tuple[float, float]:
-    n, l, delta = _require(
-        params,
-        "thm5",
-        n=(2, _INF, False, True),
-        l=(1, _INF, False, True),
-        delta=(0, 1, True, True),
-    )
-    return (1.0 - math.exp(-l) - delta, (1.0 + delta) * math.log2(n))
-
-
-def _thm6(params: dict) -> float:
-    n, k, eps = _require(
-        params,
-        "thm6",
-        n=(2, _INF, False, True),
-        k=(1, _INF, False, True),
-        eps=(0, 1, True, True),
-    )
-    return 9.0 * k + 2.0 * (1.0 + eps) * math.log2(n)
-
-
-def _thm7(params: dict) -> float:
-    n, C = _require(
-        params,
-        "thm7",
-        n=(2, _INF, False, True),
-        C=(0, _INF, True, True),
-    )
-    return n + C * math.log(n)
-
-
-# Catalog of completion-time bounds.  Values:
-#   kind  -- "lower" or "upper" on completion slots, or "pair" for a
-#            (coverage fraction, slot window) guarantee
-#   fn    -- params dict -> bound value
-# Logs: thm1-thm4 and thm7 use natural log; thm5 and thm6 use log base 2.
-THEOREMS = {
-    "thm1": {
-        "kind": "lower",
-        "fn": lambda params: _pull_lower("thm1", params),
-        "summary": "pull protocols need at least beta (1-eps) k ln n slots",
-    },
-    "thm2": {
-        "kind": "upper",
-        "fn": _thm2,
-        "summary": "seeded random pull finishes in O(k + ln n) slots whp",
-    },
-    "thm3": {
-        "kind": "upper",
-        "fn": _thm3,
-        "summary": "random pull from one source finishes in O(k ln(kn)) slots whp",
-    },
-    "thm4": {
-        "kind": "lower",
-        "fn": lambda params: _pull_lower("thm4", params),
-        "summary": "push protocols need at least beta (1-eps) k ln n slots",
-    },
-    "thm5": {
-        "kind": "pair",
-        "fn": _thm5,
-        "summary": "spaced priority push reaches most users within ~log2 n slots per piece",
-    },
-    "thm6": {
-        "kind": "upper",
-        "fn": _thm6,
-        "summary": "interleave completes within 9k + 2(1+eps) log2 n slots whp",
-    },
-    "thm7": {
-        "kind": "lower",
-        "fn": _thm7,
-        "summary": "advocate pull completes in n + O(ln n) slots",
-    },
-}
-
-
-def bound_value(theorem: str, **params):
-    """Evaluate one catalog entry; returns a float, or a pair for thm5.
-
-    Raises ValueError for unknown ids, missing parameters, or parameters
-    outside the stated range.
-    """
-    entry = THEOREMS.get(theorem)
-    if entry is None:
-        raise ValueError(
-            f"unknown theorem id {theorem!r}; known: {sorted(THEOREMS)}"
-        )
-    return entry["fn"](params)
+    return entry["fn"](**params)

@@ -30,6 +30,7 @@ from .config import (
 )
 from .engine import RunResult, run as run_engine
 from .metrics import DelayProfile, delay_profile, failed_pieces, pieces_reached
+from .oracle import REACH_DELTA
 from .version import VERSION
 
 __all__ = [
@@ -71,8 +72,7 @@ AXIS_FIELDS = {
 # runs: a piece "reaches" when ceil((1 - e^{-l} - REACH_DELTA) n) users hold
 # it within ceil(REACH_WINDOW_FACTOR * log2 n) slots of its release.  This
 # is the desk-scale relaxation of the (1 - e^{-l} - delta, (1 + delta)
-# log2 n) coverage guarantee checked by `verify --theorem thm5`.
-REACH_DELTA = 0.08
+# log2 n) coverage guarantee of spaced push that `verify` checks.
 REACH_WINDOW_FACTOR = 1.3
 
 # Most worker processes a sweep or figure may ask for: a process pool

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from gossipsim.config import ConfigError
 from gossipsim.oracle import (
     THEOREMS,
     bound_value,
@@ -20,6 +21,7 @@ from gossipsim.oracle import (
     geo_sum_tail,
     gossip_mean_map,
 )
+from gossipsim.sweep import RUN_COLUMNS
 
 # ------------------------------------------------------------------ mean map
 
@@ -222,8 +224,6 @@ def test_linear_bound_value():
 
 def test_bound_catalog_validates_parameters():
     with pytest.raises(ValueError):
-        bound_value("thm0", n=10)
-    with pytest.raises(ValueError):
         bound_value("thm1", n=100, k=20, beta=1.5, eps=0.1)
     with pytest.raises(ValueError):
         bound_value("thm2", n=100, k=20, eta=0.0, c=1.0)
@@ -231,3 +231,21 @@ def test_bound_catalog_validates_parameters():
         bound_value("thm6", n=100, k=20)  # missing eps
     with pytest.raises(ValueError):
         bound_value("thm5", n=100, l=0.5, delta=0.1)
+    with pytest.raises(ConfigError, match="unknown theorem id 'thm0'"):
+        bound_value("thm0", n=10)
+    with pytest.raises(ConfigError, match="thm1: takes no parameter 'eta'"):
+        bound_value("thm1", n=100, k=20, beta=0.5, eps=0.1, eta=0.5)
+
+
+@pytest.mark.parametrize("theorem", sorted(THEOREMS))
+def test_catalog_entry_is_consistent(theorem):
+    entry = THEOREMS[theorem]
+    # every parameter is read from a run or has a default, never both
+    assert not set(entry["columns"]) & set(entry["defaults"])
+    assert set(entry["params"]) == set(entry["columns"]) | set(entry["defaults"])
+    assert set(entry["columns"].values()) <= set(RUN_COLUMNS)
+    assert set(entry["applies"]) <= set(RUN_COLUMNS)
+    n, k = (64, 64) if theorem == "thm7" else (64, 32)
+    row = {"n": n, "k": k, "eta": 0.5, "spacing": 2}
+    values = {name: row[column] for name, column in entry["columns"].items()}
+    bound_value(theorem, **values, **entry["defaults"])

@@ -635,7 +635,7 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
         {"schema_version": 1, "n": 16, "k": 4, "protocol": "random-pull", "epsilon": "0.1"},
     )
     assert main(["simulate", "--config", quoted]) == 2
-    assert "config error: epsilon" in capsys.readouterr().err
+    assert f"config error: {quoted}: epsilon" in capsys.readouterr().err
     # reproduce applies the sweep's seed-plan rule
     argv = ["reproduce", "--figure", "fig1", "--scale", "0.04", "--out", str(tmp_path)]
     assert main(argv + ["--master-seed", "-7"]) == 2
@@ -644,7 +644,13 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     spec = {"schema_version": 1, "base": {"k": 8, "protocol": g.RANDOM_PULL}, "seeds": 2}
     seeded = write_yaml(tmp_path / "seeded.yaml", {**spec, "base": {**spec["base"], "seed": 5}})
     repeated = write_yaml(tmp_path / "repeated.yaml", {**spec, "axes": {"n": [16, 16]}})
-    for path, expected in ((seeded, "base.seed"), (repeated, "axis 'n'")):
+    # a cell's validation error names the cell
+    bad_cell = write_yaml(tmp_path / "cell.yaml", {**spec, "axes": {"n": [[1]]}})
+    for path, expected in (
+        (seeded, "base.seed"),
+        (repeated, "axis 'n'"),
+        (bad_cell, "sweep cell n=[1]: n: need an integer >= 2, got [1]"),
+    ):
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and expected in err
@@ -664,12 +670,21 @@ def test_cli_verify_usage_errors_exit_2(tmp_path, capsys):
     bad_json.write_text('{"n": 3\n')
     scalar_json = tmp_path / "scalar.jsonl"
     scalar_json.write_text("5\n")
+    maybe = tmp_path / "maybe.csv"
+    maybe.write_text(header + "\n" + row.replace(",True,", ",maybe,") + "\n")
+    columns = header.split(",")
+    keep = [i for i, name in enumerate(columns) if name != "n"]
+    no_n = tmp_path / "no_n.csv"
+    no_n.write_text("\n".join(",".join(line.split(",")[i] for i in keep) for line in (header, row)) + "\n")
     cases = [
         (runs, ["--eps", "5"], "config error: thm1: eps must lie in (0, 1), got 5.0"),
         (runs, ["--beta", "-1"], "config error: thm1: beta must lie in (0, 1], got -1.0"),
         (bad_json, [], f"config error: {bad_json}: line 1: not JSON"),
         (scalar_json, [], f"config error: {scalar_json}: line 1: need a JSON object"),
         (bad_n, [], f"config error: {bad_n}: line 2: n: need an integer, got 'abc'"),
+        (maybe, [], f"config error: {maybe}: line 2: completed: need true or false, got 'maybe'"),
+        (no_n, [], f"config error: {no_n}: no 'n' column, which thm1 reads"),
+        (runs, ["--eta", "0.5"], "config error: thm1: takes no parameter 'eta'"),
     ]
     for results, extra, expected in cases:
         assert main(["verify", "--results", str(results), "--theorem", "thm1"] + extra) == 2
