@@ -235,6 +235,10 @@ def test_bound_catalog_validates_parameters():
         bound_value("thm0", n=10)
     with pytest.raises(ConfigError, match="thm1: takes no parameter 'eta'"):
         bound_value("thm1", n=100, k=20, beta=0.5, eps=0.1, eta=0.5)
+    # each end of a range is open or closed as stated
+    with pytest.raises(ConfigError, match=r"thm6: eps must lie in \(0, 1\), got 1"):
+        bound_value("thm6", n=100, k=20, eps=1)
+    assert bound_value("thm2", n=100, k=20, eta=1, c=1.0) > 0  # eta in (0, 1]
 
 
 @pytest.mark.parametrize("theorem", sorted(THEOREMS))

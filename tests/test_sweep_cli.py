@@ -225,17 +225,13 @@ def test_csv_round_trip_and_coercion(tmp_path):
 # ------------------------------------------------------------- verification
 
 
+def sweep_rows(base, axes):
+    spec = SweepSpec.from_mapping({"base": base, "axes": axes, "seeds": 3, "master_seed": 7})
+    return run_sweep(spec)[0]
+
+
 def interleave_rows():
-    spec = SweepSpec.from_mapping(
-        {
-            "base": {"k": 8, "protocol": g.INTERLEAVE},
-            "axes": {"n": [16, 32]},
-            "seeds": 3,
-            "master_seed": 7,
-        }
-    )
-    rows, _ = run_sweep(spec)
-    return rows
+    return sweep_rows({"k": 8, "protocol": g.INTERLEAVE}, {"n": [16, 32]})
 
 
 def test_verify_upper_bound_passes_on_real_runs():
@@ -251,15 +247,7 @@ def test_verify_upper_bound_passes_on_real_runs():
 
 
 def test_verify_lower_bound_passes_on_real_runs():
-    spec = SweepSpec.from_mapping(
-        {
-            "base": {"k": 8, "protocol": g.RANDOM_PULL},
-            "axes": {"n": [32]},
-            "seeds": 3,
-            "master_seed": 7,
-        }
-    )
-    rows, _ = run_sweep(spec)
+    rows = sweep_rows({"k": 8, "protocol": g.RANDOM_PULL}, {"n": [32]})
     for theorem in ("thm1", "thm3"):
         report = verify_rows(rows, theorem)
         assert report.verdict is True, theorem
@@ -363,11 +351,6 @@ def test_verify_linear_mechanics():
     assert verify_rows(fast, "thm7").verdict is False
     slow = [dict(r, completion_slot=128 + 200, slots=128 + 200) for r in rows]
     assert verify_rows(slow, "thm7").verdict is False  # exceeds n + C ln n
-
-
-def sweep_rows(base, axes, seeds=3):
-    spec = SweepSpec.from_mapping({"base": base, "axes": axes, "seeds": seeds, "master_seed": 7})
-    return run_sweep(spec)[0]
 
 
 def golden_report_cases():
