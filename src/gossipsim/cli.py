@@ -8,7 +8,8 @@ Subcommands:
 * ``reproduce``— regenerate a report figure's dataset
 
 Exit codes: 0 success (verify: bound holds), 1 failure (verify: bound
-violated), 2 configuration or usage error (including verify refusals).
+violated), 2 configuration or usage error (including verify refusals and
+a path that cannot be read or written).
 Output locations default to the ``GOSSIPSIM_OUT`` environment variable,
 then the current directory.  Result files carry no timestamps, so repeated
 invocations with the same inputs are byte-identical, except for the
@@ -80,7 +81,6 @@ def cmd_simulate(args) -> int:
         config = replace(config, seed=args.seed)
     if args.trace:
         config = replace(config, record_trace=True)
-    config.validate()
     result = run_engine(config)
     line = json.dumps(run_record(result), sort_keys=True, separators=(",", ":"))
     if args.out:
@@ -210,7 +210,7 @@ def main(argv=None) -> int:
     except VerificationRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -356,10 +356,9 @@ class Engine:
     """Drives one seeded run of a protocol over the shared slot loop."""
 
     def __init__(self, config: SimulationConfig):
-        config.validate()
         self.config = config
-        self.protocol = make_protocol(config)
         self.state = init_state(config)
+        self.protocol = make_protocol(config)
         self.trace = Trace() if config.record_trace else None
 
     def step(self) -> SlotEvents:

@@ -117,9 +117,7 @@ class Protocol:
     ``kind`` says whether ``act`` picks pieces to push or to request.  Each
     user's contact costs one ``rng.random()`` draw: uniform over the other
     n - 1 users, or under fixed contact lists uniform over the user's own
-    list.  With ``source_contacts_all`` the source draws from the whole
-    network even under fixed contact lists, so that the pieces it releases
-    are not bottled up inside its own list.
+    list.
 
     ``draws`` says whether ``act`` draws from ``st.rng``.  If it does, each
     contact is drawn just before that user acts; if not, all contacts are
@@ -128,10 +126,12 @@ class Protocol:
 
     A source-scheduled protocol sets ``spacing``: in slot t its source
     pushes :meth:`source_piece`, piece ``ceil(t / spacing)`` capped at k.
+    Its source draws its contact from the whole network even under fixed
+    contact lists, so that the pieces it releases are not bottled up
+    inside its own list.
     """
 
     kind = PULL
-    source_contacts_all = False
     draws = True
     spacing: int | None = None
 
@@ -155,7 +155,7 @@ class Protocol:
             rows = np.fromiter(chain.from_iterable(picked), np.int64, 3 * len(picked))
             return rows.reshape(-1, 3), []
         n = st.n
-        targets = draw_contacts(st, self.source_contacts_all)
+        targets = draw_contacts(st, self.spacing is not None)
         listed = targets.tolist()
         acts = map(self.act, repeat(st), range(n), listed, repeat(slot))
         if self.kind == PULL:
@@ -170,7 +170,7 @@ class Protocol:
         rnd = st.rng.random
         lists = st.contact_lists
         others = st.n - 1
-        uniform_user = st.source if self.source_contacts_all else None
+        uniform_user = st.source if self.spacing is not None else None
         picked = []
         for u in range(st.n):
             if lists is None or u == uniform_user:
@@ -233,7 +233,6 @@ class PriorityPush(Protocol):
     """
 
     kind = PUSH
-    source_contacts_all = True
     draws = False
 
     def __init__(self, spacing: int = 1):
@@ -259,7 +258,6 @@ class Interleave(Protocol):
     """
 
     kind = PUSH
-    source_contacts_all = True
     draws = False
     spacing = 2
 

@@ -79,60 +79,46 @@ REACH_WINDOW_FACTOR = 1.3
 # starts all its workers at once, however few runs there are.
 MAX_JOBS = 64
 
-RUN_COLUMNS = (
-    "schema_version",
-    "tool_version",
-    "run_id",
-    "protocol",
-    "n",
-    "k",
-    "constraint",
-    "contact_model",
-    "contact_list_size",
-    "initial_state",
-    "eta",
-    "spacing",
-    "seed_index",
-    "seed",
-    "completed",
-    "completion_slot",
-    "slots",
-    "delay_limit",
-    "failed_piece_count",
-    "reach_fraction",
-    "wall_time_s",
-)
+# The run row schema: each column of a sweep's runs.csv, in order, with the
+# type `verify` reads it as.  A sweep cell is keyed by its nine config
+# columns, which both result tables carry.
+_CELL_KEY = {
+    "protocol": str,
+    "n": int,
+    "k": int,
+    "constraint": str,
+    "contact_model": str,
+    "contact_list_size": int,
+    "initial_state": str,
+    "eta": float,
+    "spacing": int,
+}
+_VERSION_COLUMNS = {"schema_version": int, "tool_version": str}
+
+RUN_COLUMNS = {
+    **_VERSION_COLUMNS,
+    "run_id": str,
+    **_CELL_KEY,
+    "seed_index": int,
+    "seed": int,
+    "completed": bool,
+    "completion_slot": int,
+    "slots": int,
+    "delay_limit": float,
+    "failed_piece_count": int,
+    "reach_fraction": float,
+    "wall_time_s": float,
+}
 
 AGGREGATE_COLUMNS = (
-    "schema_version",
-    "tool_version",
-    "protocol",
-    "n",
-    "k",
-    "constraint",
-    "contact_model",
-    "contact_list_size",
-    "initial_state",
-    "eta",
-    "spacing",
+    *_VERSION_COLUMNS,
+    *_CELL_KEY,
     "runs",
     "completed_runs",
     "mean_completion",
     "min_completion",
     "max_completion",
     "mean_delay_limit",
-)
-
-_CELL_KEY = (
-    "protocol",
-    "n",
-    "k",
-    "constraint",
-    "contact_model",
-    "contact_list_size",
-    "initial_state",
-    "eta",
-    "spacing",
 )
 
 
@@ -277,15 +263,7 @@ def summarize_run(
         "schema_version": SCHEMA_VERSION,
         "tool_version": VERSION,
         "run_id": plan.run_id,
-        "protocol": cfg.protocol,
-        "n": cfg.n,
-        "k": cfg.k,
-        "constraint": cfg.constraint,
-        "contact_model": cfg.contact_model,
-        "contact_list_size": cfg.contact_list_size,
-        "initial_state": cfg.initial_state,
-        "eta": cfg.eta,
-        "spacing": cfg.spacing,
+        **{name: getattr(cfg, name) for name in _CELL_KEY},
         "seed_index": plan.seed_index,
         "seed": cfg.seed,
         "completed": result.completed,

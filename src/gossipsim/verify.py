@@ -11,6 +11,7 @@ at all.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -18,8 +19,9 @@ from pathlib import Path
 from statistics import fmean
 from typing import Any
 
-from .config import ConfigError
+from .config import ConfigError, is_int
 from .oracle import REACH_DELTA, bound_value, theorem_entry
+from .sweep import RUN_COLUMNS
 
 __all__ = [
     "VerificationRefusal",
@@ -60,72 +62,63 @@ class BoundReport:
         return json.dumps(asdict(self), sort_keys=True, default=str)
 
 
-_INT_FIELDS = (
-    "schema_version",
-    "n",
-    "k",
-    "contact_list_size",
-    "spacing",
-    "seed_index",
-    "seed",
-    "completion_slot",
-    "slots",
-    "failed_piece_count",
-)
-_FLOAT_FIELDS = ("eta", "delay_limit", "reach_fraction", "wall_time_s")
+# What a refusal says each column type needs.
+_NEED = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 _FLAGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _coerce(row: dict, where: str) -> dict:
-    out = dict(row)
-    for names, kind, what in (
-        (_INT_FIELDS, int, "an integer"),
-        (_FLOAT_FIELDS, float, "a number"),
-    ):
-        for name in names:
-            v = out.get(name)
-            if isinstance(v, str):
-                try:
-                    out[name] = kind(v) if v else None
-                except ValueError:
-                    raise ConfigError(f"{where}: {name}: need {what}, got {v!r}") from None
-    v = out.get("completed")
-    if isinstance(v, str):
-        flag = _FLAGS.get(v.strip().lower())
-        if flag is None:
-            raise ConfigError(f"{where}: completed: need true or false, got {v!r}")
-        out["completed"] = flag
-    return out
+def _column_value(name: str, value, where: str, cell: bool):
+    """`value` read as run column `name`'s type.  A CSV `cell` is text: an
+    empty one is None, and a number or a flag is parsed from it.  A JSONL
+    value must have the type already; None passes, and so does an int where
+    a float is wanted, but a bool is never an int."""
+    kind = RUN_COLUMNS[name]
+    if cell and kind is not str:
+        if not value:
+            return None
+        try:
+            return _FLAGS[value.strip().lower()] if kind is bool else kind(value)
+        except (KeyError, ValueError):
+            pass
+    elif value is None or type(value) is kind or kind is float and is_int(value):
+        return value
+    raise ConfigError(f"{where}: {name}: need {_NEED[kind]}, got {value!r}")
+
+
+def _typed(row: dict, where: str, cell: bool = False) -> dict:
+    return {
+        name: _column_value(name, value, where, cell) if name in RUN_COLUMNS else value
+        for name, value in row.items()
+    }
 
 
 def load_results(path: str | Path) -> list:
-    """Load result rows from a sweep CSV or a simulate JSONL file; a line
-    that does not parse is a :class:`ConfigError` naming the file and line."""
+    """Load result rows from a sweep CSV or a simulate JSONL file, each run
+    column read as its :data:`~gossipsim.sweep.RUN_COLUMNS` type; a line
+    that does not parse, or a value of the wrong type, is a
+    :class:`ConfigError` naming the file and line."""
     path = Path(path)
-    if path.suffix == ".jsonl":
-        rows = []
-        for number, line in enumerate(path.read_text().splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: line {number}: not JSON: {exc.msg}") from None
-            if not isinstance(rec, dict):
-                raise ConfigError(f"{path}: line {number}: need a JSON object")
-            row = dict(rec.get("config", {}))
-            for key, value in rec.items():
-                if key != "config" and not isinstance(value, dict):
-                    row[key] = value
-            for key, value in rec.get("metrics", {}).items():
-                row[key] = value
-            rows.append(row)
-        return rows
-    import csv
-
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [_coerce(row, f"{path}: line {reader.line_num}") for row in reader]
+    if path.suffix != ".jsonl":
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            return [_typed(row, f"{path}: line {reader.line_num}", cell=True) for row in reader]
+    rows = []
+    for number, line in enumerate(path.read_text().splitlines(), 1):
+        if not line.strip():
+            continue
+        where = f"{path}: line {number}"
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{where}: not JSON: {exc.msg}") from None
+        if not isinstance(rec, dict):
+            raise ConfigError(f"{where}: need a JSON object")
+        for key in ("config", "metrics"):
+            if not isinstance(rec.get(key, {}), dict):
+                raise ConfigError(f"{where}: {key}: need a JSON object, got {rec[key]!r}")
+        top = {key: value for key, value in rec.items() if not isinstance(value, dict)}
+        rows.append(_typed({**rec.get("config", {}), **top, **rec.get("metrics", {})}, where))
+    return rows
 
 
 def _require_columns(rows: list, columns, theorem: str, where: str) -> None:
@@ -179,9 +172,12 @@ def verify_rows(
     for i, row in enumerate(rows):
         values = _bound_params(entry, row, params)
         b = bound_value(theorem, **values)
+        run = row.get("run_id") or f"row{i}"
         t = row["completion_slot"]
         if t is None:  # an unfinished run: the slot cap it reached
             t = row["slots"]
+        if t is None or row["completed"] is None:
+            raise ConfigError(f"{where}: {run}: need completed, and slots if no completion_slot")
         bounds.append(b)
         times.append(t)
         if floor is not None:
@@ -192,7 +188,7 @@ def verify_rows(
         else:
             ok = t >= b if kind == "lower" else (row["completed"] and t <= b)
         if not ok:
-            violations.append(row.get("run_id") or f"row{i}")
+            violations.append(run)
     within = 1.0 - len(violations) / len(rows)
     details = {"violations": violations[:10], "violation_count": len(violations)}
     required = 1.0

@@ -162,7 +162,7 @@ class PerUserContacts(Protocol):
     """The user-by-user contact draw, with an act that draws nothing."""
 
     def __init__(self, source_all):
-        self.source_contacts_all = source_all
+        self.spacing = 1 if source_all else None  # a source schedule: the source draws over all
         self.seen = []
 
     def act(self, st, user, target, slot):

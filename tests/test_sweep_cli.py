@@ -1,6 +1,7 @@
 """Sweeps, result files, bound verification, figures, and the CLI."""
 
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -204,6 +205,16 @@ def test_priority_push_rows_record_reach():
 
 def test_csv_round_trip_and_coercion(tmp_path):
     rows, agg = run_sweep(small_spec())
+    # rows that fill the columns a plain pull sweep leaves empty
+    rows += sweep_rows(
+        {"k": 2, "protocol": g.PRIORITY_PUSH, "spacing": 2,
+         "contact_model": g.FIXED_LISTS, "contact_list_size": 3},
+        {"n": [8]},
+    )
+    rows += sweep_rows(
+        {"n": 8, "k": 2, "protocol": g.RANDOM_PULL, "initial_state": g.ETA_SEEDED},
+        {"eta": [0.5]},
+    )
     runs_path = write_rows_csv(rows, tmp_path / "runs.csv", RUN_COLUMNS)
     agg_path = write_rows_csv(agg, tmp_path / "aggregate.csv", AGGREGATE_COLUMNS)
     with open(runs_path, newline="") as fh:
@@ -213,7 +224,12 @@ def test_csv_round_trip_and_coercion(tmp_path):
     assert raw[0]["tool_version"] == g.__version__
     assert raw[0]["eta"] == ""  # None round-trips as empty
     back = load_results(runs_path)
-    assert len(back) == 6
+    assert len(back) == 12
+    # every column reads back as its declared type, or None from an empty cell
+    assert all(any(cells[name] for cells in raw) for name in RUN_COLUMNS)
+    for row, cells in zip(back, raw):
+        for name, kind in RUN_COLUMNS.items():
+            assert row[name] is None if cells[name] == "" else type(row[name]) is kind, name
     assert isinstance(back[0]["n"], int)
     assert isinstance(back[0]["completed"], bool) and back[0]["completed"]
     assert back[0]["eta"] is None
@@ -659,6 +675,23 @@ def test_cli_verify_usage_errors_exit_2(tmp_path, capsys):
     keep = [i for i, name in enumerate(columns) if name != "n"]
     no_n = tmp_path / "no_n.csv"
     no_n.write_text("\n".join(",".join(line.split(",")[i] for i in keep) for line in (header, row)) + "\n")
+    assert main(["simulate", "--config", sim_config(tmp_path, protocol=g.RANDOM_PULL)]) == 0
+    record = json.loads(capsys.readouterr().out)
+
+    def jsonl(name, **changes):  # the simulate record with some entries replaced
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text(json.dumps({**record, **changes}) + "\n")
+        return path
+
+    list_config = jsonl("list_config", config=[1, 2])
+    scalar_metrics = jsonl("scalar_metrics", metrics=5)
+    text_slot = jsonl("text_slot", completion_slot="30")
+    maybe_json = jsonl("maybe_json", completed="maybe")
+    bool_slots = jsonl("bool_slots", slots=True)
+    null_completed = jsonl("null_completed", completed=None)
+    null_slots = jsonl("null_slots", completion_slot=None, slots=None)
+    null_message = "row0: need completed, and slots if no completion_slot"
+    is_dir = f"error: [Errno {errno.EISDIR}] Is a directory: '{tmp_path}'"
     cases = [
         (runs, ["--eps", "5"], "config error: thm1: eps must lie in (0, 1), got 5.0"),
         (runs, ["--beta", "-1"], "config error: thm1: beta must lie in (0, 1], got -1.0"),
@@ -668,6 +701,15 @@ def test_cli_verify_usage_errors_exit_2(tmp_path, capsys):
         (maybe, [], f"config error: {maybe}: line 2: completed: need true or false, got 'maybe'"),
         (no_n, [], f"config error: {no_n}: no 'n' column, which thm1 reads"),
         (runs, ["--eta", "0.5"], "config error: thm1: takes no parameter 'eta'"),
+        (list_config, [], f"config error: {list_config}: line 1: config: need a JSON object, got [1, 2]"),
+        (scalar_metrics, [], f"config error: {scalar_metrics}: line 1: metrics: need a JSON object, got 5"),
+        (text_slot, [], f"config error: {text_slot}: line 1: completion_slot: need an integer, got '30'"),
+        (maybe_json, [], f"config error: {maybe_json}: line 1: completed: need true or false, got 'maybe'"),
+        (bool_slots, [], f"config error: {bool_slots}: line 1: slots: need an integer, got True"),
+        (null_completed, [], f"config error: {null_completed}: {null_message}"),
+        (null_slots, [], f"config error: {null_slots}: {null_message}"),
+        (tmp_path, [], is_dir),
+        (runs, ["--out", str(tmp_path)], is_dir),
     ]
     for results, extra, expected in cases:
         assert main(["verify", "--results", str(results), "--theorem", "thm1"] + extra) == 2
@@ -748,6 +790,10 @@ def test_cli_verify_reads_jsonl(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--results", str(out), "--theorem", "thm6"]) == 0
     assert "thm6: PASS" in capsys.readouterr().out
+    # a record's integer eta reads as a number
+    eta_cfg = sim_config(tmp_path, protocol=g.SEQUENTIAL_PULL, initial_state=g.ETA_SEEDED, eta=1)
+    main(["simulate", "--config", eta_cfg, "--out", str(out)])
+    assert load_results(out)[0]["eta"] == 1
 
 
 def test_cli_verify_writes_report(tmp_path, capsys):
