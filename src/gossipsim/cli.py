@@ -118,13 +118,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     rows = load_results(args.results)
-    params = {}
-    for name in ("beta", "eps", "delta", "c", "eta"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
-    if args.const is not None:
-        params["C"] = args.const
+    given = {name: getattr(args, name) for name in ("beta", "eps", "delta", "c", "eta", "C")}
+    params = {name: value for name, value in given.items() if value is not None}
     report = verify_rows(rows, args.theorem, params, where=str(args.results))
     out = report.to_json()
     if args.out:
@@ -184,7 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None, help="slack parameter")
     p.add_argument("--c", type=float, default=None, help="probability exponent")
     p.add_argument("--eta", type=float, default=None, help="seeding density override")
-    p.add_argument("--const", type=float, default=None, help="band constant C in n + C ln n")
+    p.add_argument(
+        "--const", type=float, default=None, dest="C", help="band constant C in n + C ln n"
+    )
     p.add_argument("--out", default=None, help="also write the JSON report here")
     p.set_defaults(func=cmd_verify)
 

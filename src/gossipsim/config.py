@@ -89,13 +89,37 @@ class ConfigError(ValueError):
     """A configuration value is missing, malformed, or inconsistent."""
 
 
-def is_int(value) -> bool:
-    """An integer that is not a bool: YAML's ``true`` must not pass as 1."""
-    return isinstance(value, int) and not isinstance(value, bool)
+# What a refusal says each kind of value needs.
+NEED = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def is_kind(value, kind) -> bool:
+    """Whether `value` is a `kind` of :data:`NEED`: an int is a float too, but
+    a bool is never a number, so YAML's ``true`` does not pass as 1."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, kind) or kind is float and isinstance(value, int)
+
+
+def check_range(name: str, value, kind, lo, hi, brackets: str):
+    """`value`, if it is a `kind` (int or float) from `lo` to `hi`, where
+    "(" and ")" in `brackets` leave an end out; else a :class:`ConfigError`
+    ``<name>: need <kind> <range>, got <value!r>``.  NaN lies in no range,
+    and an open infinite end leaves out inf."""
+    if is_kind(value, kind):
+        above = lo < value if brackets[0] == "(" else lo <= value
+        below = value < hi if brackets[1] == ")" else value <= hi
+        if above and below:
+            return value
+    raise ConfigError(
+        f"{name}: need {NEED[kind]} in {brackets[0]}{lo}, {hi}{brackets[1]}, got {value!r}"
+    )
+
+
+def check_choice(name: str, value, choices: tuple) -> None:
+    """A :class:`ConfigError` unless `value` is one of `choices`."""
+    if value not in choices:
+        raise ConfigError(f"{name}: need one of {choices}, got {value!r}")
 
 
 @dataclass
@@ -118,50 +142,26 @@ class SimulationConfig:
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` on the first inconsistent field."""
-        if not is_int(self.n) or self.n < 2:
-            raise ConfigError(f"n: need an integer >= 2, got {self.n!r}")
-        if not is_int(self.k) or self.k < 1:
-            raise ConfigError(f"k: need an integer >= 1, got {self.k!r}")
+        check_range("n", self.n, int, 2, math.inf, "[)")
+        check_range("k", self.k, int, 1, math.inf, "[)")
         if self.n * self.k > MAX_CELLS:
             raise ConfigError(
                 f"n * k: need at most {MAX_CELLS} (user, piece) cells, got "
                 f"{self.n} * {self.k} = {self.n * self.k}"
             )
-        if self.protocol not in PROTOCOLS:
-            raise ConfigError(
-                f"protocol: {self.protocol!r} is not one of {PROTOCOLS}"
-            )
-        if self.constraint not in CONSTRAINTS:
-            raise ConfigError(
-                f"constraint: {self.constraint!r} is not one of {CONSTRAINTS}"
-            )
-        if self.contact_model not in CONTACT_MODELS:
-            raise ConfigError(
-                f"contact_model: {self.contact_model!r} is not one of "
-                f"{CONTACT_MODELS}"
-            )
+        check_choice("protocol", self.protocol, PROTOCOLS)
+        check_choice("constraint", self.constraint, CONSTRAINTS)
+        check_choice("contact_model", self.contact_model, CONTACT_MODELS)
         if self.contact_model == FIXED_LISTS:
-            m = self.contact_list_size
-            if not is_int(m) or not 1 <= m <= self.n - 1:
-                raise ConfigError(
-                    "contact_list_size: fixed-lists needs an integer in "
-                    f"[1, n-1] = [1, {self.n - 1}], got {m!r}"
-                )
+            check_range("contact_list_size", self.contact_list_size, int, 1, self.n - 1, "[]")
         elif self.contact_list_size is not None:
             raise ConfigError(
                 "contact_list_size: only meaningful with the fixed-lists "
                 "contact model"
             )
-        if self.initial_state not in INITIAL_STATES:
-            raise ConfigError(
-                f"initial_state: {self.initial_state!r} is not one of "
-                f"{INITIAL_STATES}"
-            )
+        check_choice("initial_state", self.initial_state, INITIAL_STATES)
         if self.initial_state == ETA_SEEDED:
-            if not _is_real(self.eta) or not 0 < self.eta <= 1:
-                raise ConfigError(
-                    f"eta: eta-seeded needs a value in (0, 1], got {self.eta!r}"
-                )
+            check_range("eta", self.eta, float, 0, 1, "(]")
         elif self.eta is not None:
             raise ConfigError("eta: only meaningful with the eta-seeded start")
         if self.initial_state == ONE_UNIQUE and self.k != self.n:
@@ -169,19 +169,13 @@ class SimulationConfig:
                 "initial_state: one-unique-per-user requires k == n, got "
                 f"k={self.k}, n={self.n}"
             )
-        if not is_int(self.spacing) or self.spacing < 1:
-            raise ConfigError(
-                f"spacing: need an integer >= 1, got {self.spacing!r}"
-            )
+        check_range("spacing", self.spacing, int, 1, math.inf, "[)")
         if self.spacing != 1 and self.protocol != PRIORITY_PUSH:
             raise ConfigError(
                 "spacing: only the priority-push protocol takes a release "
                 "spacing other than 1"
             )
-        if not _is_real(self.epsilon) or not 0 < self.epsilon < 1:
-            raise ConfigError(
-                f"epsilon: need a value in (0, 1), got {self.epsilon!r}"
-            )
+        check_range("epsilon", self.epsilon, float, 0, 1, "()")
         if self.protocol == ADVOCATE and self.initial_state != ONE_UNIQUE:
             raise ConfigError(
                 "protocol: advocate requires the one-unique-per-user start"
@@ -190,19 +184,12 @@ class SimulationConfig:
             raise ConfigError(
                 f"protocol: {self.protocol} requires the single-source start"
             )
-        if not is_int(self.seed) or not 0 <= self.seed < _MAX_SEED:
+        check_range("seed", self.seed, int, 0, _MAX_SEED, "[)")
+        if self.max_slots is not None:
+            check_range("max_slots", self.max_slots, int, 1, math.inf, "[)")
+        if not is_kind(self.record_trace, bool):
             raise ConfigError(
-                f"seed: need an integer in [0, 2**64), got {self.seed!r}"
-            )
-        if self.max_slots is not None and (
-            not is_int(self.max_slots) or self.max_slots < 1
-        ):
-            raise ConfigError(
-                f"max_slots: need an integer >= 1 or null, got {self.max_slots!r}"
-            )
-        if not isinstance(self.record_trace, bool):
-            raise ConfigError(
-                f"record_trace: need true or false, got {self.record_trace!r}"
+                f"record_trace: need {NEED[bool]}, got {self.record_trace!r}"
             )
 
     def effective_max_slots(self) -> int:

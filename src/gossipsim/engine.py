@@ -43,7 +43,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .bitset import full_mask
-from .config import ETA_SEEDED, FIXED_LISTS, HARD, SINGLE_SOURCE, ConfigError, SimulationConfig
+from .config import ETA_SEEDED, FIXED_LISTS, HARD, SINGLE_SOURCE, SimulationConfig, check_range
 from .protocols import PULL, PUSH, make_protocol
 
 __all__ = [
@@ -172,8 +172,7 @@ class SystemState:
 
 def build_contact_lists(n: int, m: int, rng: Random) -> list:
     """Sample each user's fixed contact list: m distinct others, immutable."""
-    if not 1 <= m <= n - 1:
-        raise ConfigError(f"contact_list_size: need an integer in [1, n-1], got {m!r}")
+    check_range("contact_list_size", m, int, 1, n - 1, "[]")
     lists = []
     ids = list(range(n))
     for u in range(n):

@@ -30,7 +30,8 @@ from .config import (
     SCHEMA_VERSION,
     SINGLE_SOURCE,
     UNIFORM,
-    ConfigError,
+    check_choice,
+    check_range,
 )
 from .sweep import aggregate, check_seeds, execute, plan, write_rows_csv
 from .version import VERSION
@@ -79,14 +80,6 @@ class FigureDataset:
 
     def write_csv(self, path):
         return write_rows_csv(self.rows, path, self.columns)
-
-
-def _scaled(scale: float) -> tuple[int, int]:
-    if not 0 < scale <= 1:
-        raise ConfigError(f"scale: need a value in (0, 1], got {scale!r}")
-    n = max(16, round(_BASE_N * scale))
-    k = max(4, round(_BASE_K * scale))
-    return n, k
 
 
 def _interleave_config(n: int, k: int, m) -> dict:
@@ -154,9 +147,10 @@ def reproduce(
 ) -> FigureDataset:
     """Regenerate one figure's dataset; deterministic in all arguments."""
     check_seeds(seeds, master_seed, "reproduce")
-    if figure not in FIGURES:
-        raise ConfigError(f"figure: unknown id {figure!r}; known: {FIGURES}")
-    n, k = _scaled(scale)
+    check_choice("figure", figure, FIGURES)
+    check_range("scale", scale, float, 0, 1, "(]")
+    n = max(16, round(_BASE_N * scale))
+    k = max(4, round(_BASE_K * scale))
     label_name = _COLUMNS[figure][0]
     cells = _cells(figure, n, k)
     labels = [label for label, _ in cells]

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_range
 from .engine import RunResult
 
 __all__ = [
@@ -141,8 +142,7 @@ def occupancy(result: RunResult, piece: int) -> OccupancySeries:
     """Holder count of `piece` after each slot, from slot 0 to the run's end."""
     arrivals = result.arrivals
     n, k = arrivals.shape
-    if not 1 <= piece <= k:
-        raise ValueError(f"piece must be in [1, {k}], got {piece}")
+    check_range("piece", piece, int, 1, k, "[]")
     col = arrivals[:, piece - 1]
     col = col[col >= 0]
     counts = np.bincount(col, minlength=result.slots + 1)
@@ -156,7 +156,7 @@ def splitting_speedup(k: int, n: int) -> float:
     ~k + log2 n slots for content k times larger, so the ratio is
     k log2 n / (k + log2 n) — approaching log2 n as k grows.
     """
-    if n < 2 or k < 1:
-        raise ValueError("need n >= 2 and k >= 1")
+    check_range("k", k, int, 1, math.inf, "[)")
+    check_range("n", n, int, 2, math.inf, "[)")
     log_n = math.log2(n)
     return k * log_n / (k + log_n)

@@ -23,6 +23,7 @@ from .config import (
     SINGLE_SOURCE,
     SOFT,
     ConfigError,
+    check_range,
 )
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "REACH_DELTA",
     "THEOREMS",
     "theorem_entry",
+    "check_params",
     "bound_value",
 ]
 
@@ -47,11 +49,10 @@ def gossip_mean_map(y, n: int):
     power is evaluated via log1p so the result stays accurate to ~1e-12
     relative even for n in the millions.  Accepts scalars or arrays.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    check_range("n", n, int, 2, math.inf, "[)")
     arr = np.asarray(y, dtype=float)
     if np.any(arr < 1.0) or np.any(arr > n):
-        raise ValueError(f"y must lie in [1, n], got {y!r}")
+        raise ConfigError(f"y: need values in [1, n], got {y!r}")
     miss = np.exp(arr * math.log1p(-1.0 / n))
     out = arr + (n - arr) * (1.0 - miss)
     return float(out) if out.ndim == 0 else out
@@ -62,10 +63,8 @@ def deterministic_gossip(n: int, t_max: int) -> list[float]:
 
     Returns the curve as a list of t_max + 1 values.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if t_max < 0:
-        raise ValueError("need t_max >= 0")
+    check_range("n", n, int, 2, math.inf, "[)")
+    check_range("t_max", t_max, int, 0, math.inf, "[)")
     log_miss = math.log1p(-1.0 / n)
     curve = [1.0]
     y = 1.0
@@ -84,8 +83,7 @@ def classical_gossip_sample(
     uniformly random *other* user.  Returns the count after each round,
     starting at 1, ending at n (or truncated at max_rounds).
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    check_range("n", n, int, 2, math.inf, "[)")
     informed = np.zeros(n, dtype=bool)
     informed[0] = True
     counts = [1]
@@ -110,26 +108,22 @@ def geo_sum_sample(n: int, k: int, rng: np.random.Generator) -> int:
     probability i/n, so the climb is a sum of independent geometric
     failure counts with success probabilities 1/n, 2/n, .., k/n.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    check_range("k", k, int, 1, n, "[]")
     trials = rng.geometric(np.arange(1, k + 1) / n)  # support {1, 2, ...}
     return int(trials.sum()) - k
 
 
 def geo_sum_mean(n: int, k: int) -> float:
     """Exact mean of B_k: sum over i of (1 - i/n) / (i/n)."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    check_range("k", k, int, 1, n, "[]")
     return sum((n - i) / i for i in range(1, k + 1))
 
 
 def geo_sum_tail(n: int, k: int, eps: float) -> float:
     """Bound on B_k falling a (1 - eps) factor below its typical value:
     2 exp(-k n^{-(1-eps)}), vanishing whenever k is polynomial in n."""
-    if not 0 < eps < 1:
-        raise ValueError(f"need eps in (0, 1), got {eps!r}")
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    check_range("eps", eps, float, 0, 1, "()")
+    check_range("k", k, int, 1, n, "[]")
     return 2.0 * math.exp(-k * n ** (eps - 1.0))
 
 
@@ -253,27 +247,27 @@ def theorem_entry(theorem: str) -> dict:
     return entry
 
 
-def bound_value(theorem: str, **params):
-    """Evaluate one catalog entry; returns a float, or a pair for a "pair" kind.
-
-    Raises :class:`ConfigError` for an unknown id, and for a parameter that
-    is missing, outside its range, or not one the theorem takes.
-    """
-    entry = theorem_entry(theorem)
-    ranges = entry["params"]
+def check_params(theorem: str, params: dict) -> None:
+    """Refuse a parameter `theorem` does not take, then each given one
+    outside its catalog range, in catalog order."""
+    ranges = theorem_entry(theorem)["params"]
     for name in params:
         if name not in ranges:
             raise ConfigError(f"{theorem}: takes no parameter {name!r}; takes {sorted(ranges)}")
     for name, (lo, hi, brackets) in ranges.items():
+        if name in params:
+            check_range(f"{theorem}: {name}", params[name], float, lo, hi, brackets)
+
+
+def bound_value(theorem: str, **params):
+    """Evaluate one catalog entry; returns a float, or a pair for a "pair" kind.
+
+    Raises :class:`ConfigError` for an unknown id, and for a parameter that
+    is not one the theorem takes, outside its range, or missing.
+    """
+    check_params(theorem, params)
+    entry = THEOREMS[theorem]
+    for name in entry["params"]:
         if name not in params:
             raise ConfigError(f"{theorem}: missing parameter {name!r}")
-        v = params[name]
-        if not isinstance(v, (int, float)):
-            raise ConfigError(f"{theorem}: {name} must be a number, got {v!r}")
-        ok_lo = v > lo if brackets[0] == "(" else v >= lo
-        ok_hi = v < hi if brackets[1] == ")" else v <= hi
-        if not (ok_lo and ok_hi):
-            raise ConfigError(
-                f"{theorem}: {name} must lie in {brackets[0]}{lo}, {hi}{brackets[1]}, got {v}"
-            )
     return entry["fn"](**params)

@@ -128,7 +128,8 @@ class Protocol:
     pushes :meth:`source_piece`, piece ``ceil(t / spacing)`` capped at k.
     Its source draws its contact from the whole network even under fixed
     contact lists, so that the pieces it releases are not bottled up
-    inside its own list.
+    inside its own list; only the batch draw does that, so its ``act``
+    must not draw.
     """
 
     kind = PULL
@@ -170,10 +171,9 @@ class Protocol:
         rnd = st.rng.random
         lists = st.contact_lists
         others = st.n - 1
-        uniform_user = st.source if self.spacing is not None else None
         picked = []
         for u in range(st.n):
-            if lists is None or u == uniform_user:
+            if lists is None:
                 t = int(rnd() * others)
                 if t >= others:  # guard the float rounding edge
                     t = others - 1

@@ -25,7 +25,7 @@ from .config import (
     SCHEMA_VERSION,
     ConfigError,
     SimulationConfig,
-    is_int,
+    check_range,
     read_versioned_yaml,
 )
 from .engine import RunResult, run as run_engine
@@ -169,13 +169,9 @@ class SweepSpec:
 
 def check_seeds(seeds, master_seed, where: str) -> None:
     """The seed plan rule shared by sweeps and figures: at least one seed
-    per cell and a non-negative master seed, both integers (not bools)."""
-    if not is_int(seeds) or seeds < 1:
-        raise ConfigError(f"{where}: 'seeds' must be an integer >= 1, got {seeds!r}")
-    if not is_int(master_seed) or master_seed < 0:
-        raise ConfigError(
-            f"{where}: 'master_seed' must be an integer >= 0, got {master_seed!r}"
-        )
+    per cell and a non-negative master seed, both integers."""
+    check_range(f"{where}: seeds", seeds, int, 1, math.inf, "[)")
+    check_range(f"{where}: master_seed", master_seed, int, 0, math.inf, "[)")
 
 
 def load_sweep(path: str | Path) -> SweepSpec:
@@ -291,10 +287,9 @@ def execute(plans: list, jobs: int = 1, keep_profile: bool = False) -> list:
     plan order either way.  With `keep_profile` each row also carries the
     run's :class:`DelayProfile` under ``"profile"``, so that a pool worker
     returns the profile rather than the run's (n, k) arrivals matrix.
-    `jobs` must be an integer in [1, MAX_JOBS]; the pool has at most one
+    `jobs` is an integer in [1, MAX_JOBS]; the pool has at most one
     worker per plan."""
-    if not is_int(jobs) or not 1 <= jobs <= MAX_JOBS:
-        raise ConfigError(f"jobs: need an integer in [1, {MAX_JOBS}], got {jobs!r}")
+    check_range("jobs", jobs, int, 1, MAX_JOBS, "[]")
     task = partial(_execute_plan, keep_profile=keep_profile)
     if jobs == 1 or len(plans) <= 1:
         return [task(plan) for plan in plans]

@@ -19,8 +19,8 @@ from pathlib import Path
 from statistics import fmean
 from typing import Any
 
-from .config import ConfigError, is_int
-from .oracle import REACH_DELTA, bound_value, theorem_entry
+from .config import NEED, ConfigError, check_range, is_kind
+from .oracle import REACH_DELTA, check_params, theorem_entry
 from .sweep import RUN_COLUMNS
 
 __all__ = [
@@ -62,8 +62,6 @@ class BoundReport:
         return json.dumps(asdict(self), sort_keys=True, default=str)
 
 
-# What a refusal says each column type needs.
-_NEED = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 _FLAGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
@@ -71,7 +69,7 @@ def _column_value(name: str, value, where: str, cell: bool):
     """`value` read as run column `name`'s type.  A CSV `cell` is text: an
     empty one is None, and a number or a flag is parsed from it.  A JSONL
     value must have the type already; None passes, and so does an int where
-    a float is wanted, but a bool is never an int."""
+    a float is wanted, but a bool is never a number."""
     kind = RUN_COLUMNS[name]
     if cell and kind is not str:
         if not value:
@@ -80,9 +78,9 @@ def _column_value(name: str, value, where: str, cell: bool):
             return _FLAGS[value.strip().lower()] if kind is bool else kind(value)
         except (KeyError, ValueError):
             pass
-    elif value is None or type(value) is kind or kind is float and is_int(value):
+    elif value is None or is_kind(value, kind):
         return value
-    raise ConfigError(f"{where}: {name}: need {_NEED[kind]}, got {value!r}")
+    raise ConfigError(f"{where}: {name}: need {NEED[kind]}, got {value!r}")
 
 
 def _typed(row: dict, where: str, cell: bool = False) -> dict:
@@ -127,9 +125,12 @@ def _require_columns(rows: list, columns, theorem: str, where: str) -> None:
             raise ConfigError(f"{where}: no {column!r} column, which {theorem} reads")
 
 
-def _bound_params(entry: dict, row: dict, params: dict) -> dict:
-    """The bound's parameters for one run: its columns, then `params`."""
-    return {**{name: row[column] for name, column in entry["columns"].items()}, **params}
+def _bound_params(entry: dict, row: dict, params: dict, run: str) -> dict:
+    """The bound's parameters for one run: its columns, each in its range
+    or a :class:`ConfigError` naming `run` and the column, then `params`."""
+    ranges, columns = entry["params"], entry["columns"].items()
+    checked = {p: check_range(f"{run}: {c}", row[c], float, *ranges[p]) for p, c in columns}
+    return {**checked, **params}
 
 
 def verify_rows(
@@ -143,8 +144,9 @@ def verify_rows(
     runs where the entry says "whp".  A band needs every run to finish
     between its floor and the bound.  A coverage pair checks the recorded
     reach statistic.  Parameters not supplied fall back to the entry's
-    defaults.  Rows missing a column the check reads are a
-    :class:`ConfigError` naming `where` and the column.
+    defaults.  Rows missing a column the check reads, or with a value out
+    of its parameter's range there (None included), are a
+    :class:`ConfigError` naming `where`, the run if a value, and the column.
     """
     entry = theorem_entry(theorem)
     if not rows:
@@ -161,8 +163,9 @@ def verify_rows(
     reads = _REACH_COLUMNS if kind == "pair" else _TIME_COLUMNS
     _require_columns(rows, (*entry["columns"].values(), *reads), theorem, where)
     params = {**entry["defaults"], **(params or {})}
+    check_params(theorem, params)
     if kind == "pair":
-        return _verify_reach(rows, theorem, entry, params)
+        return _verify_reach(rows, theorem, entry, params, where)
 
     floor = entry.get("floor")
     bounds = []
@@ -170,9 +173,9 @@ def verify_rows(
     excess = []
     violations = []
     for i, row in enumerate(rows):
-        values = _bound_params(entry, row, params)
-        b = bound_value(theorem, **values)
         run = row.get("run_id") or f"row{i}"
+        values = _bound_params(entry, row, params, f"{where}: {run}")
+        b = entry["fn"](**values)
         t = row["completion_slot"]
         if t is None:  # an unfinished run: the slot cap it reached
             t = row["slots"]
@@ -220,7 +223,7 @@ def verify_rows(
     )
 
 
-def _verify_reach(rows: list, theorem: str, entry: dict, params: dict) -> BoundReport:
+def _verify_reach(rows: list, theorem: str, entry: dict, params: dict, where: str):
     """Coverage pair for spaced priority push: each run's recorded
     reach_fraction must show ~all pieces hitting the target fraction of
     users within the per-piece window."""
@@ -234,7 +237,8 @@ def _verify_reach(rows: list, theorem: str, entry: dict, params: dict) -> BoundR
             f"{theorem}: recorded reach_fraction uses delta={REACH_DELTA}; "
             f"cannot re-check at delta={params['delta']}"
         )
-    pairs = [bound_value(theorem, **_bound_params(entry, row, params)) for row in rows]
+    runs = (f"{where}: {row.get('run_id') or f'row{i}'}" for i, row in enumerate(rows))
+    pairs = [entry["fn"](**_bound_params(entry, row, params, run)) for row, run in zip(rows, runs)]
     reaches = [row["reach_fraction"] for row in rows]
     mean_reach = fmean(reaches)
     return BoundReport(

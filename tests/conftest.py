@@ -1,12 +1,12 @@
 """Shared pytest hooks.
 
 The acceptance tests record their ``criterion N: PASS/FAIL`` lines in
-``ACCEPTANCE_LINES``; echoing them from a terminal-summary hook keeps the
-scoreboard visible in a default (captured) pytest run, where stdout of
-passing tests would otherwise be swallowed.
+``acceptance_lines.ACCEPTANCE_LINES``; echoing them from a terminal-summary
+hook keeps the scoreboard visible in a default (captured) pytest run, where
+stdout of passing tests would otherwise be swallowed.
 """
 
-ACCEPTANCE_LINES: list = []
+from acceptance_lines import ACCEPTANCE_LINES
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

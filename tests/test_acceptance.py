@@ -42,7 +42,7 @@ from gossipsim.oracle import (
     gossip_mean_map,
 )
 from gossipsim.sweep import derive_seed
-from conftest import ACCEPTANCE_LINES
+from acceptance_lines import ACCEPTANCE_LINES
 from test_invariants import GOLDEN, audit_occupancy_doubling, audit_trace
 
 MASTER = 1729

@@ -1,4 +1,9 @@
-"""Configuration validation and YAML loading."""
+"""Configuration validation and YAML loading, and the one rule every
+number from outside is checked by."""
+
+import math
+import re
+from random import Random
 
 import pytest
 
@@ -16,7 +21,11 @@ from gossipsim.config import (
     SimulationConfig,
     load_config,
 )
-from gossipsim.sweep import SweepSpec
+from gossipsim.engine import build_contact_lists
+from gossipsim.figures import reproduce
+from gossipsim.metrics import splitting_speedup
+from gossipsim.oracle import bound_value, geo_sum_tail, gossip_mean_map
+from gossipsim.sweep import SweepSpec, check_seeds, execute
 
 
 def make(**overrides):
@@ -170,5 +179,45 @@ def test_load_config_rejects_mistyped_yaml_values(tmp_path, field, value):
 @pytest.mark.parametrize("field", ["seeds", "master_seed"])
 def test_sweep_spec_rejects_boolean_counts(field):
     data = {"base": {"n": 8, "k": 2, "protocol": RANDOM_PULL}, field: True}
-    with pytest.raises(ConfigError, match=f"'{field}'"):
+    with pytest.raises(ConfigError, match=f"^sweep: {field}: need an integer in "):
         SweepSpec.from_mapping(data)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda: make(n=NAN).validate(), "n"),
+        (lambda: make(initial_state=ETA_SEEDED, eta=NAN).validate(), "eta"),
+        (lambda: make(epsilon=NAN).validate(), "epsilon"),
+        (lambda: make(seed="7").validate(), "seed"),
+        (lambda: check_seeds(1, "0", "sweep"), "sweep: master_seed"),
+        (lambda: execute([], jobs=True), "jobs"),
+        (lambda: reproduce("fig1", scale=True), "scale"),
+        (lambda: reproduce("fig1", scale="0.5"), "scale"),
+        (lambda: reproduce("fig1", scale=NAN), "scale"),
+        (lambda: bound_value("thm1", n=64, k=32, beta=True, eps=0.1), "thm1: beta"),
+        (lambda: bound_value("thm1", n=math.inf, k=32, beta=0.5, eps=0.1), "thm1: n"),
+        (lambda: bound_value("thm1", n=64, k=32, beta=0.5, eps=NAN), "thm1: eps"),
+        (lambda: bound_value("thm6", n=64, k="32", eps=0.1), "thm6: k"),
+        (lambda: build_contact_lists(5, True, Random(0)), "contact_list_size"),
+        (lambda: gossip_mean_map(1, True), "n"),
+        (lambda: geo_sum_tail(1000, 145, NAN), "eps"),
+        (lambda: splitting_speedup(True, 1024), "k"),
+    ],
+    ids=[
+        "n-nan", "eta-nan", "epsilon-nan", "seed-text", "master_seed-text", "jobs-bool",
+        "scale-bool", "scale-text", "scale-nan", "beta-bool", "n-inf", "eps-nan", "k-text",
+        "contact_list_size-bool", "sampler-n-bool", "sampler-eps-nan", "speedup-k-bool",
+    ],
+)
+def test_outside_numbers_are_refused_in_one_format(call, field):
+    # a bool, a string or NaN is refused wherever a number comes in, and
+    # every refusal reads "<field>: need <kind> <range>, got <value>"
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert re.match(
+        rf"{re.escape(field)}: need (an integer|a number) in [\[(]\S+, \S+[\])], got ", str(err.value)
+    ), str(err.value)

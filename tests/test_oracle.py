@@ -236,7 +236,7 @@ def test_bound_catalog_validates_parameters():
     with pytest.raises(ConfigError, match="thm1: takes no parameter 'eta'"):
         bound_value("thm1", n=100, k=20, beta=0.5, eps=0.1, eta=0.5)
     # each end of a range is open or closed as stated
-    with pytest.raises(ConfigError, match=r"thm6: eps must lie in \(0, 1\), got 1"):
+    with pytest.raises(ConfigError, match=r"^thm6: eps: need a number in \(0, 1\), got 1$"):
         bound_value("thm6", n=100, k=20, eps=1)
     assert bound_value("thm2", n=100, k=20, eta=1, c=1.0) > 0  # eta in (0, 1]
 

@@ -161,13 +161,27 @@ def test_batch_uniforms_in_chunks(monkeypatch):
 class PerUserContacts(Protocol):
     """The user-by-user contact draw, with an act that draws nothing."""
 
-    def __init__(self, source_all):
-        self.spacing = 1 if source_all else None  # a source schedule: the source draws over all
+    def __init__(self):
         self.seen = []
 
     def act(self, st, user, target, slot):
         self.seen.append(target)
         return 0
+
+
+def reference_contacts(st, source_all):
+    """Each user's contact from one ``rng.random()`` draw, in user order:
+    ``int(x * len(pool))``, kept below ``len(pool)``, indexes the user's
+    pool, which is its fixed list, or else every other user; with
+    `source_all` the source's pool is every other user."""
+    seen = []
+    for u in range(st.n):
+        if st.contact_lists is None or source_all and u == st.source:
+            pool = [t for t in range(st.n) if t != u]
+        else:
+            pool = st.contact_lists[u]
+        seen.append(pool[min(int(st.rng.random() * len(pool)), len(pool) - 1)])
+    return seen
 
 
 @settings(max_examples=150, deadline=None)
@@ -185,12 +199,16 @@ def test_batch_contacts_equal_the_per_user_draw(n, seed, m, fixed, source_all, s
     extra = dict(contact_model=g.FIXED_LISTS, contact_list_size=min(m, n - 1)) if fixed else {}
     st = init_state(g.SimulationConfig(n=n, k=1, protocol=g.RANDOM_PULL, seed=seed, **extra))
     st.source = source % n
-    per_user = PerUserContacts(source_all)
     start = st.rng.getstate()
-    per_user(st, 1)
+    expected = reference_contacts(st, source_all)
     after = st.rng.getstate()
+    if not source_all:  # the per-user path of a protocol whose act draws
+        st.rng.setstate(start)
+        per_user = PerUserContacts()
+        per_user(st, 1)
+        assert per_user.seen == expected and st.rng.getstate() == after
     st.rng.setstate(start)
-    assert draw_contacts(st, source_all).tolist() == per_user.seen
+    assert draw_contacts(st, source_all).tolist() == expected
     assert st.rng.getstate() == after
 
 

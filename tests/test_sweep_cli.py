@@ -5,6 +5,7 @@ import errno
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -54,9 +55,9 @@ def test_spec_from_mapping_rejects_bad_shapes():
         small_spec(axes={"population": [8]})
     with pytest.raises(ConfigError, match="non-empty list"):
         small_spec(axes={"n": []})
-    with pytest.raises(ConfigError, match="'seeds'"):
+    with pytest.raises(ConfigError, match=r"^sweep: seeds: need an integer in \[1, inf\), got 0$"):
         small_spec(seeds=0)
-    with pytest.raises(ConfigError, match="'master_seed'"):
+    with pytest.raises(ConfigError, match=r"^sweep: master_seed: need an integer in \[0, inf\), got -1$"):
         small_spec(master_seed=-1)
 
 
@@ -160,7 +161,8 @@ def test_jobs_out_of_range_is_refused_before_any_run(tmp_path, capsys, monkeypat
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", pool_recorder(sizes))
     plans = expand(small_spec())
     for jobs in (0, -3, MAX_JOBS + 1, True, 2.0, "2"):
-        with pytest.raises(ConfigError, match=rf"^jobs: need an integer in \[1, {MAX_JOBS}\]"):
+        expected = rf"^jobs: need an integer in \[1, {MAX_JOBS}\], got {re.escape(repr(jobs))}$"
+        with pytest.raises(ConfigError, match=expected):
             execute(plans, jobs=jobs)
     cfg = sweep_yaml(tmp_path)
     assert main(["sweep", "--config", cfg, "--jobs", "0", "--out", str(tmp_path)]) == 2
@@ -638,7 +640,7 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     # reproduce applies the sweep's seed-plan rule
     argv = ["reproduce", "--figure", "fig1", "--scale", "0.04", "--out", str(tmp_path)]
     assert main(argv + ["--master-seed", "-7"]) == 2
-    assert "config error: reproduce: 'master_seed'" in capsys.readouterr().err
+    assert "config error: reproduce: master_seed: need an integer in [0, inf), got -7" in capsys.readouterr().err
     # a sweep refuses a base seed and an axis value given twice
     spec = {"schema_version": 1, "base": {"k": 8, "protocol": g.RANDOM_PULL}, "seeds": 2}
     seeded = write_yaml(tmp_path / "seeded.yaml", {**spec, "base": {**spec["base"], "seed": 5}})
@@ -648,7 +650,7 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     for path, expected in (
         (seeded, "base.seed"),
         (repeated, "axis 'n'"),
-        (bad_cell, "sweep cell n=[1]: n: need an integer >= 2, got [1]"),
+        (bad_cell, "sweep cell n=[1]: n: need an integer in [2, inf), got [1]"),
     ):
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
@@ -690,11 +692,13 @@ def test_cli_verify_usage_errors_exit_2(tmp_path, capsys):
     bool_slots = jsonl("bool_slots", slots=True)
     null_completed = jsonl("null_completed", completed=None)
     null_slots = jsonl("null_slots", completion_slot=None, slots=None)
+    null_n = jsonl("null_n", config={**record["config"], "n": None})
+    one_user = jsonl("one_user", config={**record["config"], "n": 1})
     null_message = "row0: need completed, and slots if no completion_slot"
     is_dir = f"error: [Errno {errno.EISDIR}] Is a directory: '{tmp_path}'"
     cases = [
-        (runs, ["--eps", "5"], "config error: thm1: eps must lie in (0, 1), got 5.0"),
-        (runs, ["--beta", "-1"], "config error: thm1: beta must lie in (0, 1], got -1.0"),
+        (runs, ["--eps", "5"], "config error: thm1: eps: need a number in (0, 1), got 5.0"),
+        (runs, ["--beta", "-1"], "config error: thm1: beta: need a number in (0, 1], got -1.0"),
         (bad_json, [], f"config error: {bad_json}: line 1: not JSON"),
         (scalar_json, [], f"config error: {scalar_json}: line 1: need a JSON object"),
         (bad_n, [], f"config error: {bad_n}: line 2: n: need an integer, got 'abc'"),
@@ -708,6 +712,8 @@ def test_cli_verify_usage_errors_exit_2(tmp_path, capsys):
         (bool_slots, [], f"config error: {bool_slots}: line 1: slots: need an integer, got True"),
         (null_completed, [], f"config error: {null_completed}: {null_message}"),
         (null_slots, [], f"config error: {null_slots}: {null_message}"),
+        (null_n, [], f"config error: {null_n}: row0: n: need a number in [2, inf), got None"),
+        (one_user, [], f"config error: {one_user}: row0: n: need a number in [2, inf), got 1"),
         (tmp_path, [], is_dir),
         (runs, ["--out", str(tmp_path)], is_dir),
     ]
