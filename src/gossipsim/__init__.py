@@ -30,7 +30,7 @@ from .config import (
     SimulationConfig,
     load_config,
 )
-from .engine import Engine, RunResult, Trace, TransferEvent, run, trace_digest
+from .engine import RunResult, Trace, TransferEvent, run, trace_digest
 from .metrics import (
     DelayProfile,
     OccupancySeries,
@@ -78,7 +78,6 @@ __all__ = [
     "ETA_SEEDED",
     "ONE_UNIQUE",
     "INITIAL_STATES",
-    "Engine",
     "RunResult",
     "Trace",
     "TransferEvent",

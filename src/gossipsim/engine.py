@@ -35,10 +35,10 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from operator import itemgetter
 from random import Random
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -52,7 +52,6 @@ __all__ = [
     "Trace",
     "SystemState",
     "RunResult",
-    "Engine",
     "run",
     "init_state",
     "build_contact_lists",
@@ -76,11 +75,6 @@ class TransferEvent(NamedTuple):
 # Builds a TransferEvent from a 5-tuple without NamedTuple's keyword layer.
 _new = tuple.__new__
 _target = itemgetter(1)
-
-
-def _lines(events) -> str:
-    """The canonical text of `events`: a ``slot,from,to,piece,kind\n`` line each."""
-    return "".join(["%d,%d,%d,%d,%s\n" % e for e in events])
 
 
 class SlotEvents:
@@ -119,11 +113,11 @@ class Trace:
         self._digits: list[str] = []  # _digits[i] == f"{i},"
 
     def add(self, events: SlotEvents) -> None:
-        """Append one slot's events, as :func:`_lines` formats them; push
-        lines are formatted straight from their rows.  Users and pieces are
-        looked up in a table of decimal strings, which doubles when a
-        number is past its end, so it stays below twice the largest number
-        formatted."""
+        """Append one slot's events, a ``slot,from,to,piece,kind\n`` line
+        each; push lines are formatted straight from their rows.  Users and
+        pieces are looked up in a table of decimal strings, which doubles
+        when a number is past its end, so it stays below twice the largest
+        number formatted."""
         if not len(events):
             return
         head = f"{events.slot},"
@@ -167,7 +161,6 @@ class SystemState:
     source: int | None = None
     contact_lists: list | None = None
     contact_table: np.ndarray | None = None  # contact_lists as an (n, m) array
-    initial_piece: list | None = None  # one-unique start: piece per user
 
 
 def build_contact_lists(n: int, m: int, rng: Random) -> list:
@@ -199,7 +192,6 @@ def init_state(config: SimulationConfig) -> SystemState:
     pieces = [0] * n
     arrivals = np.full((n, k), -1, dtype=np.int32)
     mask = full_mask(k)
-    initial_piece = None
     source = None
     if config.initial_state == SINGLE_SOURCE:
         source = 0
@@ -216,7 +208,6 @@ def init_state(config: SimulationConfig) -> SystemState:
         for u in range(n):
             pieces[u] = 1 << u
             arrivals[u, u] = 0
-        initial_piece = list(range(1, n + 1))
     return SystemState(
         n=n,
         k=k,
@@ -227,7 +218,6 @@ def init_state(config: SimulationConfig) -> SystemState:
         arrivals=arrivals,
         source=source,
         contact_lists=contact_lists,
-        initial_piece=initial_piece,
         num_complete=sum(1 for b in pieces if b == mask),
     )
 
@@ -346,70 +336,46 @@ class RunResult:
     arrivals: np.ndarray
     emergence: list
     release_slots: list | None
-    initial_piece: list | None
     trace: Trace | None
     trace_hash: str | None
 
 
-class Engine:
-    """Drives one seeded run of a protocol over the shared slot loop."""
-
-    def __init__(self, config: SimulationConfig):
-        self.config = config
-        self.state = init_state(config)
-        self.protocol = make_protocol(config)
-        self.trace = Trace() if config.record_trace else None
-
-    def step(self) -> SlotEvents:
-        events = step_slot(self.state, self.protocol)
-        if self.trace is not None:
-            self.trace.add(events)
-        return events
-
-    def run(self) -> RunResult:
-        st = self.state
-        cap = self.config.effective_max_slots()
-        completion = 0 if st.num_complete == st.n else None
-        while completion is None and st.slot < cap:
-            self.step()
-            if st.num_complete == st.n:
-                completion = st.slot
-        return RunResult(
-            config=self.config,
-            completed=completion is not None,
-            completion_slot=completion,
-            slots=st.slot,
-            arrivals=st.arrivals,
-            emergence=emergence(st),
-            release_slots=self.protocol.release_slots(st.k, st.slot),
-            initial_piece=st.initial_piece,
-            trace=self.trace,
-            trace_hash=trace_digest(self.trace) if self.trace is not None else None,
-        )
-
-
 def run(config: SimulationConfig) -> RunResult:
-    """Run one configuration to completion or its slot cap."""
-    return Engine(config).run()
+    """Run one configuration to completion or its slot cap: seed the world
+    (:func:`init_state`) and step it under the named protocol, adding each
+    slot's events to a :class:`Trace` when ``config.record_trace`` is set."""
+    st = init_state(config)
+    protocol = make_protocol(config)
+    trace = Trace() if config.record_trace else None
+    cap = config.effective_max_slots()
+    completion = 0 if st.num_complete == st.n else None
+    while completion is None and st.slot < cap:
+        events = step_slot(st, protocol)
+        if trace is not None:
+            trace.add(events)
+        if st.num_complete == st.n:
+            completion = st.slot
+    return RunResult(
+        config=config,
+        completed=completion is not None,
+        completion_slot=completion,
+        slots=st.slot,
+        arrivals=st.arrivals,
+        emergence=emergence(st),
+        release_slots=protocol.release_slots(st.k, st.slot),
+        trace=trace,
+        trace_hash=trace_digest(trace) if trace is not None else None,
+    )
 
 
-# Events serialized per hash update: bounds the joined buffer to a few MB.
-_DIGEST_CHUNK = 20_000
-
-
-def trace_digest(events: Trace | Iterable[TransferEvent]) -> str:
+def trace_digest(trace: Trace) -> str:
     """SHA-256 of the canonical event serialization; the regression anchor.
 
-    Each event contributes the line ``slot,from,to,piece,kind\n``; lines
-    are hashed in chunks, which gives the same digest as one update each.
-    A :class:`Trace` is hashed from the text it already holds.
+    Each event contributes the line ``slot,from,to,piece,kind\n``; the
+    trace's text is hashed chunk by chunk, which gives the same digest as
+    one update per line.
     """
     h = hashlib.sha256()
-    if isinstance(events, Trace):
-        chunks = events.chunks
-    else:  # format _DIGEST_CHUNK events at a time until none are left
-        events = iter(events)
-        chunks = iter(lambda: _lines(islice(events, _DIGEST_CHUNK)), "")
-    for text in chunks:
+    for text in trace.chunks:
         h.update(text.encode())
     return h.hexdigest()

@@ -290,7 +290,7 @@ class Advocate(Protocol):
 
     def act(self, st, user: int, target: int, slot: int):
         have = st.pieces[user]
-        p = st.initial_piece[target]
+        p = target + 1  # the one-unique start: user u began with piece u + 1
         if not have >> (p - 1) & 1:
             return p
         gain = st.pieces[target] & ~have

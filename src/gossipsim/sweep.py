@@ -3,8 +3,9 @@ or across processes, and written as versioned CSVs.
 
 Per-run seeds are derived by hashing (master seed, cell, seed index), so a
 sweep's outcome is independent of execution order and worker count, and any
-single run can be reproduced in isolation from its row.  Sweeps and the
-report figures plan their runs through the one :func:`plan`.
+single run can be reproduced from its row plus the sweep's ``base`` (which
+may set fields, such as ``max_slots``, that the row does not carry).
+Sweeps and the report figures plan their runs through the one :func:`plan`.
 """
 
 from __future__ import annotations
@@ -146,6 +147,11 @@ class SweepSpec:
                 f"{where}: base.seed is not used: each run's seed is derived "
                 "from 'master_seed'; set that instead"
             )
+        if base.get("record_trace"):
+            raise ConfigError(
+                f"{where}: base.record_trace is not used: a sweep writes no "
+                "trace; use 'simulate --trace' for one run's events"
+            )
         axes_raw = data.get("axes") or {}
         if not isinstance(axes_raw, Mapping):
             raise ConfigError(f"{where}: 'axes' must be a mapping of axis -> list")
@@ -215,7 +221,7 @@ def plan(cells, seeds: int, master_seed: int) -> list[RunPlan]:
     """
     plans = []
     for cell, data in cells:
-        where = "sweep cell " + ",".join(f"{a}={v}" for a, v in cell)
+        where = "sweep cell " + ",".join(f"{a}={v}" for a, v in cell) if cell else "sweep base"
         for seed_index in range(seeds):
             seed = derive_seed(master_seed, cell, seed_index)
             config = SimulationConfig.from_mapping({**data, "seed": seed}, where=where)

@@ -13,7 +13,6 @@ from gossipsim.bitset import from_pieces, full_mask, to_pieces
 from gossipsim.engine import (
     SlotEvents,
     Trace,
-    _lines,
     build_contact_lists,
     emergence,
     init_state,
@@ -28,6 +27,20 @@ def config(**overrides):
     data = dict(n=4, k=2, protocol=g.RANDOM_PULL, seed=0)
     data.update(overrides)
     return g.SimulationConfig(**data)
+
+
+def lines(events):
+    """The canonical text of `events`, a ``slot,from,to,piece,kind``
+    line each: the reference ``Trace.add`` must match."""
+    return "".join(["%d,%d,%d,%d,%s\n" % e for e in events])
+
+
+def line_digest(events):
+    """SHA-256 of `events` with one hash update per canonical line."""
+    h = hashlib.sha256()
+    for e in events:
+        h.update(b"%d,%d,%d,%d,%s\n" % (e.slot, e.frm, e.to, e.piece, e.kind.encode()))
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------- init_state
@@ -50,7 +63,6 @@ def test_one_unique_start():
     for u in range(4):
         assert to_pieces(st.pieces[u]) == [u + 1]
         assert st.arrivals[u, u] == 0
-    assert st.initial_piece == [1, 2, 3, 4]
     assert emergence(st) == [0, 0, 0, 0]
 
 
@@ -189,14 +201,16 @@ def test_only_the_first_copy_of_a_piece_counts(pushes, pulls, constraint):
 
 def test_completed_state_is_a_fixed_point():
     cfg = config(n=2, k=1, protocol=g.RANDOM_PUSH, seed=1)
-    engine = g.Engine(cfg)
-    result = engine.run()
-    assert result.completed
-    frozen = result.arrivals.copy()
+    st = init_state(cfg)
+    protocol = make_protocol(cfg)
+    while st.num_complete < st.n and st.slot < 100:
+        step_slot(st, protocol)
+    assert st.slot == g.run(cfg).completion_slot
+    frozen = st.arrivals.copy()
     for _ in range(5):
-        engine.step()
-    assert (engine.state.arrivals == frozen).all()
-    assert engine.state.num_complete == 2
+        step_slot(st, protocol)
+    assert (st.arrivals == frozen).all()
+    assert st.num_complete == 2
 
 
 def test_step_slot_determinism_and_seed_sensitivity():
@@ -208,28 +222,41 @@ def test_step_slot_determinism_and_seed_sensitivity():
     assert g.run(other).trace_hash != h1
 
 
+def trace_of(batches):
+    """A Trace holding `batches`, one slot's events each, in order."""
+    trace = Trace()
+    for events in batches:
+        trace.add(events)
+    return trace
+
+
 def test_trace_digest_matches_one_update_per_event():
-    # enough events to span several hash chunks, and a run's real trace
+    # thousands of slot chunks, a run's real trace, and no events at all
     rng = Random(4)
-    kinds = ("push", "pull")
-    synthetic = [
-        g.TransferEvent(s, rng.randrange(500), rng.randrange(500), rng.randrange(1, 1001), kinds[s & 1])
-        for s in range(1, 120_001)
-    ]
+
+    def uploads():
+        return [
+            (rng.randrange(500), rng.randrange(500), rng.randrange(1, 1001))
+            for _ in range(rng.randrange(4))
+        ]
+
+    batches = [slot_events(s, uploads(), uploads()) for s in range(1, 5001)]
+    synthetic = [e for events in batches for e in events]
+    assert len(synthetic) > 10_000
     traced = g.run(config(n=20, k=5, protocol=g.RANDOM_PUSH, seed=11, record_trace=True))
-    for events in (synthetic, traced.trace, []):
-        h = hashlib.sha256()
-        for e in events:
-            h.update(b"%d,%d,%d,%d,%s\n" % (e.slot, e.frm, e.to, e.piece, e.kind.encode()))
-        assert trace_digest(events) == trace_digest(iter(events)) == h.hexdigest()
+    cases = ((trace_of(batches), synthetic), (traced.trace, list(traced.trace)), (Trace(), []))
+    for trace, events in cases:
+        assert trace_digest(trace) == line_digest(events)
 
 
 def test_trace_holds_the_events_each_step_returned():
-    engine = g.Engine(config(n=40, k=60, protocol=g.INTERLEAVE, seed=3, record_trace=True))
+    cfg = config(n=40, k=60, protocol=g.INTERLEAVE, seed=3, record_trace=True)
+    st = init_state(cfg)
+    protocol = make_protocol(cfg)
     slots = []
-    step = engine.step
-    engine.step = lambda: slots.append(step()) or slots[-1]
-    res = engine.run()
+    while st.num_complete < st.n and st.slot < cfg.effective_max_slots():
+        slots.append(step_slot(st, protocol))
+    res = g.run(cfg)
     events = [e for slot in slots for e in slot]
     assert res.completed and res.slots == len(slots) > 100
     assert {e.kind for e in events} == {"push", "pull"}
@@ -238,7 +265,7 @@ def test_trace_holds_the_events_each_step_returned():
     assert all(type(e) is g.TransferEvent for e in traced)
     assert all(type(v) is int for e in traced[:50] for v in e[:4])
     assert len(res.trace) == len(events)
-    assert trace_digest(traced) == trace_digest(events) == res.trace_hash
+    assert line_digest(events) == trace_digest(trace_of(slots)) == res.trace_hash
 
 
 def slot_events(slot, pushes=(), pulls=()):
@@ -274,8 +301,8 @@ def test_trace_text_matches_the_canonical_lines(case):
         trace.add(events)
     flat = [e for events in batches for e in events]
     assert all(type(v) is int for e in flat for v in e[:4])
-    assert "".join(trace.chunks) == _lines(flat)
-    assert trace.chunks == [_lines(events) for events in batches if len(events)]
+    assert "".join(trace.chunks) == lines(flat)
+    assert trace.chunks == [lines(events) for events in batches if len(events)]
     assert len(trace) == len(flat)
     assert list(trace) == flat
     # the digit table stays below twice the largest number formatted
@@ -303,13 +330,14 @@ def test_trace_table_grows_for_a_later_slot():
     assert before == 3  # the numbers 0, 1 and 2
     assert 1000 < len(trace._digits) <= 2001
     trace.add(small)
-    assert trace.chunks == [_lines(small), _lines(large), _lines(small)]
+    assert trace.chunks == [lines(small), lines(large), lines(small)]
 
 
 def test_trace_digest_is_order_sensitive():
-    e1 = g.TransferEvent(1, 0, 1, 1, "push")
-    e2 = g.TransferEvent(1, 2, 3, 1, "push")
-    assert trace_digest([e1, e2]) != trace_digest([e2, e1])
+    first, second = (0, 1, 1), (2, 3, 1)
+    forward = trace_digest(trace_of([slot_events(1, [first, second])]))
+    assert forward != trace_digest(trace_of([slot_events(1, [second, first])]))
+    assert forward != trace_digest(trace_of([slot_events(1, [first]), slot_events(2, [second])]))
 
 
 # ------------------------------------------------------------------------ run

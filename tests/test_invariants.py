@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import gossipsim as g
 from gossipsim.bitset import to_pieces
-from gossipsim.engine import init_state, resolve_uploads
-from gossipsim.protocols import PULL, PUSH
+from gossipsim.engine import init_state, resolve_uploads, step_slot
+from gossipsim.protocols import PULL, PUSH, make_protocol
 
 
 def config(**kw):
@@ -148,11 +148,11 @@ def test_holdings_match_arrivals_after_every_slot(overrides):
     for contact in contacts:
         for constraint in (g.HARD, g.SOFT):
             cfg = config(n=12, k=12, constraint=constraint, max_slots=300, **contact, **overrides)
-            engine = g.Engine(cfg)
-            state = engine.state
+            state = init_state(cfg)
+            protocol = make_protocol(cfg)
             delivered = 0
             while state.num_complete < state.n and state.slot < 300:
-                delivered += len(engine.step())
+                delivered += len(step_slot(state, protocol))
                 held = [[p >> i & 1 for i in range(12)] for p in state.pieces]
                 assert ((state.arrivals >= 0) == np.array(held, dtype=bool)).all(), cfg
                 assert state.num_complete == sum(p == state.mask for p in state.pieces)

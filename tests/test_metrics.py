@@ -33,7 +33,6 @@ def make_result(
         arrivals=arr,
         emergence=emergence if emergence is not None else [None] * k,
         release_slots=release_slots,
-        initial_piece=None,
         trace=None,
         trace_hash=None,
     )

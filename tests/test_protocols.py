@@ -17,7 +17,7 @@ from scipy import stats
 
 import gossipsim as g
 from gossipsim.bitset import from_pieces, full_mask
-from gossipsim.engine import Engine, SystemState, init_state
+from gossipsim.engine import SystemState, init_state, step_slot
 from gossipsim.protocols import (
     Advocate,
     Interleave,
@@ -341,22 +341,23 @@ def test_interleave_even_slots_pull_lowest_missing():
 def test_interleave_relay_memory_is_the_highest_odd_slot_push():
     for overrides in (dict(), dict(contact_model=g.FIXED_LISTS, contact_list_size=2)):
         for seed in range(3):
-            cfg = g.SimulationConfig(
-                n=12, k=10, protocol=g.INTERLEAVE, seed=seed, record_trace=True, **overrides
-            )
-            engine = Engine(cfg)
-            result = engine.run()
+            cfg = g.SimulationConfig(n=12, k=10, protocol=g.INTERLEAVE, seed=seed, **overrides)
+            st = init_state(cfg)
+            interleave = make_protocol(cfg)
             highest = [0] * cfg.n
-            for e in result.trace:
-                if e.slot & 1:
-                    assert e.kind == "push"
-                    highest[e.to] = max(highest[e.to], e.piece)
-            assert engine.protocol.relayed.tolist() == highest
+            while st.num_complete < st.n and st.slot < cfg.effective_max_slots():
+                for e in step_slot(st, interleave):
+                    if e.slot & 1:
+                        assert e.kind == "push"
+                        highest[e.to] = max(highest[e.to], e.piece)
+            assert st.num_complete == st.n
+            assert interleave.relayed.tolist() == highest
 
 
 def advocate_state(holdings, targets):
-    n = len(holdings)
-    return state(holdings, n, targets, initial_piece=list(range(1, n + 1)))
+    """The one-unique start advocate runs from: user u's initial piece is
+    u + 1, whatever it holds now."""
+    return state(holdings, len(holdings), targets)
 
 
 def test_advocate_prefers_target_initial_piece():
@@ -423,6 +424,10 @@ def test_act_runs_once_per_user_and_slot(monkeypatch, overrides):
 
         monkeypatch.setattr(cls, "act", counted)
     n = 8
-    result = Engine(g.SimulationConfig(n=n, k=n, seed=3, **overrides)).run()
-    assert result.slots > 0
-    assert calls == Counter({(s, u): 1 for s in range(1, result.slots + 1) for u in range(n)})
+    cfg = g.SimulationConfig(n=n, k=n, seed=3, **overrides)
+    st = init_state(cfg)
+    protocol = make_protocol(cfg)
+    while st.num_complete < n and st.slot < cfg.effective_max_slots():
+        step_slot(st, protocol)
+    assert st.slot > 0
+    assert calls == Counter({(s, u): 1 for s in range(1, st.slot + 1) for u in range(n)})

@@ -15,7 +15,9 @@ import gossipsim as g
 from gossipsim import sweep
 from gossipsim.cli import main
 from gossipsim.config import ConfigError
+from gossipsim.engine import init_state, step_slot
 from gossipsim.figures import reproduce
+from gossipsim.protocols import make_protocol
 from gossipsim.sweep import (
     AGGREGATE_COLUMNS,
     MAX_JOBS,
@@ -65,6 +67,9 @@ def test_spec_refuses_base_seed_and_repeated_axis_values():
     # every run's seed is derived from master_seed, so a base seed would be ignored
     with pytest.raises(ConfigError, match="base.seed .*'master_seed'"):
         small_spec(base={"k": 2, "protocol": g.RANDOM_PULL, "seed": 5})
+    # a sweep writes no trace, so a base trace would be recorded and dropped
+    with pytest.raises(ConfigError, match="base.record_trace .*'simulate --trace'"):
+        small_spec(base={"k": 2, "protocol": g.RANDOM_PULL, "record_trace": True})
     # a repeated value would run its cell's runs twice
     with pytest.raises(ConfigError, match="axis 'n' lists 8 twice"):
         small_spec(axes={"n": [8, 12, 8]})
@@ -604,15 +609,16 @@ def test_cli_simulate_trace_csv(tmp_path, capsys):
     ids=["interleave", "priority-push", "random-pull", "no-events"],
 )
 def test_cli_simulate_trace_csv_bytes_match_csv_writer(tmp_path, capsys, overrides):
-    cfg = sim_config(tmp_path, n=30, k=20, max_slots=400, **overrides)
+    path = sim_config(tmp_path, n=30, k=20, max_slots=400, **overrides)
     trace = tmp_path / "trace.csv"
-    assert main(["simulate", "--config", cfg, "--trace", str(trace)]) == 0
+    assert main(["simulate", "--config", path, "--trace", str(trace)]) == 0
     capsys.readouterr()
-    engine = g.Engine(replace(g.load_config(cfg), record_trace=True))
+    cfg = g.load_config(path)
+    st = init_state(cfg)
+    protocol = make_protocol(cfg)
     events = []
-    step = engine.step
-    engine.step = lambda: events.extend(step())
-    engine.run()
+    while st.num_complete < st.n and st.slot < cfg.effective_max_slots():
+        events.extend(step_slot(st, protocol))
     reference = tmp_path / "reference.csv"
     with open(reference, "w", newline="") as fh:  # the rows as csv.writer writes them
         writer = csv.writer(fh)
@@ -645,12 +651,14 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     spec = {"schema_version": 1, "base": {"k": 8, "protocol": g.RANDOM_PULL}, "seeds": 2}
     seeded = write_yaml(tmp_path / "seeded.yaml", {**spec, "base": {**spec["base"], "seed": 5}})
     repeated = write_yaml(tmp_path / "repeated.yaml", {**spec, "axes": {"n": [16, 16]}})
-    # a cell's validation error names the cell
+    # a cell's validation error names the cell, and without axes the base
     bad_cell = write_yaml(tmp_path / "cell.yaml", {**spec, "axes": {"n": [[1]]}})
+    bad_base = write_yaml(tmp_path / "base.yaml", {**spec, "base": {**spec["base"], "n": 1}})
     for path, expected in (
         (seeded, "base.seed"),
         (repeated, "axis 'n'"),
         (bad_cell, "sweep cell n=[1]: n: need an integer in [2, inf), got [1]"),
+        (bad_base, "config error: sweep base: n: need an integer in [2, inf), got 1"),
     ):
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
