@@ -198,7 +198,9 @@ class SimulationConfig:
         The default is generous: the protocols studied here complete in
         O(k + log n) to O(k log n) slots, so a cap of ``50 (k + log2 n) + 10 n``
         sits far above every completion time and analytic bound of interest
-        while still terminating runs that genuinely stall.
+        while still terminating runs that genuinely stall.  A run that
+        settles (no later slot can change a holding) reports this cap as
+        its slot count without stepping the slots in between.
         """
         if self.max_slots is not None:
             return self.max_slots

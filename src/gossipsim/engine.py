@@ -28,6 +28,11 @@ serves no pull requests that slot.  Downloads are never constrained.
 The engine holds no protocol's rule.  What a protocol remembers between
 slots (interleave's relay memory) lives on its instance, one per run, and
 a run's release slots come from the protocol's source schedule.
+
+An untraced run stops stepping once its protocol says it is settled, when
+no later slot can change a holding (a priority-push tail, an interleave
+stall on fixed lists), and ends at its slot cap as stepping there would
+have; a traced run steps every slot, since its trace records each push.
 """
 
 from __future__ import annotations
@@ -343,7 +348,8 @@ class RunResult:
 def run(config: SimulationConfig) -> RunResult:
     """Run one configuration to completion or its slot cap: seed the world
     (:func:`init_state`) and step it under the named protocol, adding each
-    slot's events to a :class:`Trace` when ``config.record_trace`` is set."""
+    slot's events to a :class:`Trace` when ``config.record_trace`` is set.
+    An untraced run that the protocol finds settled skips to the cap."""
     st = init_state(config)
     protocol = make_protocol(config)
     trace = Trace() if config.record_trace else None
@@ -355,6 +361,8 @@ def run(config: SimulationConfig) -> RunResult:
             trace.add(events)
         if st.num_complete == st.n:
             completion = st.slot
+        elif trace is None and protocol.settled(st, events):
+            st.slot = cap  # what stepping to the cap would leave
     return RunResult(
         config=config,
         completed=completion is not None,

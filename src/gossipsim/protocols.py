@@ -17,7 +17,9 @@ of n ``rng.random()`` calls, so both ways leave the same stream.
 from __future__ import annotations
 
 from array import array
+from functools import reduce
 from itertools import chain, repeat
+from operator import and_
 from random import Random
 
 import numpy as np
@@ -148,6 +150,11 @@ class Protocol:
             return None
         return [t if t <= slots else None for t in range(1, k * l + 1, l)]
 
+    def settled(self, st, events) -> bool:
+        """Whether no slot after the one that granted `events` can change
+        a holding; False unless a protocol can tell."""
+        return False
+
     def __call__(self, st, slot: int):
         if self.draws:
             picked = self._draw_and_act(st, slot)
@@ -243,6 +250,12 @@ class PriorityPush(Protocol):
             return self.source_piece(slot, st.k)
         return st.pieces[user].bit_length()
 
+    def settled(self, st, events) -> bool:
+        """From slot (k - 1) spacing + 1 on the source pushes k, and every
+        other user its highest piece, which is k once it holds k: when all
+        hold k, no push brings anything new."""
+        return st.slot >= (st.k - 1) * self.spacing and bool((st.arrivals[:, -1] >= 0).all())
+
 
 class Interleave(Protocol):
     """The odd/even interleave schedule over n users.
@@ -275,6 +288,27 @@ class Interleave(Protocol):
         if user == st.source:
             return self.source_piece(slot, st.k)
         return self.relayed[user]
+
+    def settled(self, st, events) -> bool:
+        """Tested under fixed lists (uniform contacts always complete) after
+        a pull slot that granted no pull, from slot 2(k - 1) on.  The source
+        then pushes k and the others their relay memory, a maximum of pushed
+        pieces: no push is new if all hold k and every relayed piece, and no
+        pull is served if no listed contact holds its requester's lowest
+        missing piece; by induction no holding ever changes."""
+        if st.contact_lists is None or st.slot & 1 or events.pulls or st.slot < 2 * (st.k - 1):
+            return False
+        pieces = st.pieces
+        held = reduce(and_, pieces)  # the pieces every user holds
+        if not held >> st.k - 1 or any(p and not held >> p - 1 & 1 for p in set(self.relayed)):
+            return False
+        # ~have & (have + 1) is the lowest missing piece's bit; for a
+        # complete user it is bit k, which nobody holds.
+        return not any(
+            pieces[c] & ~have & (have + 1)
+            for have, listed in zip(pieces, st.contact_lists)
+            for c in listed
+        )
 
 
 _PULL_CHANNEL = SequentialPull()

@@ -145,7 +145,8 @@ def verify_rows(
     between its floor and the bound.  A coverage pair checks the recorded
     reach statistic.  Parameters not supplied fall back to the entry's
     defaults.  Rows missing a column the check reads, or with a value out
-    of its parameter's range there (None included), are a
+    of its parameter's range there (None included), or a completion slot,
+    slot count or reach fraction that no run can have, are a
     :class:`ConfigError` naming `where`, the run if a value, and the column.
     """
     entry = theorem_entry(theorem)
@@ -176,6 +177,9 @@ def verify_rows(
         run = row.get("run_id") or f"row{i}"
         values = _bound_params(entry, row, params, f"{where}: {run}")
         b = entry["fn"](**values)
+        for column in ("completion_slot", "slots"):
+            if row[column] is not None:
+                check_range(f"{where}: {run}: {column}", row[column], int, 0, math.inf, "[)")
         t = row["completion_slot"]
         if t is None:  # an unfinished run: the slot cap it reached
             t = row["slots"]
@@ -237,9 +241,12 @@ def _verify_reach(rows: list, theorem: str, entry: dict, params: dict, where: st
             f"{theorem}: recorded reach_fraction uses delta={REACH_DELTA}; "
             f"cannot re-check at delta={params['delta']}"
         )
-    runs = (f"{where}: {row.get('run_id') or f'row{i}'}" for i, row in enumerate(rows))
+    runs = [f"{where}: {row.get('run_id') or f'row{i}'}" for i, row in enumerate(rows)]
     pairs = [entry["fn"](**_bound_params(entry, row, params, run)) for row, run in zip(rows, runs)]
-    reaches = [row["reach_fraction"] for row in rows]
+    reaches = [
+        check_range(f"{run}: reach_fraction", row["reach_fraction"], float, 0, 1, "[]")
+        for row, run in zip(rows, runs)
+    ]
     mean_reach = fmean(reaches)
     return BoundReport(
         theorem=theorem,

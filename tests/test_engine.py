@@ -2,6 +2,7 @@
 
 import hashlib
 from collections import Counter
+from dataclasses import replace
 from random import Random
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 import gossipsim as g
+from gossipsim import engine, figures
 from gossipsim.bitset import from_pieces, full_mask, to_pieces
 from gossipsim.engine import (
     SlotEvents,
@@ -21,6 +23,7 @@ from gossipsim.engine import (
     trace_digest,
 )
 from gossipsim.protocols import NO_PUSHES, make_protocol
+from gossipsim.sweep import plan
 
 
 def config(**overrides):
@@ -458,3 +461,113 @@ def test_incomplete_run_reports_completed_false():
     assert not result.completed
     assert result.completion_slot is None
     assert result.slots == 8
+
+
+# ---------------------------------------------------------------- settled runs
+
+
+def outcome(result):
+    """The fields of a :class:`RunResult` that stepping decides."""
+    return (
+        result.completed,
+        result.completion_slot,
+        result.slots,
+        result.arrivals.tolist(),
+        result.emergence,
+        result.release_slots,
+    )
+
+
+def stepped(cfg):
+    """The outcome of stepping `cfg` slot by slot until it completes or
+    reaches its cap, with no settled test, and the digest of every slot's
+    events: what :func:`g.run` must give."""
+    st = init_state(cfg)
+    protocol = make_protocol(cfg)
+    trace = Trace()
+    completion = 0 if st.num_complete == st.n else None
+    while completion is None and st.slot < cfg.effective_max_slots():
+        trace.add(step_slot(st, protocol))
+        if st.num_complete == st.n:
+            completion = st.slot
+    result = (
+        completion is not None,
+        completion,
+        st.slot,
+        st.arrivals.tolist(),
+        emergence(st),
+        protocol.release_slots(st.k, st.slot),
+    )
+    return result, trace_digest(trace)
+
+
+@hs.composite
+def settling_configs(draw):
+    """Small runs of the protocols that can settle: priority push under
+    uniform contacts or fixed lists with l from 1 to 4, and interleave on
+    fixed lists of 1 to 3 contacts; hard or soft, with caps from one slot
+    to the default horizon."""
+    protocol = draw(hs.sampled_from([g.PRIORITY_PUSH, g.INTERLEAVE]))
+    n = draw(hs.integers(2, 10))
+    k = draw(hs.integers(1, 10))
+    fields = dict(
+        n=n,
+        k=k,
+        protocol=protocol,
+        constraint=draw(hs.sampled_from([g.HARD, g.SOFT])),
+        seed=draw(hs.integers(0, 2**32)),
+    )
+    if protocol == g.PRIORITY_PUSH:
+        fields["spacing"] = draw(hs.integers(1, 4))
+    if protocol == g.INTERLEAVE or draw(hs.booleans()):
+        top = min(n - 1, 3) if protocol == g.INTERLEAVE else n - 1
+        fields.update(contact_model=g.FIXED_LISTS, contact_list_size=draw(hs.integers(1, top)))
+    fields["max_slots"] = draw(hs.none() | hs.integers(1, 4 * k * fields.get("spacing", 2) + 40))
+    return g.SimulationConfig(**fields)
+
+
+@settings(max_examples=150, deadline=None)
+@given(settling_configs())
+def test_a_settled_run_ends_as_stepping_to_its_cap_would(cfg):
+    reference, digest = stepped(cfg)
+    assert outcome(g.run(cfg)) == reference
+    # a traced run steps, and records, every slot to the same end
+    traced = g.run(replace(cfg, record_trace=True))
+    assert outcome(traced) == reference
+    assert traced.trace_hash == digest
+
+
+def count_steps(monkeypatch):
+    """Make `engine.run` count its `step_slot` calls in the returned list."""
+    calls = []
+
+    def counted(st, protocol):
+        calls.append(st.slot)
+        return step_slot(st, protocol)
+
+    monkeypatch.setattr(engine, "step_slot", counted)
+    return calls
+
+
+def test_a_run_that_cannot_settle_steps_to_its_cap(monkeypatch):
+    # priority push with its source still releasing: every slot is stepped
+    calls = count_steps(monkeypatch)
+    result = g.run(config(n=16, k=40, protocol=g.PRIORITY_PUSH, spacing=2, max_slots=70, seed=1))
+    assert result.slots == len(calls) == 70
+
+
+def test_the_readme_fig1_stall_settles_at_its_last_arrival(monkeypatch):
+    # README, "Figures": this master seed completes 1 of the 2 m = 2 runs
+    master = 98964393963311
+    rows = figures.reproduce("fig1", scale=0.15, seeds=2, master_seed=master).rows
+    assert [row["completed_runs"] for row in rows if row["m"] == 2] == [1]
+    cell = ((("figure", "fig1"), ("m", 2)), figures._interleave_config(75, 150, 2))
+    configs = [p.config for p in plan([cell], 2, master)]
+    results = [g.run(cfg) for cfg in configs]
+    [cfg] = [cfg for cfg, result in zip(configs, results) if not result.completed]
+    calls = count_steps(monkeypatch)
+    result = g.run(cfg)
+    assert result.arrivals.max() == 646
+    assert len(calls) <= 650
+    assert cfg.effective_max_slots() == 8600
+    assert outcome(result) == stepped(cfg)[0]

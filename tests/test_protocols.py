@@ -17,8 +17,9 @@ from scipy import stats
 
 import gossipsim as g
 from gossipsim.bitset import from_pieces, full_mask
-from gossipsim.engine import SystemState, init_state, step_slot
+from gossipsim.engine import SlotEvents, SystemState, init_state, step_slot
 from gossipsim.protocols import (
+    NO_PUSHES,
     Advocate,
     Interleave,
     PriorityPush,
@@ -352,6 +353,56 @@ def test_interleave_relay_memory_is_the_highest_odd_slot_push():
                         highest[e.to] = max(highest[e.to], e.piece)
             assert st.num_complete == st.n
             assert interleave.relayed.tolist() == highest
+
+
+def settled_state(holdings, k, lists, slot):
+    """A state at the end of `slot` whose arrivals record `holdings`, with
+    the contact lists `lists` (None for uniform contacts)."""
+    st = state(holdings, k, [0] * len(holdings), slot=slot)
+    st.contact_lists = lists
+    for u, held in enumerate(holdings):
+        st.arrivals[u, [p - 1 for p in held]] = 0
+    return st
+
+
+def test_priority_push_settles_once_all_hold_k_and_the_source_pushes_k():
+    # l = 2, k = 4: from slot (k - 1) l + 1 = 7 on the source pushes 4
+    holdings = [range(1, 5), [4], [2, 4]]
+    for lists in (None, [(1,), (2,), (1,)]):
+        assert PriorityPush(2).settled(settled_state(holdings, 4, lists, 6), None)
+        # one slot earlier the source still pushes 3, which user 1 lacks
+        assert not PriorityPush(2).settled(settled_state(holdings, 4, lists, 5), None)
+    # user 2 lacks k
+    assert not PriorityPush(2).settled(settled_state([range(1, 5), [4], [2]], 4, None, 6), None)
+
+
+def test_interleave_settles_only_when_no_holding_can_change():
+    # k = 4, source 0 complete; users 2 and 3 lack piece 3, and each lists
+    # only the other; every relay memory is 4, which everyone holds
+    holdings = [range(1, 5), range(1, 5), [1, 2, 4], [1, 2, 4]]
+    lists = [(1,), (2,), (3,), (2,)]
+    quiet = SlotEvents(6, NO_PUSHES, [])
+
+    def settled(holdings=holdings, lists=lists, slot=6, events=quiet, relay=(0, 4, 4, 4)):
+        return interleave_with(relay).settled(settled_state(holdings, 4, lists, slot), events)
+
+    assert settled()
+    assert settled(slot=100, events=SlotEvents(100, NO_PUSHES, []))
+    # uniform contacts: some user can always reach a holder
+    assert not settled(lists=None)
+    # an odd slot, or a pull slot that granted a pull
+    assert not settled(slot=7, events=SlotEvents(7, NO_PUSHES, []))
+    assert not settled(events=SlotEvents(6, NO_PUSHES, [(1, 2, 3)]))
+    # before slot 2(k - 1) the source's next push is below k
+    assert not settled(slot=4, events=SlotEvents(4, NO_PUSHES, []))
+    # user 3 lacks k (all relay memories hold 2, which everyone has)
+    short = holdings[:3] + [[1, 2]]
+    assert settled(relay=(0, 2, 2, 2), holdings=holdings)
+    assert not settled(relay=(0, 2, 2, 2), holdings=short)
+    # users 2 and 3 lack the relayed piece 3
+    assert not settled(relay=(0, 3, 4, 4))
+    # user 3 lists user 1, which holds its lowest missing piece 3
+    assert not settled(lists=[(1,), (2,), (3,), (2, 1)])
 
 
 def advocate_state(holdings, targets):

@@ -702,6 +702,12 @@ def test_cli_verify_usage_errors_exit_2(tmp_path, capsys):
     null_slots = jsonl("null_slots", completion_slot=None, slots=None)
     null_n = jsonl("null_n", config={**record["config"], "n": None})
     one_user = jsonl("one_user", config={**record["config"], "n": 1})
+    negative_slot = jsonl("negative_slot", completion_slot=-500)
+    negative_cap = jsonl("negative_cap", completed=False, completion_slot=None, slots=-1)
+    assert main(["simulate", "--config", sim_config(tmp_path, protocol=g.PRIORITY_PUSH, max_slots=30)]) == 0
+    record = json.loads(capsys.readouterr().out)  # jsonl() now varies this record
+    over_reach = jsonl("over_reach", metrics={**record["metrics"], "reach_fraction": 1.7})
+    nan_reach = jsonl("nan_reach", metrics={**record["metrics"], "reach_fraction": math.nan})
     null_message = "row0: need completed, and slots if no completion_slot"
     is_dir = f"error: [Errno {errno.EISDIR}] Is a directory: '{tmp_path}'"
     cases = [
@@ -725,8 +731,19 @@ def test_cli_verify_usage_errors_exit_2(tmp_path, capsys):
         (tmp_path, [], is_dir),
         (runs, ["--out", str(tmp_path)], is_dir),
     ]
-    for results, extra, expected in cases:
-        assert main(["verify", "--results", str(results), "--theorem", "thm1"] + extra) == 2
+    cases = [(results, ["--theorem", "thm1", *extra], expected) for results, extra, expected in cases]
+    bad_values = [
+        (negative_slot, "thm3", "completion_slot: need an integer in [0, inf), got -500"),
+        (negative_cap, "thm3", "slots: need an integer in [0, inf), got -1"),
+        (over_reach, "thm5", "reach_fraction: need a number in [0, 1], got 1.7"),
+        (nan_reach, "thm5", "reach_fraction: need a number in [0, 1], got nan"),
+    ]
+    cases += [
+        (path, ["--theorem", thm], f"config error: {path}: row0: {message}")
+        for path, thm, message in bad_values
+    ]
+    for results, argv, expected in cases:
+        assert main(["verify", "--results", str(results), *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith(expected) and err.count("\n") == 1, err
 
