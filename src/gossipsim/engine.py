@@ -7,8 +7,8 @@ One slot proceeds in three phases shared by every protocol:
    batch that consumes the PRNG exactly as n single draws do; the pushes
    come back as an (m, 3) array of (user, target, piece) rows;
 2. uploads are resolved against the per-user upload budget: pushes pass
-   through as they are, pull requests are filtered, sorted and arbitrated
-   in Python;
+   through as they are, and pull requests are sorted by target and
+   arbitrated in Python;
 3. granted transfers are delivered through the ``arrivals`` matrix: the
    first copy of a piece sets the receiver's cell to the slot, and later
    copies find it set and are spent without new data.  Pushes are
@@ -21,9 +21,11 @@ A slot's granted uploads are a :class:`SlotEvents`: ``len()`` counts them,
 and iterating builds their :class:`TransferEvent` tuples only then, so an
 untraced run builds no push events at all.
 
-Pushes are resolved before pulls: a user's own push claims its upload
-budget first, and under the hard constraint a pushed-at user therefore
-serves no pull requests that slot.  Downloads are never constrained.
+The protocols keep two rules that leave the budget to arbitration alone:
+a pull asks only a contact that holds the piece, and no slot both pushes
+and pulls (interleave pushes in odd slots and pulls in even ones).  So
+under the hard constraint a user uploads at most once per slot when each
+target grants one of its pull requests.  Downloads are never constrained.
 
 The engine holds no protocol's rule.  What a protocol remembers between
 slots (interleave's relay memory) lives on its instance, one per run, and
@@ -234,40 +236,35 @@ def resolve_uploads(
     from ``st.rng``; returns the slot's events.
 
     `pushes` is an (m, 3) int array and `pull_requests` a list, both of
-    ``(user, target, piece)`` rows, as protocols return them.  Pushes are
-    the uploader's own decision and always go through.  Pull requests
-    compete for the *target's* budget: requests for pieces the target does
-    not (yet) hold are dropped, and under the hard constraint a target that
-    pushed this slot serves nobody while any other target serves exactly
-    one surviving request, chosen uniformly at random.  The soft constraint
-    serves every surviving request.  Pull grants are listed by target, and
+    ``(user, target, piece)`` rows, as protocols return them: a pull asks
+    only a target that holds the piece, and no slot both pushes and pulls.
+    Pushes are the uploader's own decision and always go through.  Pull
+    requests compete for the *target's* budget: under the hard constraint
+    each target serves exactly one, chosen uniformly at random, and the
+    soft constraint serves them all.  Pull grants are listed by target, and
     in request order within one target.
     """
-    pieces = st.pieces
-    valid = [q for q in pull_requests if pieces[q[1]] >> (q[2] - 1) & 1]
-    if not valid:
+    if not pull_requests:
         return SlotEvents(slot, pushes, [])
-    valid.sort(key=_target)
+    requests = sorted(pull_requests, key=_target)
     if st.constraint != HARD:
-        return SlotEvents(slot, pushes, [(t, r, p) for r, t, p in valid])
-    busy = set(pushes[:, 0].tolist())
+        return SlotEvents(slot, pushes, [(t, r, p) for r, t, p in requests])
     rng = st.rng
     grants = []
-    end = len(valid)
+    end = len(requests)
     i = 0
     while i < end:
-        t = valid[i][1]
+        t = requests[i][1]
         j = i + 1
-        while j < end and valid[j][1] == t:
+        while j < end and requests[j][1] == t:
             j += 1
-        if t not in busy:
-            pick = i
-            if j - i > 1:
-                pick += int(rng.random() * (j - i))
-                if pick >= j:  # guard the float rounding edge
-                    pick = j - 1
-            r, _t, p = valid[pick]
-            grants.append((t, r, p))
+        pick = i
+        if j - i > 1:
+            pick += int(rng.random() * (j - i))
+            if pick >= j:  # guard the float rounding edge
+                pick = j - 1
+        r, _t, p = requests[pick]
+        grants.append((t, r, p))
         i = j
     return SlotEvents(slot, pushes, grants)
 

@@ -14,6 +14,7 @@ import numpy as np
 from .config import (
     ADVOCATE,
     ETA_SEEDED,
+    HARD,
     INTERLEAVE,
     ONE_UNIQUE,
     PRIORITY_PUSH,
@@ -22,6 +23,7 @@ from .config import (
     SEQUENTIAL_PULL,
     SINGLE_SOURCE,
     SOFT,
+    UNIFORM,
     ConfigError,
     check_range,
 )
@@ -149,6 +151,9 @@ def _seeded_pull_upper(n, k, eta, c):
 
 
 _PULL = (RANDOM_PULL, SEQUENTIAL_PULL)
+# The paper states every bound for users that contact each other uniformly
+# at random, not over fixed contact lists.
+_UNIFORM = (UNIFORM,)
 
 # Catalog of completion-time bounds.  Each entry is all `verify` knows of
 # its theorem:
@@ -171,7 +176,7 @@ THEOREMS = {
         "params": {"n": _N, "k": _K, "beta": _HALF_OPEN_UNIT, "eps": _OPEN_UNIT},
         "defaults": {"beta": 0.5, "eps": 0.1},
         "columns": {"n": "n", "k": "k"},
-        "applies": {"protocol": _PULL},
+        "applies": {"protocol": _PULL, "contact_model": _UNIFORM},
     },
     "thm2": {
         "kind": "upper",
@@ -180,7 +185,7 @@ THEOREMS = {
         "params": {"n": _N, "k": _K, "eta": _HALF_OPEN_UNIT, "c": _POSITIVE},
         "defaults": {"c": 1.0},
         "columns": {"n": "n", "k": "k", "eta": "eta"},
-        "applies": {"protocol": _PULL, "initial_state": (ETA_SEEDED,)},
+        "applies": {"protocol": _PULL, "initial_state": (ETA_SEEDED,), "contact_model": _UNIFORM},
         "whp": True,
     },
     "thm3": {
@@ -192,7 +197,11 @@ THEOREMS = {
         "params": {"n": _N, "k": _K, "delta": _POSITIVE, "c": _POSITIVE},
         "defaults": {"delta": 0.1, "c": 1.0},
         "columns": {"n": "n", "k": "k"},
-        "applies": {"protocol": _PULL, "initial_state": (SINGLE_SOURCE, ONE_UNIQUE)},
+        "applies": {
+            "protocol": _PULL,
+            "initial_state": (SINGLE_SOURCE, ONE_UNIQUE),
+            "contact_model": _UNIFORM,
+        },
     },
     "thm4": {
         "kind": "lower",
@@ -201,7 +210,7 @@ THEOREMS = {
         "params": {"n": _N, "k": _K, "beta": _HALF_OPEN_UNIT, "eps": _OPEN_UNIT},
         "defaults": {"beta": 0.5, "eps": 0.1},
         "columns": {"n": "n", "k": "k"},
-        "applies": {"protocol": (RANDOM_PUSH, PRIORITY_PUSH)},
+        "applies": {"protocol": (RANDOM_PUSH, PRIORITY_PUSH), "contact_model": _UNIFORM},
     },
     "thm5": {
         "kind": "pair",
@@ -210,7 +219,7 @@ THEOREMS = {
         "params": {"n": _N, "l": _K, "delta": _OPEN_UNIT},
         "defaults": {"delta": REACH_DELTA},
         "columns": {"n": "n", "l": "spacing"},
-        "applies": {"protocol": (PRIORITY_PUSH,)},
+        "applies": {"protocol": (PRIORITY_PUSH,), "contact_model": _UNIFORM},
     },
     "thm6": {
         "kind": "upper",
@@ -219,7 +228,12 @@ THEOREMS = {
         "params": {"n": _N, "k": _K, "eps": _OPEN_UNIT},
         "defaults": {"eps": 0.1},
         "columns": {"n": "n", "k": "k"},
-        "applies": {"protocol": (INTERLEAVE,), "initial_state": (SINGLE_SOURCE,)},
+        "applies": {
+            "protocol": (INTERLEAVE,),
+            "initial_state": (SINGLE_SOURCE,),
+            "contact_model": _UNIFORM,
+            "constraint": (HARD,),
+        },
     },
     "thm7": {
         "kind": "lower",
@@ -232,6 +246,7 @@ THEOREMS = {
             "protocol": (ADVOCATE,),
             "initial_state": (ONE_UNIQUE,),
             "constraint": (SOFT,),
+            "contact_model": _UNIFORM,
         },
         "floor": lambda n, C: n - 1,
         "band": {"floor": "n - 1", "ceiling": "n + {C} ln n"},

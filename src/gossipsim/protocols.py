@@ -6,7 +6,9 @@ its contact `target` or requests from it, or 0 to idle.  Calling the
 protocol, ``protocol(st, slot)``, draws every user's contact and applies
 ``act`` to each user in user order; it returns ``(pushes, pull_requests)``:
 the pushes as an (m, 3) integer array of ``(user, target, piece)`` rows, the
-requests as a list of ``(user, target, piece)`` tuples.
+requests as a list of ``(user, target, piece)`` tuples.  A pull rule asks
+only for a piece its contact holds, and a slot either pushes or pulls, so
+each request can be served and the engine only arbitrates among them.
 
 The PRNG is consumed in user order: per user, one contact draw and then
 that user's piece draws.  A protocol whose ``act`` draws nothing draws all
@@ -202,22 +204,24 @@ class Protocol:
 
 
 class RandomPull(Protocol):
-    """Each user requests a uniformly random missing piece."""
+    """Each user requests a uniformly random missing piece if its contact holds it."""
 
     def act(self, st, user: int, target: int, slot: int):
         missing = st.mask ^ st.pieces[user]
-        return missing and random_piece(missing, st.rng)
+        p = missing and random_piece(missing, st.rng)  # drawn whatever the contact holds
+        return p if p and st.pieces[target] >> p - 1 & 1 else 0
 
 
 class SequentialPull(Protocol):
-    """Each user requests its lowest-numbered missing piece."""
+    """Each user requests its lowest-numbered missing piece if its contact holds it."""
 
     draws = False
 
     def act(self, st, user: int, target: int, slot: int):
         have = st.pieces[user]
-        p = (have ^ (have + 1)).bit_length()  # k + 1: complete
-        return p if p <= st.k else 0
+        # the lowest missing piece's bit: for a complete user bit k, which
+        # nobody holds
+        return (st.pieces[target] & ~have & (have + 1)).bit_length()
 
 
 class RandomPush(Protocol):
@@ -264,10 +268,11 @@ class Interleave(Protocol):
     (t + 1) / 2, capped at k (``spacing`` 2), while every other user
     relays the highest piece it has ever received on the push channel,
     idling until the channel first reaches it.  Even slots are the pull
-    channel, run as sequential pull: each user requests its lowest missing
-    piece; complete users idle (but still serve requests).  ``relayed[u]``
-    is user u's highest push-channel piece, 0 before the first; pushes are
-    never refused, so it takes in an odd slot's pushes once all have acted.
+    channel, run as sequential pull: each user asks its contact for its
+    lowest missing piece if the contact holds it; complete users idle (but
+    still serve).  ``relayed[u]`` is user u's highest push-channel piece, 0
+    before the first; pushes are never refused, so it takes in an odd
+    slot's pushes once all have acted.
     """
 
     kind = PUSH
@@ -294,20 +299,16 @@ class Interleave(Protocol):
         a pull slot that granted no pull, from slot 2(k - 1) on.  The source
         then pushes k and the others their relay memory, a maximum of pushed
         pieces: no push is new if all hold k and every relayed piece, and no
-        pull is served if no listed contact holds its requester's lowest
-        missing piece; by induction no holding ever changes."""
+        pull is made if no user's pull act asks any listed contact for a
+        piece; by induction no holding ever changes."""
         if st.contact_lists is None or st.slot & 1 or events.pulls or st.slot < 2 * (st.k - 1):
             return False
-        pieces = st.pieces
-        held = reduce(and_, pieces)  # the pieces every user holds
+        held = reduce(and_, st.pieces)  # the pieces every user holds
         if not held >> st.k - 1 or any(p and not held >> p - 1 & 1 for p in set(self.relayed)):
             return False
-        # ~have & (have + 1) is the lowest missing piece's bit; for a
-        # complete user it is bit k, which nobody holds.
+        act = _PULL_CHANNEL.act
         return not any(
-            pieces[c] & ~have & (have + 1)
-            for have, listed in zip(pieces, st.contact_lists)
-            for c in listed
+            act(st, u, c, st.slot) for u, listed in enumerate(st.contact_lists) for c in listed
         )
 
 

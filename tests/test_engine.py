@@ -141,22 +141,6 @@ def test_no_requests_yield_no_events():
     assert list(resolve_uploads(1, NO_PUSHES, [], st)) == []
 
 
-def test_requests_for_unheld_pieces_are_dropped():
-    st = _arbitration_state()
-    events = resolve_uploads(1, NO_PUSHES, [(0, 1, 1)], st)
-    assert list(events) == []
-
-
-def test_hard_pushing_user_serves_no_pulls():
-    # user 2's own upload, an (m, 3) array of rows as protocols give
-    # pushes, claims its budget
-    pushes = np.array([[2, 0, 1]])
-    events = resolve_uploads(1, pushes, [(1, 2, 1)], _arbitration_state())
-    assert [(e.frm, e.to, e.kind) for e in events] == [(2, 0, "push")]
-    soft_events = resolve_uploads(1, pushes, [(1, 2, 1)], _arbitration_state(g.SOFT))
-    assert len(soft_events) == 2
-
-
 # -------------------------------------------------------------------- stepping
 
 

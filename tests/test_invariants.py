@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import gossipsim as g
 from gossipsim.bitset import to_pieces
 from gossipsim.engine import init_state, resolve_uploads, step_slot
-from gossipsim.protocols import PULL, PUSH, make_protocol
+from gossipsim.protocols import NO_PUSHES, PULL, PUSH, make_protocol
 
 
 def config(**kw):
@@ -187,6 +187,8 @@ def test_trace_audit_property(protocol, n, k, soft, seed):
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_upload_arbitration_property(data):
+    # requests as pull rules make them: each asks a target that holds the
+    # piece, in a slot without pushes
     n = data.draw(st.integers(min_value=3, max_value=10), label="n")
     k = 3
     seed = data.draw(st.integers(min_value=0, max_value=2**16), label="seed")
@@ -201,52 +203,30 @@ def test_upload_arbitration_property(data):
         )
     )
     users = list(range(n))
-    pushers = data.draw(
-        st.lists(st.sampled_from(users), unique=True, max_size=n // 2),
-        label="pushers",
+    pairs = data.draw(
+        st.lists(st.tuples(st.sampled_from(users), st.sampled_from(users)), max_size=3 * n),
+        label="pairs",
     )
-    pushes = []
-    for u in pushers:
-        held = to_pieces(state.pieces[u])
-        if not held:
-            continue
-        target = (u + 1) % n
-        pushes.append((u, target, held[0]))
-    pulls = data.draw(
-        st.lists(
-            st.tuples(
-                st.sampled_from(users),
-                st.sampled_from(users),
-                st.integers(min_value=1, max_value=k),
-            ),
-            max_size=3 * n,
-        ),
-        label="pulls",
-    ).copy()
-    pulls = [(r, t, p) for r, t, p in pulls if r != t]
+    pulls = [
+        (r, t, data.draw(st.sampled_from(to_pieces(state.pieces[t])), label="piece"))
+        for r, t in pairs
+        if r != t and state.pieces[t]
+    ]
     hard = data.draw(st.booleans(), label="hard")
     state.constraint = g.HARD if hard else g.SOFT
-    rows = np.array(pushes, dtype=np.int64).reshape(-1, 3)
-    events = resolve_uploads(1, rows, pulls, state)
-    push_events = [e for e in events if e.kind == PUSH]
-    pull_events = [e for e in events if e.kind == PULL]
-    # pushes always go through, exactly as submitted
-    assert [(e.frm, e.to, e.piece) for e in push_events] == pushes
-    # a granted pull serves a piece its grantor actually holds
-    for e in pull_events:
-        assert state.pieces[e.frm] >> (e.piece - 1) & 1
-        assert (e.to, e.frm, e.piece) in pulls
+    events = resolve_uploads(1, NO_PUSHES, pulls, state)
+    grants = [(e.frm, e.to, e.piece) for e in events]
+    assert all(e.kind == PULL for e in events)
+    # every grant answers a request, listed by target
+    assert all((r, t, p) in pulls for t, r, p in grants)
+    assert [t for t, _r, _p in grants] == sorted(t for t, _r, _p in grants)
+    targets = {t for _r, t, _p in pulls}
     if hard:
-        uploaders = [e.frm for e in events]
-        assert len(uploaders) == len(set(uploaders))
-        assert not set(e.frm for e in pull_events) & {u for u, _, _ in pushes}
+        # each asked target serves exactly one of its requests
+        assert [t for t, _r, _p in grants] == sorted(targets)
     else:
-        # soft: every valid request is served
-        for r, t, p in pulls:
-            if state.pieces[t] >> (p - 1) & 1:
-                assert any(
-                    e.frm == t and e.to == r and e.piece == p for e in pull_events
-                )
+        # soft: every request is served, in request order within a target
+        assert grants == [(t, r, p) for r, t, p in sorted(pulls, key=lambda q: q[1])]
 
 
 # Frozen digests: any change to the sampling order, tie-breaking, or event

@@ -7,6 +7,7 @@ contact draw is forced and the test fixes who asks whom.
 
 from array import array
 from collections import Counter
+from itertools import permutations
 from random import Random
 from types import SimpleNamespace
 
@@ -217,10 +218,37 @@ def test_sequential_pull_picks_lowest_missing():
     everything = range(1, 6)
     st = state([[1, 2, 4], [], everything, everything, [1, 2]], 5, [3, 3, 3, 0, 0])
     # owns {1, 2, 4} of 5 -> lowest missing is 3; owns nothing -> piece 1;
-    # complete users idle.  User 4 asks for 3 although its contact lacks it:
-    # requests ignore the contact's holdings, and resolve_uploads drops the
-    # ones it cannot serve.
-    assert uploads(sequential_pull(st, 1)) == ([], [(0, 3, 3), (1, 3, 1), (4, 0, 3)])
+    # complete users idle.  User 4 lacks 3 too, but its contact, user 0,
+    # does not hold 3, so user 4 idles.
+    assert uploads(sequential_pull(st, 1)) == ([], [(0, 3, 3), (1, 3, 1)])
+
+
+@pytest.mark.parametrize("rule", [random_pull, sequential_pull], ids=["random-pull", "sequential-pull"])
+def test_pull_rules_idle_when_the_contact_lacks_the_piece(rule):
+    # user 1 lacks {1, 3, 5}; user 0 holds none of them, user 2 all
+    st = state([[2, 4], [2, 4], range(1, 6)], 5, [1, 0, 0])
+    for seed in range(20):
+        st.rng = Random(seed)
+        assert rule.act(st, 1, 0, 1) == 0
+        lacked = st.rng.getstate()
+        st.rng = Random(seed)
+        assert rule.act(st, 1, 2, 1) in (1, 3, 5)
+        # the piece is drawn whatever the contact holds: same PRNG stream
+        assert st.rng.getstate() == lacked
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=hs.data(), n=hs.integers(2, 12), seed=hs.integers(0, 2**32))
+def test_pull_rules_request_only_pieces_the_contact_holds(data, n, seed):
+    # a state of the one-unique start that advocate runs from: user u
+    # still holds its initial piece u + 1, and any others
+    pieces = [data.draw(hs.integers(0, full_mask(n))) | 1 << u for u in range(n)]
+    st = SimpleNamespace(pieces=pieces, mask=full_mask(n), k=n, rng=Random(seed))
+    for rule in (advocate, random_pull, sequential_pull):
+        for user, target in permutations(range(n), 2):
+            p = rule.act(st, user, target, 1)
+            if p:
+                assert pieces[target] >> p - 1 & 1 and not pieces[user] >> p - 1 & 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -242,8 +270,9 @@ def test_lowest_missing_rule_equals_the_lowest_missing_bit(data, k, shape):
     else:
         have = data.draw(hs.integers(0, mask))
     missing = mask ^ have
-    # the rule reads the holdings and k only; complete users idle
-    st = SimpleNamespace(pieces=[have], k=k)
+    # the rule reads the holdings only; with a contact that holds every
+    # piece, it asks for the lowest missing one, and complete users idle
+    st = SimpleNamespace(pieces=[have, mask])
     assert sequential_pull.act(st, 0, 1, 1) == (missing & -missing).bit_length()
 
 
@@ -482,3 +511,29 @@ def test_act_runs_once_per_user_and_slot(monkeypatch, overrides):
         step_slot(st, protocol)
     assert st.slot > 0
     assert calls == Counter({(s, u): 1 for s in range(1, st.slot + 1) for u in range(n)})
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["uniform", "fixed-lists"])
+@pytest.mark.parametrize("protocol", g.PROTOCOLS)
+def test_no_slot_both_pushes_and_pulls(protocol, fixed):
+    # so the hard budget needs no rule for a user that pushes and is asked
+    # for a piece in the same slot: arbitration among a target's pull
+    # requests keeps it
+    extra = dict(contact_model=g.FIXED_LISTS, contact_list_size=2) if fixed else {}
+    if protocol == g.ADVOCATE:
+        extra["initial_state"] = g.ONE_UNIQUE
+    kinds = Counter()
+    for seed in range(3):
+        cfg = g.SimulationConfig(n=10, k=10, protocol=protocol, seed=seed, max_slots=200, **extra)
+        st = init_state(cfg)
+        protocol_slot = make_protocol(cfg)
+
+        def checked(st, slot):
+            pushes, pulls = protocol_slot(st, slot)
+            assert not (len(pushes) and pulls), f"slot {slot} pushes and pulls"
+            kinds.update(push=len(pushes), pull=len(pulls))
+            return pushes, pulls
+
+        while st.num_complete < st.n and st.slot < cfg.effective_max_slots():
+            step_slot(st, checked)
+    assert sum(kinds.values()) > 0  # the runs uploaded something

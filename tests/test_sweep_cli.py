@@ -313,6 +313,7 @@ def test_verify_whp_margin_mechanics():
         "run_id": "r0",
         "protocol": g.RANDOM_PULL,
         "initial_state": g.ETA_SEEDED,
+        "contact_model": g.UNIFORM,
         "n": 1000,
         "k": 50,
         "eta": 0.5,
@@ -332,6 +333,7 @@ def test_verify_reach_mechanics():
     template = {
         "run_id": "r0",
         "protocol": g.PRIORITY_PUSH,
+        "contact_model": g.UNIFORM,
         "n": 500,
         "k": 600,
         "spacing": 1,
@@ -360,6 +362,7 @@ def test_verify_linear_mechanics():
         "protocol": g.ADVOCATE,
         "initial_state": g.ONE_UNIQUE,
         "constraint": g.SOFT,
+        "contact_model": g.UNIFORM,
         "n": 128,
         "k": 128,
         "completed": True,
@@ -402,6 +405,7 @@ def golden_report_cases():
             "run_id": f"r{i}",
             "protocol": g.RANDOM_PULL,
             "initial_state": g.ETA_SEEDED,
+            "contact_model": g.UNIFORM,
             "n": 1000,
             "k": 50,
             "eta": 0.5,
@@ -742,6 +746,25 @@ def test_cli_verify_usage_errors_exit_2(tmp_path, capsys):
         (path, ["--theorem", thm], f"config error: {path}: row0: {message}")
         for path, thm, message in bad_values
     ]
+    # every bound is the paper's, for uniform contacts; thm6 also only under
+    # the hard constraint
+    models = {
+        "thm1": dict(protocol=g.RANDOM_PULL),
+        "thm2": dict(protocol=g.RANDOM_PULL, initial_state=g.ETA_SEEDED),
+        "thm3": dict(protocol=g.RANDOM_PULL),
+        "thm4": dict(protocol=g.RANDOM_PUSH),
+        "thm5": dict(protocol=g.PRIORITY_PUSH),
+        "thm6": dict(protocol=g.INTERLEAVE),
+        "thm7": dict(protocol=g.ADVOCATE, initial_state=g.ONE_UNIQUE, constraint=g.SOFT),
+    }
+    applies = "bound applies only to runs with {} in ['{}'], but results contain ['{}']"
+    for thm, run in models.items():
+        lists = {**record["config"], **run, "contact_model": g.FIXED_LISTS, "contact_list_size": 2}
+        message = applies.format("contact_model", g.UNIFORM, g.FIXED_LISTS)
+        cases.append((jsonl(f"{thm}_lists", config=lists), ["--theorem", thm], f"refused: {thm}: {message}"))
+    soft = jsonl("thm6_soft", config={**record["config"], **models["thm6"], "constraint": g.SOFT})
+    message = applies.format("constraint", g.HARD, g.SOFT)
+    cases.append((soft, ["--theorem", "thm6"], f"refused: thm6: {message}"))
     for results, argv, expected in cases:
         assert main(["verify", "--results", str(results), *argv]) == 2
         err = capsys.readouterr().err
