@@ -125,10 +125,10 @@ def pieces_reached(result: RunResult, fraction: float, window: float) -> float:
 
 @dataclass
 class OccupancySeries:
-    """Number of holders of one piece at the end of each slot."""
+    """Holders of one piece at the end of each slot, to its last arrival."""
 
     piece: int
-    counts: np.ndarray  # counts[t] = holders at end of slot t; t = 0..slots
+    counts: np.ndarray  # counts[t] = holders at end of slot t; t = 0..last arrival
 
     def at(self, t: int) -> int:
         if t < 0:
@@ -139,13 +139,14 @@ class OccupancySeries:
 
 
 def occupancy(result: RunResult, piece: int) -> OccupancySeries:
-    """Holder count of `piece` after each slot, from slot 0 to the run's end."""
+    """Holder count of `piece` after each slot, from slot 0 to its last
+    arrival, not to the cap that a settled run reports without stepping."""
     arrivals = result.arrivals
     n, k = arrivals.shape
     check_range("piece", piece, int, 1, k, "[]")
     col = arrivals[:, piece - 1]
     col = col[col >= 0]
-    counts = np.bincount(col, minlength=result.slots + 1)
+    counts = np.bincount(col)
     return OccupancySeries(piece, np.cumsum(counts))
 
 

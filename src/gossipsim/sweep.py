@@ -190,7 +190,6 @@ class RunPlan:
     """One fully specified run within a sweep."""
 
     run_id: str
-    cell: tuple
     seed_index: int
     config: SimulationConfig
 
@@ -227,9 +226,7 @@ def plan(cells, seeds: int, master_seed: int) -> list[RunPlan]:
             config = SimulationConfig.from_mapping({**data, "seed": seed}, where=where)
             tag = f"{master_seed}|{cell}|{seed_index}"
             run_id = hashlib.sha256(tag.encode()).hexdigest()[:12]
-            plans.append(
-                RunPlan(run_id=run_id, cell=cell, seed_index=seed_index, config=config)
-            )
+            plans.append(RunPlan(run_id=run_id, seed_index=seed_index, config=config))
     return plans
 
 

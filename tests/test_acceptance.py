@@ -16,37 +16,37 @@ around the deterministic mean-map curve.  Their clauses live in pure helpers
 control tests at the end feed each helper synthetic data of the measured
 shape, which must pass, and of a shape the paper rules out, which must fail.
 
-The run grids of criteria 1 to 6 run on a process pool with one worker
-per CPU; each worker returns only the numbers a criterion reads of a run
-(its completion slot, or criterion 2's delay limit and reach), and they
-come back in plan order, so every clause sees the same numbers as in a
-serial run.
+The run grids of criteria 1 to 6 are planned and run like any sweep, by
+``sweep.plan`` and ``sweep.execute`` on a process pool of one worker per
+CPU.  Each cell's tag seeds its runs, and the result rows come back in plan
+order, so every clause sees the same numbers as in a serial run.  Criteria
+1/3 and 2 take their configs from the fig1 and fig3 builders, and
+criterion 2 reads the reach statistic that a sweep records and
+``verify thm5`` checks.
 """
 
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from statistics import fmean
 
 import numpy as np
 import pytest
 
 import gossipsim as g
+from gossipsim.figures import FULL_VIEW, _interleave_config, _spaced_push_config
 from gossipsim.oracle import (
+    REACH_DELTA,
     bound_value,
     classical_gossip_sample,
     deterministic_gossip,
     geo_sum_sample,
     gossip_mean_map,
 )
-from gossipsim.sweep import derive_seed
+from gossipsim.sweep import MAX_JOBS, REACH_WINDOW_FACTOR, execute, plan
 from acceptance_lines import ACCEPTANCE_LINES
 from test_invariants import GOLDEN, audit_occupancy_doubling, audit_trace
 
 MASTER = 1729
-FULL = "full"
 
 
 def _report(num: int, clauses: list) -> None:
@@ -60,30 +60,12 @@ def _report(num: int, clauses: list) -> None:
     assert not failed, line
 
 
-def _seeded(tag, value, idx) -> int:
-    return derive_seed(MASTER, ((tag, value),), idx)
-
-
-def _completion_slot(cfg: g.SimulationConfig):
-    """One run's completion slot, None if it hit its slot cap: all that
-    criteria 1, 3, 4, 5 and 6 read of a run."""
-    return g.run(cfg).completion_slot
-
-
-def _limit_and_reach(cfg: g.SimulationConfig, window: int) -> tuple:
-    """One run's delay-profile limit and the share of its pieces held by
-    ceil(0.55 n) users within `window` slots of release: what criterion 2
-    reads of a run."""
-    res = g.run(cfg)
-    return g.delay_profile(res).limit, g.pieces_reached(res, 0.55, window)
-
-
-def _pool_map(fn, configs: list) -> list:
-    """`fn` of each of `configs`, in their order, from one spawned worker
-    process per CPU."""
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(os.cpu_count(), mp_context=spawn) as pool:
-        return list(pool.map(fn, configs))
+def _grid(cells: dict, seeds: int) -> dict:
+    """Sweep result rows, `seeds` runs per cell, keyed like `cells`, which
+    maps a criterion's own key to a (cell tag, config data) pair."""
+    plans = plan(cells.values(), seeds, MASTER)
+    rows = execute(plans, jobs=min(os.cpu_count() or 1, MAX_JOBS))
+    return {key: rows[i * seeds : (i + 1) * seeds] for i, key in enumerate(cells)}
 
 
 # -------------------------------------------------- criteria 1 and 3 (shared)
@@ -93,29 +75,22 @@ def _pool_map(fn, configs: list) -> list:
 def interleave_completions():
     """Completion slots at n=500, k=1000 for list sizes {2, 8, 16, 32} and
     the full view, 10 seeds per cell."""
-    plan = []
-    for m in (2, 8, 16, 32, FULL):
-        for idx in range(10):
-            kw = dict(
-                n=500,
-                k=1000,
-                protocol=g.INTERLEAVE,
-                seed=_seeded("interleave-m", m, idx),
-            )
-            if m != FULL:
-                kw.update(contact_model=g.FIXED_LISTS, contact_list_size=m)
-            plan.append((m, g.SimulationConfig(**kw)))
-    cells = {}
-    for (m, _cfg), slot in zip(plan, _pool_map(_completion_slot, [cfg for _m, cfg in plan])):
-        assert slot is not None, f"interleave m={m} hit its slot cap"
-        cells.setdefault(m, []).append(slot)
-    return cells
+    grid = _grid(
+        {
+            m: ((("interleave-m", m),), _interleave_config(500, 1000, m))
+            for m in (2, 8, 16, 32, FULL_VIEW)
+        },
+        seeds=10,
+    )
+    for m, rows in grid.items():
+        assert all(r["completed"] for r in rows), f"interleave m={m} hit its slot cap"
+    return {m: [r["completion_slot"] for r in rows] for m, rows in grid.items()}
 
 
 def test_criterion_01_interleave_completion_scale(interleave_completions):
     target = 2020.0
     clauses = []
-    for m in (8, 16, 32, FULL):
+    for m in (8, 16, 32, FULL_VIEW):
         mean = fmean(interleave_completions[m])
         clauses.append(
             (
@@ -138,26 +113,14 @@ def test_criterion_03_interleave_within_upper_bound(interleave_completions):
 
 
 def test_criterion_02_spaced_push_plateau_and_reach():
-    n, k, seeds = 500, 600, 10
-    reach_window = math.ceil(1.3 * math.log2(n))  # 12 slots
-    plan = [
-        g.SimulationConfig(
-            n=n,
-            k=k,
-            protocol=g.PRIORITY_PUSH,
-            spacing=spacing,
-            seed=_seeded("push-l", spacing, idx),
-            max_slots=k * spacing + 6 * math.ceil(math.log2(n)) + 24,
-        )
-        for spacing in (1, 2, 3)
-        for idx in range(seeds)
-    ]
-    measured = _pool_map(partial(_limit_and_reach, window=reach_window), plan)
+    n, k = 500, 600
+    grid = _grid(
+        {l: ((("push-l", l),), _spaced_push_config(n, k, l)) for l in (1, 2, 3)},
+        seeds=10,
+    )
     clauses = []
-    for spacing in (1, 2, 3):
-        cell = [lr for cfg, lr in zip(plan, measured) if cfg.spacing == spacing]
-        limits, reaches = [limit for limit, _ in cell], [reach for _, reach in cell]
-        mean_limit = fmean(limits)
+    for spacing, rows in grid.items():
+        mean_limit = fmean(r["delay_limit"] for r in rows)
         target = 1.0 - math.exp(-spacing)
         clauses.append(
             (
@@ -165,15 +128,14 @@ def test_criterion_02_spaced_push_plateau_and_reach():
                 f"l={spacing} plateau {mean_limit:.4f} not within 0.05 of {target:.4f}",
             )
         )
-        if spacing == 1:
-            mean_reach = fmean(reaches)
-            clauses.append(
-                (
-                    mean_reach >= 0.90,
-                    f"l=1 reach {mean_reach:.4f} below 0.90 "
-                    f"(ceil(0.55n) users within {reach_window} slots)",
-                )
-            )
+    mean_reach = fmean(r["reach_fraction"] for r in grid[1])
+    clauses.append(
+        (
+            mean_reach >= 0.90,
+            f"l=1 reach {mean_reach:.4f} below 0.90 (ceil((1 - e^-1 - "
+            f"{REACH_DELTA}) n) users within ceil({REACH_WINDOW_FACTOR} log2 n) slots)",
+        )
+    )
     _report(2, clauses)
 
 
@@ -215,21 +177,23 @@ def _advocate_clauses(slots: dict) -> dict:
 
 
 def test_criterion_04_advocate_linear_completion():
-    plan = [
-        g.SimulationConfig(
-            n=n,
-            k=n,
-            protocol=g.ADVOCATE,
-            constraint=g.SOFT,
-            initial_state=g.ONE_UNIQUE,
-            seed=_seeded("advocate-n", n, idx),
-        )
-        for n in (128, 256, 512, 1024)
-        for idx in range(20)
-    ]
-    slots = {}
-    for cfg, slot in zip(plan, _pool_map(_completion_slot, plan)):
-        slots.setdefault(cfg.n, []).append(slot)
+    grid = _grid(
+        {
+            n: (
+                (("advocate-n", n),),
+                dict(
+                    n=n,
+                    k=n,
+                    protocol=g.ADVOCATE,
+                    constraint=g.SOFT,
+                    initial_state=g.ONE_UNIQUE,
+                ),
+            )
+            for n in (128, 256, 512, 1024)
+        },
+        seeds=20,
+    )
+    slots = {n: [r["completion_slot"] for r in rows] for n, rows in grid.items()}
     _report(4, list(_advocate_clauses(slots).values()))
 
 
@@ -276,22 +240,19 @@ def _pull_clauses(grid: dict) -> dict:
 
 
 def test_criterion_05_pull_scaling_grid():
-    plan = [
-        g.SimulationConfig(
-            n=n,
-            k=k,
-            protocol=g.RANDOM_PULL,
-            seed=derive_seed(MASTER, (("pull-n", n), ("pull-k", k)), idx),
-        )
-        for n in (64, 256, 1024)
-        for k in (8, 32)
-        for idx in range(10)
-    ]
-    grid = {}
-    for cfg, slot in zip(plan, _pool_map(_completion_slot, plan)):
-        assert slot is not None
-        grid.setdefault((cfg.n, cfg.k), []).append(slot)
-    _report(5, list(_pull_clauses(grid).values()))
+    grid = _grid(
+        {
+            (n, k): ((("pull-n", n), ("pull-k", k)), dict(n=n, k=k, protocol=g.RANDOM_PULL))
+            for n in (64, 256, 1024)
+            for k in (8, 32)
+        },
+        seeds=10,
+    )
+    slots = {}
+    for cell, rows in grid.items():
+        assert all(r["completed"] for r in rows)
+        slots[cell] = [r["completion_slot"] for r in rows]
+    _report(5, list(_pull_clauses(slots).values()))
 
 
 # ------------------------------------------------------------- criterion 6
@@ -300,22 +261,21 @@ def test_criterion_05_pull_scaling_grid():
 def test_criterion_06_seeded_pull_bound_coverage():
     n, k, eta = 1000, 50, 0.5
     bound = bound_value("thm2", n=n, k=k, eta=eta, c=1.0)
-    plan = [
-        g.SimulationConfig(
-            n=n,
-            k=k,
-            protocol=protocol,
-            initial_state=g.ETA_SEEDED,
-            eta=eta,
-            seed=_seeded("seeded-pull", protocol, idx),
-        )
-        for protocol in (g.RANDOM_PULL, g.SEQUENTIAL_PULL)
-        for idx in range(100)
-    ]
+    grid = _grid(
+        {
+            protocol: (
+                (("seeded-pull", protocol),),
+                dict(n=n, k=k, protocol=protocol, initial_state=g.ETA_SEEDED, eta=eta),
+            )
+            for protocol in (g.RANDOM_PULL, g.SEQUENTIAL_PULL)
+        },
+        seeds=100,
+    )
     violations = [
-        f"{cfg.protocol} seed#{i % 100}"
-        for i, (cfg, slot) in enumerate(zip(plan, _pool_map(_completion_slot, plan)))
-        if slot is None or slot > bound
+        f"{protocol} seed#{r['seed_index']}"
+        for protocol, rows in grid.items()
+        for r in rows
+        if r["completion_slot"] is None or r["completion_slot"] > bound
     ]
     fraction = 1.0 - len(violations) / 200
     required = 0.999 * (1.0 - 1.0 / n)

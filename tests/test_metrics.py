@@ -232,10 +232,21 @@ def test_occupancy_hand_case():
     res = make_result(arrivals, slots=4)
     series = g.occupancy(res, 1)
     assert series.piece == 1
-    assert list(series.counts) == [1, 1, 3, 3, 3]
+    assert [series.at(t) for t in range(5)] == [1, 1, 3, 3, 3]
+    assert len(series.counts) == 3  # slots 0..2, the last arrival
     assert series.at(-1) == 0
-    assert series.at(0) == 1
     assert series.at(100) == 3
+
+
+def test_occupancy_of_a_settled_run_ends_at_the_last_arrival():
+    # priority push settles after a few slots and reports its cap unstepped
+    res = g.run(g.SimulationConfig(n=16, k=4, protocol=g.PRIORITY_PUSH, max_slots=10**6))
+    assert res.slots == 10**6
+    for piece in range(1, 5):
+        series = g.occupancy(res, piece)
+        col = res.arrivals[:, piece - 1]
+        assert len(series.counts) == col.max() + 1
+        assert series.at(res.slots) == (col >= 0).sum()
 
 
 def test_occupancy_validates_piece():
