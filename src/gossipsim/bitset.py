@@ -46,7 +46,8 @@ def to_pieces(bits: int) -> list[int]:
 
 
 def random_piece(bits: int, rng: Random) -> int:
-    """Uniformly random piece number from a non-empty mask.
+    """Uniformly random piece number from a non-empty mask; the reference
+    for the select the random-piece protocols write out inline.
 
     Dense masks are rejection-sampled against the mask's bit span, which
     terminates quickly because at least half the span is populated whenever

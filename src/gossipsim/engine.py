@@ -2,10 +2,10 @@
 
 One slot proceeds in three phases shared by every protocol:
 
-1. every user samples one contact and picks an action (push, pull, idle).
-   A protocol whose per-user rule draws nothing draws all n contacts in one
-   batch that consumes the PRNG exactly as n single draws do; the pushes
-   come back as an (m, 3) array of (user, target, piece) rows;
+1. every user samples one contact and picks an action (push, pull, idle),
+   in one protocol call per slot: a draw-and-pick loop, per-user ``act``
+   on a batch of contacts, or columns; the pushes come back as an (m, 3)
+   array of (user, target, piece) rows;
 2. uploads are resolved against the per-user upload budget: pushes pass
    through as they are, and pull requests are sorted by target and
    arbitrated in Python;

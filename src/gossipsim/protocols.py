@@ -1,19 +1,19 @@
 """Piece-selection policies, one :class:`Protocol` subclass per protocol.
 
-A protocol's ``act(st, user, target, slot)`` is its rule for one user in one
-slot: from the holdings at the start of the slot, the piece `user` pushes to
-its contact `target` or requests from it, or 0 to idle.  Calling the
-protocol, ``protocol(st, slot)``, draws every user's contact and applies
-``act`` to each user in user order; it returns ``(pushes, pull_requests)``:
-the pushes as an (m, 3) integer array of ``(user, target, piece)`` rows, the
-requests as a list of ``(user, target, piece)`` tuples.  A pull rule asks
-only for a piece its contact holds, and a slot either pushes or pulls, so
-each request can be served and the engine only arbitrates among them.
+Calling a protocol, ``protocol(st, slot)``, runs one slot: from the holdings
+at its start, each user draws a contact and picks a piece to push to it or
+request from it, or idles.  It returns ``(pushes, pull_requests)``: an
+(m, 3) integer array and a list of tuples, both of ``(user, target,
+piece)`` rows.  A pull rule asks only for a piece its contact holds, and a
+slot either pushes or pulls, so the engine only arbitrates the requests.
 
-The PRNG is consumed in user order: per user, one contact draw and then
-that user's piece draws.  A protocol whose ``act`` draws nothing draws all
-n contacts at once with :func:`uniforms`, which consumes exactly the words
-of n ``rng.random()`` calls, so both ways leave the same stream.
+Random pull, random push and advocate run one draw-and-pick loop, with the
+random piece selected inline; sequential pull and interleave apply a
+per-user ``act``; priority push runs on columns.  The PRNG is consumed in
+user order: per user, one contact draw and then that user's piece draws.
+A slot that draws no piece draws all n contacts at once with
+:func:`uniforms`, which consumes exactly the words of n ``rng.random()``
+calls, so both ways leave the same stream.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from random import Random
 
 import numpy as np
 
-from .bitset import random_piece
 from .config import (
     ADVOCATE,
     INTERLEAVE,
@@ -116,28 +115,22 @@ def draw_contacts(st, source_all: bool = False) -> np.ndarray:
 
 
 class Protocol:
-    """A protocol's rule for one user in one slot, applied to every user.
+    """A protocol's rule for every user in one slot.
 
-    ``kind`` says whether ``act`` picks pieces to push or to request.  Each
-    user's contact costs one ``rng.random()`` draw: uniform over the other
-    n - 1 users, or under fixed contact lists uniform over the user's own
-    list.
-
-    ``draws`` says whether ``act`` draws from ``st.rng``.  If it does, each
-    contact is drawn just before that user acts; if not, all contacts are
-    drawn in one batch (:func:`draw_contacts`) before the first act, which
-    consumes the same draws in the same order.
+    ``kind`` says whether the slot picks pieces to push or to request.
+    Each user's contact costs one ``rng.random()`` draw: uniform over the
+    other n - 1 users, or under fixed contact lists uniform over the user's
+    own list.  This slot draws them in one batch (:func:`draw_contacts`),
+    then applies a subclass's per-user rule ``act`` in user order.
 
     A source-scheduled protocol sets ``spacing``: in slot t its source
     pushes :meth:`source_piece`, piece ``ceil(t / spacing)`` capped at k.
     Its source draws its contact from the whole network even under fixed
     contact lists, so that the pieces it releases are not bottled up
-    inside its own list; only the batch draw does that, so its ``act``
-    must not draw.
+    inside its own list.
     """
 
     kind = PULL
-    draws = True
     spacing: int | None = None
 
     def source_piece(self, slot: int, k: int) -> int:
@@ -158,12 +151,6 @@ class Protocol:
         return False
 
     def __call__(self, st, slot: int):
-        if self.draws:
-            picked = self._draw_and_act(st, slot)
-            if self.kind == PULL:
-                return NO_PUSHES, picked
-            rows = np.fromiter(chain.from_iterable(picked), np.int64, 3 * len(picked))
-            return rows.reshape(-1, 3), []
         n = st.n
         targets = draw_contacts(st, self.spacing is not None)
         listed = targets.tolist()
@@ -173,49 +160,78 @@ class Protocol:
         picks = np.fromiter(acts, np.int64, n)
         return np.array((np.arange(n), targets, picks)).T[picks > 0], []
 
-    def _draw_and_act(self, st, slot: int) -> list:
-        """Each user's contact draw and then its act, user by user; the
-        ``(user, target, piece)`` of every user that does not idle."""
-        act = self.act
+
+class _DrawAndPick(Protocol):
+    """The random-piece rules' slot, user by user: a contact draw, then a
+    piece of the ``rule``'s set (missing, held, or advocate's), selected
+    with the draws of :func:`~gossipsim.bitset.random_piece`, written out
+    so that no call is made per user; an empty set idles."""
+
+    def __call__(self, st, slot: int):
         rnd = st.rng.random
-        lists = st.contact_lists
-        others = st.n - 1
+        pieces, mask, lists, others = st.pieces, st.mask, st.contact_lists, st.n - 1
+        pull, push = self.rule == RANDOM_PULL, self.rule == RANDOM_PUSH
         picked = []
-        for u in range(st.n):
+        add = picked.append
+        # int(x * m) < m for every x < 1 and m < 2**53, so no index needs a guard
+        for u, have in enumerate(pieces):
             if lists is None:
                 t = int(rnd() * others)
-                if t >= others:  # guard the float rounding edge
-                    t = others - 1
                 if t >= u:
                     t += 1
             else:
-                lst = lists[u]
-                t = int(rnd() * len(lst))
-                if t >= len(lst):
-                    t = len(lst) - 1
-                t = lst[t]
-            p = act(st, u, t, slot)
-            if p:
-                picked.append((u, t, p))
-        return picked
+                t = lists[u][int(rnd() * len(lists[u]))]
+            if pull:
+                bits = mask ^ have
+            elif push:
+                bits = have
+            elif not have >> t & 1:  # the one-unique start: user t began with piece t + 1
+                add((u, t, t + 1))
+                continue
+            else:
+                bits = pieces[t] & ~have
+            if not bits:
+                continue
+            c = bits.bit_count()
+            if c == 1:
+                p = bits.bit_length()
+            elif c << 1 >= (span := bits.bit_length()):  # dense: rejection-sample the span
+                p = int(rnd() * span)
+                while not bits >> p & 1:
+                    p = int(rnd() * span)
+                p += 1
+            else:  # sparse: select the j-th lowest set bit
+                j = int(rnd() * c)
+                offset = 0
+                while j > 8:
+                    half = bits.bit_length() >> 1
+                    low = bits & ((1 << half) - 1)
+                    below = low.bit_count()
+                    if j < below:
+                        bits = low
+                    else:
+                        j -= below
+                        bits >>= half
+                        offset += half
+                for _ in range(j):
+                    bits &= bits - 1
+                p = offset + (bits & -bits).bit_length()
+            if not pull or pieces[t] >> p - 1 & 1:  # pull: drawn whatever the contact holds
+                add((u, t, p))
+        if self.kind == PULL:
+            return NO_PUSHES, picked
+        rows = np.fromiter(chain.from_iterable(picked), np.int64, 3 * len(picked))
+        return rows.reshape(-1, 3), []
 
-    def act(self, st, user: int, target: int, slot: int):
-        raise NotImplementedError
 
-
-class RandomPull(Protocol):
+class RandomPull(_DrawAndPick):
     """Each user requests a uniformly random missing piece if its contact holds it."""
 
-    def act(self, st, user: int, target: int, slot: int):
-        missing = st.mask ^ st.pieces[user]
-        p = missing and random_piece(missing, st.rng)  # drawn whatever the contact holds
-        return p if p and st.pieces[target] >> p - 1 & 1 else 0
+    rule = RANDOM_PULL
 
 
 class SequentialPull(Protocol):
     """Each user requests its lowest-numbered missing piece if its contact holds it."""
-
-    draws = False
 
     def act(self, st, user: int, target: int, slot: int):
         have = st.pieces[user]
@@ -224,14 +240,11 @@ class SequentialPull(Protocol):
         return (st.pieces[target] & ~have & (have + 1)).bit_length()
 
 
-class RandomPush(Protocol):
+class RandomPush(_DrawAndPick):
     """Each user holding anything pushes a uniformly random held piece."""
 
     kind = PUSH
-
-    def act(self, st, user: int, target: int, slot: int):
-        have = st.pieces[user]
-        return have and random_piece(have, st.rng)
+    rule = RANDOM_PUSH
 
 
 class PriorityPush(Protocol):
@@ -241,18 +254,28 @@ class PriorityPush(Protocol):
     slots on each (:meth:`~Protocol.source_piece`).  Every other user
     pushes the highest-numbered piece it holds — the one injected most
     recently and therefore rarest — or idles while empty-handed.
+
+    The slot runs on columns.  Under the single-source start, pieces come
+    only by push, so a user's highest piece is ``highest[u]``, the highest
+    pushed to it: taken from the holdings at the first slot, then raised
+    by each slot's pushes, as :attr:`Interleave.relayed` is.
     """
 
     kind = PUSH
-    draws = False
 
     def __init__(self, spacing: int = 1):
         self.spacing = spacing
+        self.highest = None
 
-    def act(self, st, user: int, target: int, slot: int):
-        if user == st.source:
-            return self.source_piece(slot, st.k)
-        return st.pieces[user].bit_length()
+    def __call__(self, st, slot: int):
+        targets = draw_contacts(st, True)
+        if self.highest is None:
+            self.highest = np.array([have.bit_length() for have in st.pieces], np.int64)
+        picks = self.highest.copy()
+        picks[st.source] = self.source_piece(slot, st.k)
+        pushes = np.array((np.arange(st.n), targets, picks)).T[picks > 0]
+        np.maximum.at(self.highest, pushes[:, 1], pushes[:, 2])
+        return pushes, []
 
     def settled(self, st, events) -> bool:
         """From slot (k - 1) spacing + 1 on the source pushes k, and every
@@ -276,7 +299,6 @@ class Interleave(Protocol):
     """
 
     kind = PUSH
-    draws = False
     spacing = 2
 
     def __init__(self, n: int):
@@ -315,7 +337,7 @@ class Interleave(Protocol):
 _PULL_CHANNEL = SequentialPull()
 
 
-class Advocate(Protocol):
+class Advocate(_DrawAndPick):
     """Pull under the initial-piece advocacy rule.
 
     The contact's own initial piece takes priority whenever the requester
@@ -323,13 +345,7 @@ class Advocate(Protocol):
     the contact has and it lacks, idling if there is none.
     """
 
-    def act(self, st, user: int, target: int, slot: int):
-        have = st.pieces[user]
-        p = target + 1  # the one-unique start: user u began with piece u + 1
-        if not have >> (p - 1) & 1:
-            return p
-        gain = st.pieces[target] & ~have
-        return gain and random_piece(gain, st.rng)
+    rule = ADVOCATE
 
 
 _PROTOCOLS = {

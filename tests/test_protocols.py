@@ -7,7 +7,6 @@ contact draw is forced and the test fixes who asks whom.
 
 from array import array
 from collections import Counter
-from itertools import permutations
 from random import Random
 from types import SimpleNamespace
 
@@ -17,10 +16,11 @@ from hypothesis import given, settings, strategies as hs
 from scipy import stats
 
 import gossipsim as g
-from gossipsim.bitset import from_pieces, full_mask
+from gossipsim.bitset import from_pieces, full_mask, random_piece
 from gossipsim.engine import SlotEvents, SystemState, init_state, step_slot
 from gossipsim.protocols import (
     NO_PUSHES,
+    PUSH,
     Advocate,
     Interleave,
     PriorityPush,
@@ -81,43 +81,51 @@ def assert_uniform(counts, support, times):
 
 
 class RecordContacts(Protocol):
-    """Idles every user and records each ``(user, contact)`` the slot loop
-    draws.  With `draws` set, ``act`` also draws once from the PRNG, so
-    contacts are drawn user by user; without it they come in one batch."""
+    """Idles every user and records each ``(user, contact)`` that the
+    batch draw gives the per-user rule ``act``."""
 
-    def __init__(self, draws):
-        self.draws = draws
+    def __init__(self):
         self.seen = []
 
     def act(self, st, user, target, slot):
         self.seen.append((user, target))
-        if self.draws:
-            st.rng.random()
         return 0
 
 
-# the contact draw of a protocol whose act draws, and of one whose act does not
-CONTACT_PATHS = pytest.mark.parametrize("act_draws", [True, False], ids=["drawing", "batch"])
+# the contact draw of the draw-and-pick loop, where each user's contact
+# draw is followed by its piece draws, and the batch draw of a slot that
+# draws no piece
+CONTACT_PATHS = pytest.mark.parametrize("drawing", [True, False], ids=["drawing", "batch"])
 
 
-def contact_draws(st, slots, seed, act_draws):
+def contact_draws(st, slots, seed, drawing):
     st.rng = Random(seed)
-    record = RecordContacts(act_draws)
+    if drawing:
+        # every user holds pieces 1 and 2: random push draws each user's
+        # contact, then one of the two pieces, and pushes it to the contact
+        st.k, st.mask, st.pieces = 2, 0b11, [0b11] * st.n
+        seen = []
+        for slot in range(1, slots + 1):
+            pushes, pulls = uploads(random_push(st, slot))
+            assert pulls == [] and all(p in (1, 2) for _u, _t, p in pushes)
+            seen += [(u, t) for u, t, _p in pushes]
+        return seen
+    record = RecordContacts()
     for slot in range(1, slots + 1):
         assert uploads(record(st, slot)) == ([], [])
     return record.seen
 
 
 @CONTACT_PATHS
-def test_contact_draw_two_users_is_forced(act_draws):
+def test_contact_draw_two_users_is_forced(drawing):
     st = init_state(g.SimulationConfig(n=2, k=1, protocol=g.RANDOM_PULL, seed=0))
-    assert contact_draws(st, 20, 0, act_draws) == [(0, 1), (1, 0)] * 20
+    assert contact_draws(st, 20, 0, drawing) == [(0, 1), (1, 0)] * 20
 
 
 @CONTACT_PATHS
-def test_contact_draw_uniform_over_others(act_draws):
+def test_contact_draw_uniform_over_others(drawing):
     st = init_state(g.SimulationConfig(n=100, k=1, protocol=g.RANDOM_PULL, seed=0))
-    seen = contact_draws(st, 2000, 42, act_draws)
+    seen = contact_draws(st, 2000, 42, drawing)
     assert [u for u, _t in seen] == list(range(100)) * 2000
     pairs = Counter(seen)
     # every user draws every other user and never itself
@@ -129,13 +137,13 @@ def test_contact_draw_uniform_over_others(act_draws):
 
 
 @CONTACT_PATHS
-def test_contact_draw_fixed_lists_uniform_over_list(act_draws):
+def test_contact_draw_fixed_lists_uniform_over_list(drawing):
     cfg = g.SimulationConfig(
         n=10, k=1, protocol=g.RANDOM_PULL, seed=0, contact_model=g.FIXED_LISTS, contact_list_size=3
     )
     st = init_state(cfg)
     st.contact_lists[0] = (2, 5, 9)
-    seen = contact_draws(st, 10_000, 1, act_draws)
+    seen = contact_draws(st, 10_000, 1, drawing)
     assert all(t in st.contact_lists[u] for u, t in seen)
     draws = Counter(t for u, t in seen if u == 0)
     assert set(draws) == {2, 5, 9}
@@ -160,30 +168,131 @@ def test_batch_uniforms_in_chunks(monkeypatch):
     assert batch.getstate() == single.getstate()
 
 
-class PerUserContacts(Protocol):
-    """The user-by-user contact draw, with an act that draws nothing."""
-
-    def __init__(self):
-        self.seen = []
-
-    def act(self, st, user, target, slot):
-        self.seen.append(target)
-        return 0
+def reference_contact(st, user, source_all=False):
+    """`user`'s contact from one ``rng.random()`` draw: ``int(x *
+    len(pool))``, kept below ``len(pool)``, indexes the user's pool, which
+    is its fixed list, or else every other user; with `source_all` the
+    source's pool is every other user."""
+    if st.contact_lists is None or source_all and user == st.source:
+        pool = [t for t in range(st.n) if t != user]
+    else:
+        pool = st.contact_lists[user]
+    return pool[min(int(st.rng.random() * len(pool)), len(pool) - 1)]
 
 
 def reference_contacts(st, source_all):
-    """Each user's contact from one ``rng.random()`` draw, in user order:
-    ``int(x * len(pool))``, kept below ``len(pool)``, indexes the user's
-    pool, which is its fixed list, or else every other user; with
-    `source_all` the source's pool is every other user."""
-    seen = []
-    for u in range(st.n):
-        if st.contact_lists is None or source_all and u == st.source:
-            pool = [t for t in range(st.n) if t != u]
-        else:
-            pool = st.contact_lists[u]
-        seen.append(pool[min(int(st.rng.random() * len(pool)), len(pool) - 1)])
-    return seen
+    """Each user's contact, drawn in user order."""
+    return [reference_contact(st, u, source_all) for u in range(st.n)]
+
+
+def reference_slot(protocol, st, slot):
+    """The slot of random pull, random push, advocate or priority push as
+    their per-user rules made it: the uploads as :func:`uploads` lists
+    them, and the users in the order they drew a contact.
+
+    Random pull, random push and advocate draw user by user: the contact,
+    then :func:`~gossipsim.bitset.random_piece` on the rule's set, if it
+    is not empty; advocate first takes the contact's initial piece without
+    a draw.  Priority push draws every contact first, its source's over
+    the whole network, and each other user pushes its highest piece."""
+    rule = type(protocol)
+    if rule is PriorityPush:
+        contacts = reference_contacts(st, True)
+        picks = [have.bit_length() for have in st.pieces]
+        picks[st.source] = protocol.source_piece(slot, st.k)
+        return ([(u, t, p) for u, (t, p) in enumerate(zip(contacts, picks)) if p], []), list(range(st.n))
+    picked, drew = [], []
+    for u, have in enumerate(st.pieces):
+        t = reference_contact(st, u)
+        drew.append(u)
+        if rule is Advocate and not have >> t & 1:
+            picked.append((u, t, t + 1))
+            continue
+        bits = {RandomPull: st.mask ^ have, RandomPush: have, Advocate: st.pieces[t] & ~have}[rule]
+        p = bits and random_piece(bits, st.rng)
+        if p and (rule is not RandomPull or st.pieces[t] >> p - 1 & 1):
+            picked.append((u, t, p))
+    return ((picked, []) if protocol.kind == PUSH else ([], picked)), drew
+
+
+def checked_against_the_reference(protocol, drew=None):
+    """`protocol`'s slot, checked against :func:`reference_slot` on the
+    same PRNG stream: the same uploads, and the same state left behind.
+    Appends ``(slot, user)`` to `drew` for each contact the reference drew."""
+
+    def slot_call(st, slot):
+        start = st.rng.getstate()
+        expected, users = reference_slot(protocol, st, slot)
+        after = st.rng.getstate()
+        st.rng.setstate(start)
+        actions = protocol(st, slot)
+        assert uploads(actions) == expected
+        assert st.rng.getstate() == after
+        if drew is not None:
+            drew.extend((slot, u) for u in users)
+        return actions
+
+    return slot_call
+
+
+def mask_of(shape, k, rnd):
+    """A k-piece mask of the given shape: empty, one piece, dense (about
+    three quarters of the pieces), or sparse (about one in eight)."""
+    if shape == "empty":
+        return 0
+    if shape == "one":
+        return 1 << rnd.randrange(k)
+    if shape == "dense":
+        return full_mask(k) & ~(rnd.getrandbits(k) & rnd.getrandbits(k))
+    return rnd.getrandbits(k) & rnd.getrandbits(k) & rnd.getrandbits(k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=hs.data(),
+    n=hs.integers(2, 24),
+    wider=hs.integers(0, 300),
+    seed=hs.integers(0, 2**64 - 1),
+    fixed=hs.booleans(),
+    m=hs.integers(1, 23),
+)
+def test_draw_and_pick_equals_the_reference_draws(data, n, wider, seed, fixed, m):
+    # random pull, random push and advocate select inline as random_piece
+    # does: the same picks and the same PRNG state, on masks that are
+    # empty, one bit, dense or sparse, and up to 324 bits wide, so that
+    # the sparse select halves; k >= n keeps advocate's initial pieces
+    k = n + wider
+    rnd = Random(seed)
+    shapes = data.draw(hs.lists(hs.sampled_from(["empty", "one", "dense", "sparse"]), min_size=n, max_size=n))
+    st = state([[]] * n, k, [0] * n, seed=seed)
+    st.pieces = [mask_of(shape, k, rnd) for shape in shapes]
+    if fixed:
+        st.contact_lists = [tuple(rnd.sample([t for t in range(n) if t != u], min(m, n - 1))) for u in range(n)]
+    else:
+        st.contact_lists = None
+    for protocol in (random_pull, random_push, advocate):
+        checked_against_the_reference(protocol)(st, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=hs.integers(2, 30),
+    k=hs.integers(1, 40),
+    spacing=hs.integers(1, 3),
+    seed=hs.integers(0, 2**32),
+    fixed=hs.booleans(),
+    m=hs.integers(1, 29),
+)
+def test_priority_push_columns_equal_the_highest_piece_rule(n, k, spacing, seed, fixed, m):
+    # the relay memory gives each user's highest held piece,
+    # pieces[u].bit_length(), in every slot of a run, and the contacts are
+    # the per-user draws
+    extra = dict(contact_model=g.FIXED_LISTS, contact_list_size=min(m, n - 1)) if fixed else {}
+    cfg = g.SimulationConfig(n=n, k=k, protocol=g.PRIORITY_PUSH, spacing=spacing, seed=seed, max_slots=k * spacing + 30, **extra)
+    st = init_state(cfg)
+    slot_call = checked_against_the_reference(make_protocol(cfg))
+    while st.num_complete < n and st.slot < cfg.max_slots:
+        step_slot(st, slot_call)
 
 
 @settings(max_examples=150, deadline=None)
@@ -204,11 +313,11 @@ def test_batch_contacts_equal_the_per_user_draw(n, seed, m, fixed, source_all, s
     start = st.rng.getstate()
     expected = reference_contacts(st, source_all)
     after = st.rng.getstate()
-    if not source_all:  # the per-user path of a protocol whose act draws
+    if not source_all:  # the draw-and-pick loop: random push of one piece draws only contacts
         st.rng.setstate(start)
-        per_user = PerUserContacts()
-        per_user(st, 1)
-        assert per_user.seen == expected and st.rng.getstate() == after
+        st.pieces = [1] * n
+        pushes, _pulls = uploads(random_push(st, 1))
+        assert [t for _u, t, _p in pushes] == expected and st.rng.getstate() == after
     st.rng.setstate(start)
     assert draw_contacts(st, source_all).tolist() == expected
     assert st.rng.getstate() == after
@@ -226,15 +335,15 @@ def test_sequential_pull_picks_lowest_missing():
 @pytest.mark.parametrize("rule", [random_pull, sequential_pull], ids=["random-pull", "sequential-pull"])
 def test_pull_rules_idle_when_the_contact_lacks_the_piece(rule):
     # user 1 lacks {1, 3, 5}; user 0 holds none of them, user 2 all
-    st = state([[2, 4], [2, 4], range(1, 6)], 5, [1, 0, 0])
+    holdings = [[2, 4], [2, 4], range(1, 6)]
+    lacking, holding = state(holdings, 5, [1, 0, 0]), state(holdings, 5, [1, 2, 0])
     for seed in range(20):
-        st.rng = Random(seed)
-        assert rule.act(st, 1, 0, 1) == 0
-        lacked = st.rng.getstate()
-        st.rng = Random(seed)
-        assert rule.act(st, 1, 2, 1) in (1, 3, 5)
+        lacking.rng, holding.rng = Random(seed), Random(seed)
+        assert [r for r in uploads(rule(lacking, 1))[1] if r[0] == 1] == []
+        [(_u, target, piece)] = [r for r in uploads(rule(holding, 1))[1] if r[0] == 1]
+        assert target == 2 and piece in (1, 3, 5)
         # the piece is drawn whatever the contact holds: same PRNG stream
-        assert st.rng.getstate() == lacked
+        assert lacking.rng.getstate() == holding.rng.getstate()
 
 
 @settings(max_examples=200, deadline=None)
@@ -243,11 +352,15 @@ def test_pull_rules_request_only_pieces_the_contact_holds(data, n, seed):
     # a state of the one-unique start that advocate runs from: user u
     # still holds its initial piece u + 1, and any others
     pieces = [data.draw(hs.integers(0, full_mask(n))) | 1 << u for u in range(n)]
-    st = SimpleNamespace(pieces=pieces, mask=full_mask(n), k=n, rng=Random(seed))
-    for rule in (advocate, random_pull, sequential_pull):
-        for user, target in permutations(range(n), 2):
-            p = rule.act(st, user, target, 1)
-            if p:
+    st = state([[]] * n, n, [0] * n, seed=seed)
+    st.pieces = pieces
+    # over the shifts, every user asks every other user
+    for shift in range(1, n):
+        st.contact_lists = [((u + shift) % n,) for u in range(n)]
+        st.contact_table = None
+        for rule in (advocate, random_pull, sequential_pull):
+            for user, target, p in uploads(rule(st, 1))[1]:
+                assert target == (user + shift) % n
                 assert pieces[target] >> p - 1 & 1 and not pieces[user] >> p - 1 & 1
 
 
@@ -481,36 +594,56 @@ def test_make_protocol_returns_the_named_protocol():
     assert uploads(spaced(st, 3)) == ([(0, 1, 2)], [])
 
 
+def run_slots(cfg, slot_call=None):
+    """Step a run of `cfg` until it completes or reaches its cap, calling
+    `slot_call` (the protocol's slot by default); the number of slots."""
+    st = init_state(cfg)
+    slot_call = slot_call or make_protocol(cfg)
+    while st.num_complete < cfg.n and st.slot < cfg.effective_max_slots():
+        step_slot(st, slot_call)
+    assert st.slot > 0
+    return st.slot
+
+
 @pytest.mark.parametrize(
     "overrides",
-    [
-        dict(protocol=g.RANDOM_PULL),
-        dict(protocol=g.SEQUENTIAL_PULL),
-        dict(protocol=g.RANDOM_PUSH),
-        dict(protocol=g.PRIORITY_PUSH, spacing=2, contact_model=g.FIXED_LISTS, contact_list_size=2),
-        dict(protocol=g.INTERLEAVE),
-        dict(protocol=g.ADVOCATE, initial_state=g.ONE_UNIQUE),
-    ],
+    [dict(protocol=g.SEQUENTIAL_PULL), dict(protocol=g.INTERLEAVE)],
     ids=lambda o: o["protocol"],
 )
 def test_act_runs_once_per_user_and_slot(monkeypatch, overrides):
-    # act is the per-user unit of work: one call for every user in every
-    # slot, the source and complete users included
+    # act is the per-user unit of work of the batch slot: one call for
+    # every user in every slot, the source and complete users included
     calls = Counter()
-    for cls in Protocol.__subclasses__():
+    for cls in (SequentialPull, Interleave):
         def counted(self, st, user, target, slot, _act=cls.act):
             calls[slot, user] += 1
             return _act(self, st, user, target, slot)
 
         monkeypatch.setattr(cls, "act", counted)
     n = 8
+    slots = run_slots(g.SimulationConfig(n=n, k=n, seed=3, **overrides))
+    assert calls == Counter({(s, u): 1 for s in range(1, slots + 1) for u in range(n)})
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(protocol=g.RANDOM_PULL),
+        dict(protocol=g.RANDOM_PUSH),
+        dict(protocol=g.PRIORITY_PUSH, spacing=2, contact_model=g.FIXED_LISTS, contact_list_size=2),
+        dict(protocol=g.ADVOCATE, initial_state=g.ONE_UNIQUE),
+    ],
+    ids=lambda o: o["protocol"],
+)
+def test_every_user_draws_a_contact_in_every_slot(overrides):
+    # the slot leaves the PRNG as the reference does, which draws one
+    # contact for every user in every slot, the source and complete users
+    # included, and gives the same uploads
+    n = 8
     cfg = g.SimulationConfig(n=n, k=n, seed=3, **overrides)
-    st = init_state(cfg)
-    protocol = make_protocol(cfg)
-    while st.num_complete < n and st.slot < cfg.effective_max_slots():
-        step_slot(st, protocol)
-    assert st.slot > 0
-    assert calls == Counter({(s, u): 1 for s in range(1, st.slot + 1) for u in range(n)})
+    drew = []
+    slots = run_slots(cfg, checked_against_the_reference(make_protocol(cfg), drew))
+    assert Counter(drew) == Counter({(s, u): 1 for s in range(1, slots + 1) for u in range(n)})
 
 
 @pytest.mark.parametrize("fixed", [False, True], ids=["uniform", "fixed-lists"])
