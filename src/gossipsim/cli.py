@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -75,33 +76,44 @@ def run_record(result) -> dict:
     return record
 
 
+@contextmanager
+def _trace_csv(path: Path):
+    """A sink writing trace text as CSV rows to a file next to `path`, moved
+    to `path` (and named on stdout) when the block ends and removed if it
+    raises, so a failed run leaves no partial trace."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    part = path.with_name(f".{path.name}.{os.getpid()}.part")
+    # Each canonical trace line behind the schema and tool versions, ended
+    # by "\r\n": the bytes csv.writer writes for the same rows.
+    prefix = f"{SCHEMA_VERSION},{VERSION},"
+    newline = "\r\n" + prefix
+    try:
+        with open(part, "w", newline="") as fh:
+            fh.write("schema_version,tool_version,slot,from,to,piece,kind\r\n")
+            yield lambda chunk: fh.write(prefix + chunk[:-1].replace("\n", newline) + "\r\n")
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+    print(path)
+
+
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.trace:
         config = replace(config, record_trace=True)
-    result = run_engine(config)
-    line = json.dumps(run_record(result), sort_keys=True, separators=(",", ":"))
-    if args.out:
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(line + "\n")
-        print(path)
-    else:
-        print(line)
-    if args.trace:
-        trace_path = Path(args.trace)
-        trace_path.parent.mkdir(parents=True, exist_ok=True)
-        # Each canonical trace line behind the schema and tool versions,
-        # ended by "\r\n": the bytes csv.writer writes for the same rows.
-        prefix = f"{SCHEMA_VERSION},{VERSION},"
-        newline = "\r\n" + prefix
-        with open(trace_path, "w", newline="") as fh:
-            fh.write("schema_version,tool_version,slot,from,to,piece,kind\r\n")
-            for chunk in result.trace.chunks:
-                fh.write(prefix + chunk[:-1].replace("\n", newline) + "\r\n")
-        print(trace_path)
+    with _trace_csv(Path(args.trace)) if args.trace else nullcontext() as sink:
+        result = run_engine(config, sink=sink)
+        line = json.dumps(run_record(result), sort_keys=True, separators=(",", ":"))
+        if args.out:
+            path = Path(args.out)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(line + "\n")
+            print(path)
+        else:
+            print(line)
     return 0
 
 

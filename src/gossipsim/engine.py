@@ -109,18 +109,23 @@ class SlotEvents:
 
 
 class Trace:
-    """A run's transfer events as their canonical text: :meth:`add` keeps
-    one slot's lines as one string (a chunk), so a long trace holds no
-    per-event objects.  ``len()`` counts the events; iterating parses the
-    lines back into :class:`TransferEvent` tuples, in recording order."""
+    """A run's transfer events as their canonical text: :meth:`add` hands
+    one slot's lines as one string (a chunk) to the sink, by default
+    ``chunks.append``, and hashes it into a running SHA-256, so a trace
+    holds no per-event objects.  ``len()`` counts the events; iterating
+    parses the kept chunks back into :class:`TransferEvent` tuples, in
+    recording order, and raises if a sink of its own took them."""
 
-    def __init__(self):
+    def __init__(self, sink=None):
         self.chunks: list[str] = []
+        self._sink = self.chunks.append if sink is None else sink
+        self.streamed = sink is not None
         self.size = 0
+        self.sha256 = hashlib.sha256()
         self._digits: list[str] = []  # _digits[i] == f"{i},"
 
     def add(self, events: SlotEvents) -> None:
-        """Append one slot's events, a ``slot,from,to,piece,kind\n`` line
+        """Pass on one slot's events, a ``slot,from,to,piece,kind\n`` line
         each; push lines are formatted straight from their rows.  Users and
         pieces are looked up in a table of decimal strings, which doubles
         when a number is past its end, so it stays below twice the largest
@@ -138,17 +143,19 @@ class Trace:
             top = max(map(max, chain(pushes, pulls)))
             d += [f"{i}," for i in range(len(d), max(top + 1, 2 * len(d)))]
             return self.add(events)
-        self.chunks.append("".join(lines))
+        text = "".join(lines)
+        self.sha256.update(text.encode())
+        self._sink(text)
         self.size += len(lines)
 
     def __len__(self) -> int:
         return self.size
 
     def __iter__(self) -> Iterator[TransferEvent]:
-        for chunk in self.chunks:
-            for line in chunk.splitlines():
-                slot, frm, to, piece, kind = line.split(",")
-                yield _new(TransferEvent, (int(slot), int(frm), int(to), int(piece), kind))
+        if self.streamed:
+            raise ValueError("this trace's text went to its sink; it keeps no events to iterate")
+        rows = (line.split(",") for chunk in self.chunks for line in chunk.splitlines())
+        return (_new(TransferEvent, (int(s), int(f), int(t), int(p), k)) for s, f, t, p, k in rows)
 
 
 @dataclass
@@ -342,14 +349,16 @@ class RunResult:
     trace_hash: str | None
 
 
-def run(config: SimulationConfig) -> RunResult:
+def run(config: SimulationConfig, sink=None) -> RunResult:
     """Run one configuration to completion or its slot cap: seed the world
     (:func:`init_state`) and step it under the named protocol, adding each
     slot's events to a :class:`Trace` when ``config.record_trace`` is set.
-    An untraced run that the protocol finds settled skips to the cap."""
+    A `sink` takes each slot's trace text as it is formatted, and the trace
+    keeps none (see :class:`Trace`).  An untraced run that the protocol
+    finds settled skips to the cap."""
     st = init_state(config)
     protocol = make_protocol(config)
-    trace = Trace() if config.record_trace else None
+    trace = Trace(sink) if config.record_trace else None
     cap = config.effective_max_slots()
     completion = 0 if st.num_complete == st.n else None
     while completion is None and st.slot < cap:
@@ -377,10 +386,7 @@ def trace_digest(trace: Trace) -> str:
     """SHA-256 of the canonical event serialization; the regression anchor.
 
     Each event contributes the line ``slot,from,to,piece,kind\n``; the
-    trace's text is hashed chunk by chunk, which gives the same digest as
-    one update per line.
+    trace hashes its text chunk by chunk as it is added, which gives the
+    same digest as one update per line, and holds for a streamed trace.
     """
-    h = hashlib.sha256()
-    for text in trace.chunks:
-        h.update(text.encode())
-    return h.hexdigest()
+    return trace.sha256.hexdigest()

@@ -69,13 +69,10 @@ def delay_profile(result: RunResult) -> DelayProfile:
     """
     arrivals = result.arrivals
     n, k = arrivals.shape
-    emergence = np.array(
-        [0 if e is None else e for e in result.emergence], dtype=np.int64
-    )
-    served = arrivals >= 0
-    delays = arrivals.astype(np.int64) - emergence[np.newaxis, :]
-    delays[arrivals == 0] = 0  # endowed pairs have delay 0 by definition
-    delays = delays[served]
+    emergence = np.array([0 if e is None else e for e in result.emergence], dtype=np.int32)
+    # Only endowed pairs (arrival 0) can arrive before their piece emerged.
+    delays = (arrivals - emergence)[arrivals >= 0]
+    np.maximum(delays, 0, out=delays)
     if delays.size == 0:
         return DelayProfile(np.zeros(1))
     counts = np.bincount(delays)

@@ -14,7 +14,6 @@ import csv
 import hashlib
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -283,6 +282,13 @@ def _execute_plan(plan: RunPlan, keep_profile: bool = False) -> dict:
     if keep_profile:
         row["profile"] = profile
     return row
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """The process pool, imported on first use: most commands run none."""
+    from concurrent.futures import ProcessPoolExecutor as Pool
+
+    return Pool(max_workers=max_workers)
 
 
 def execute(plans: list, jobs: int = 1, keep_profile: bool = False) -> list:

@@ -1,6 +1,7 @@
 """Metrics: delay profiles, failure classification, reach, occupancy."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gossipsim as g
-from gossipsim.engine import RunResult
+from gossipsim.engine import RunResult, emergence
 from gossipsim.metrics import FAILURE_FRACTION
 
 
@@ -73,6 +74,54 @@ def test_delay_profile_boundaries():
     prof = g.delay_profile(make_result([[0, 0], [1, 2]]))
     assert prof.at(-1) == 0.0
     assert prof.at(prof.max_delay) == prof.limit
+
+
+def reference_delay_profile(result):
+    """delay_profile as it was written on int64 copies of the (n, k)
+    matrix, with the endowed pairs set to delay 0 by their arrival."""
+    arrivals = result.arrivals
+    n, k = arrivals.shape
+    emergence = np.array(
+        [0 if e is None else e for e in result.emergence], dtype=np.int64
+    )
+    served = arrivals >= 0
+    delays = arrivals.astype(np.int64) - emergence[np.newaxis, :]
+    delays[arrivals == 0] = 0
+    delays = delays[served]
+    if delays.size == 0:
+        return g.DelayProfile(np.zeros(1))
+    counts = np.bincount(delays)
+    return g.DelayProfile(np.cumsum(counts) / (n * k))
+
+
+def random_arrivals(rng, start, n, k):
+    """Arrivals as a run under `start` leaves them: the endowed cells at 0,
+    the rest never served (-1) or served in slots 1..3k, and each piece's
+    emergence by the engine's rule; some single-source pieces never leave
+    the source."""
+    arr = np.where(rng.random((n, k)) < 0.3, -1, rng.integers(1, 3 * k + 1, (n, k)))
+    if start == g.SINGLE_SOURCE:
+        arr[0] = 0
+        arr[1:, rng.random(k) < 0.2] = -1
+    elif start == g.ETA_SEEDED:
+        arr[rng.random((n, k)) < 0.25] = 0
+    else:
+        np.fill_diagonal(arr, 0)
+    arr = arr.astype(np.int32)
+    source = 0 if start == g.SINGLE_SOURCE else None
+    return arr, emergence(SimpleNamespace(arrivals=arr, k=k, source=source))
+
+
+@pytest.mark.parametrize("start", [g.SINGLE_SOURCE, g.ETA_SEEDED, g.ONE_UNIQUE])
+def test_delay_profile_equals_the_int64_reference(start):
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        n = int(rng.integers(2, 40))
+        k = n if start == g.ONE_UNIQUE else int(rng.integers(1, 60))
+        arrivals, first = random_arrivals(rng, start, n, k)
+        res = make_result(arrivals, emergence=first)
+        got, want = g.delay_profile(res).cumulative, reference_delay_profile(res).cumulative
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_delay_profile_on_real_run():

@@ -5,8 +5,12 @@ import errno
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 import yaml
@@ -189,6 +193,21 @@ def test_pool_has_at_most_one_worker_per_plan(monkeypatch):
         assert strip(execute(plans, jobs=jobs)) == strip(serial)
     assert execute(plans[:1], jobs=MAX_JOBS)[0]["run_id"] == serial[0]["run_id"]
     assert sizes == [2, 6]  # one plan runs without a pool
+
+
+def test_a_serial_sweep_imports_no_process_pool(tmp_path):
+    # the pool's module costs memory and start-up time, so only a pool run loads it
+    cfg = sweep_yaml(tmp_path)
+    code = (
+        "import sys; from gossipsim.cli import main; "
+        f"rc = main(['sweep', '--config', {cfg!r}, '--jobs', '1', '--out', {str(tmp_path)!r}]); "
+        "print(rc, 'concurrent.futures.process' in sys.modules)"
+    )
+    src = str(Path(g.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split()[-2:] == ["0", "False"], proc.stderr
+    assert (tmp_path / "runs.csv").exists()
 
 
 def test_priority_push_rows_record_reach():
