@@ -28,8 +28,8 @@ under the hard constraint a user uploads at most once per slot when each
 target grants one of its pull requests.  Downloads are never constrained.
 
 The engine holds no protocol's rule.  What a protocol remembers between
-slots (interleave's relay memory) lives on its instance, one per run, and
-a run's release slots come from the protocol's source schedule.
+slots (the relay memory) lives on its instance, one per run, and a run's
+release slots come from the protocol's source schedule.
 
 An untraced run stops stepping once its protocol says it is settled, when
 no later slot can change a holding (a priority-push tail, an interleave
@@ -268,24 +268,10 @@ def resolve_uploads(
         pick = i
         if j - i > 1:
             pick += int(rng.random() * (j - i))
-            if pick >= j:  # guard the float rounding edge
-                pick = j - 1
         r, _t, p = requests[pick]
         grants.append((t, r, p))
         i = j
     return SlotEvents(slot, pushes, grants)
-
-
-def _merge(st: SystemState, pairs) -> None:
-    """Merge newly served ``(user, piece)`` pairs into the holdings and the
-    complete count; a second copy of a pair finds the piece held and is skipped."""
-    mask = st.mask
-    pieces = st.pieces
-    for to, piece in pairs:
-        old = pieces[to]
-        pieces[to] = have = old | 1 << piece - 1
-        if have == mask and old != mask:
-            st.num_complete += 1
 
 
 def step_slot(st: SystemState, protocol) -> SlotEvents:
@@ -300,7 +286,7 @@ def step_slot(st: SystemState, protocol) -> SlotEvents:
     # user held, or one that arrived earlier in this slot; the upload was
     # spent without new data.  New pieces merge into `pieces` at once:
     # nothing reads them before the next slot.
-    k = st.k
+    k, mask, pieces = st.k, st.mask, st.pieces
     rows = events.pushes
     if len(rows):
         _frm, to, piece = rows.T
@@ -308,10 +294,13 @@ def step_slot(st: SystemState, protocol) -> SlotEvents:
         cells = to * k + (piece - 1)
         new = flat[cells] < 0
         flat[cells[new]] = slot
-        _merge(st, zip(to[new].tolist(), piece[new].tolist()))
+        for to, piece in zip(to[new].tolist(), piece[new].tolist()):
+            old = pieces[to]
+            pieces[to] = have = old | 1 << piece - 1
+            if have == mask and old != mask:  # a second copy in this slot tests new too
+                st.num_complete += 1
     if events.pulls:
         arrived = memoryview(st.arrivals).cast("B").cast("i")
-        mask, pieces = st.mask, st.pieces
         for _frm, to, piece in events.pulls:
             cell = to * k + piece - 1
             if arrived[cell] < 0:  # so the holdings lack it
@@ -354,8 +343,10 @@ def run(config: SimulationConfig, sink=None) -> RunResult:
     (:func:`init_state`) and step it under the named protocol, adding each
     slot's events to a :class:`Trace` when ``config.record_trace`` is set.
     A `sink` takes each slot's trace text as it is formatted, and the trace
-    keeps none (see :class:`Trace`).  An untraced run that the protocol
-    finds settled skips to the cap."""
+    keeps none (see :class:`Trace`); a run that records no trace refuses
+    one.  An untraced run that the protocol finds settled skips to the cap."""
+    if sink is not None and not config.record_trace:
+        raise ValueError("sink: only a run with record_trace set formats a trace to pass on")
     st = init_state(config)
     protocol = make_protocol(config)
     trace = Trace(sink) if config.record_trace else None

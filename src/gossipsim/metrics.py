@@ -99,10 +99,12 @@ def failed_pieces(result: RunResult, epsilon: float | None = None) -> list[int]:
     A piece fails when fewer than ``ceil(n * e / 5)`` users hold it within
     ``floor(2 (1 + epsilon) log2 n)`` slots of its release by the source;
     a piece the source never released at all also counts as failed.  Only
-    defined for runs whose protocol releases pieces on a schedule.
+    defined for runs whose protocol releases pieces on a schedule; an
+    `epsilon` outside (0, 1), the range of the config's, is refused.
     """
     if epsilon is None:
         epsilon = result.config.epsilon
+    check_range("epsilon", epsilon, float, 0, 1, "()")
     n = result.arrivals.shape[0]
     window = math.floor(2.0 * (1.0 + epsilon) * math.log2(n))
     holders = _holders_within(result, window)
@@ -112,7 +114,9 @@ def failed_pieces(result: RunResult, epsilon: float | None = None) -> list[int]:
 def pieces_reached(result: RunResult, fraction: float, window: float) -> float:
     """Fraction of pieces reaching ``ceil(fraction * n)`` users within
     ``floor(window)`` slots of their release; unreleased pieces count as
-    not reaching.  Only defined for source-scheduled protocols."""
+    not reaching.  Only defined for source-scheduled protocols; a `window`
+    outside [0, inf) is refused."""
+    check_range("window", window, float, 0, math.inf, "[)")
     n, k = result.arrivals.shape
     holders = _holders_within(result, math.floor(window))
     # A bar below 0 is met by every released piece and by no unreleased one.

@@ -8,8 +8,10 @@ piece)`` rows.  A pull rule asks only for a piece its contact holds, and a
 slot either pushes or pulls, so the engine only arbitrates the requests.
 
 Random pull, random push and advocate run one draw-and-pick loop, with the
-random piece selected inline; sequential pull and interleave apply a
-per-user ``act``; priority push runs on columns.  The PRNG is consumed in
+random piece selected inline; sequential pull applies a per-user ``act``;
+priority push runs on columns, with the source schedule and the relay
+memory.  Interleave is priority push in odd slots, its picks made by a
+per-user ``act``, and sequential pull in even ones.  The PRNG is consumed in
 user order: per user, one contact draw and then that user's piece draws.
 A slot that draws no piece draws all n contacts at once with
 :func:`uniforms`, which consumes exactly the words of n ``rng.random()``
@@ -85,10 +87,9 @@ def uniforms(rng: Random, n: int) -> np.ndarray:
 
 
 def _uniform_other(x, users, others: int):
-    """Contacts uniform over the other users: ``int(x * others)`` with the
-    float rounding edge guarded, skipping the user itself.  Takes arrays
-    or one user's scalars."""
-    t = np.minimum((x * others).astype(np.intp), others - 1)
+    """Contacts uniform over the other users: ``int(x * others)``, skipping
+    the user itself.  Takes arrays or one user's scalars."""
+    t = (x * others).astype(np.intp)
     return t + (t >= users)
 
 
@@ -96,7 +97,12 @@ def draw_contacts(st, source_all: bool = False) -> np.ndarray:
     """Every user's contact for one slot, drawn as :class:`Protocol` draws
     them one by one: uniform over the other users, or under fixed lists
     uniform over the user's own list, and with `source_all` the source
-    uniform over the whole network."""
+    uniform over the whole network.
+
+    A draw x < 1 indexes a pool of m < 2**53 as ``int(x * m)``, which is
+    below m: x is at most 1 - 2**-53, and x m rounds to a float below m.
+    ``MAX_CELLS`` keeps n at most 2**28, so the contact draws, the piece
+    selects and hard arbitration index with no guard for a rounding edge."""
     n = st.n
     x = uniforms(st.rng, n)
     lists = st.contact_lists
@@ -106,8 +112,7 @@ def draw_contacts(st, source_all: bool = False) -> np.ndarray:
     if table is None:  # the lists are fixed for the run: convert them once
         table = st.contact_table = np.array(lists, dtype=np.intp)
     m = table.shape[1]
-    j = np.minimum((x * m).astype(np.intp), m - 1)
-    targets = table[np.arange(n), j]
+    targets = table[np.arange(n), (x * m).astype(np.intp)]
     s = st.source
     if source_all and s is not None:
         targets[s] = _uniform_other(x[s], s, n - 1)
@@ -115,50 +120,20 @@ def draw_contacts(st, source_all: bool = False) -> np.ndarray:
 
 
 class Protocol:
-    """A protocol's rule for every user in one slot.
+    """A protocol's rule for every user in one slot: ``protocol(st, slot)``.
 
-    ``kind`` says whether the slot picks pieces to push or to request.
     Each user's contact costs one ``rng.random()`` draw: uniform over the
     other n - 1 users, or under fixed contact lists uniform over the user's
-    own list.  This slot draws them in one batch (:func:`draw_contacts`),
-    then applies a subclass's per-user rule ``act`` in user order.
-
-    A source-scheduled protocol sets ``spacing``: in slot t its source
-    pushes :meth:`source_piece`, piece ``ceil(t / spacing)`` capped at k.
-    Its source draws its contact from the whole network even under fixed
-    contact lists, so that the pieces it releases are not bottled up
-    inside its own list.
-    """
-
-    kind = PULL
-    spacing: int | None = None
-
-    def source_piece(self, slot: int, k: int) -> int:
-        return min((slot + self.spacing - 1) // self.spacing, k)
+    own list (:func:`draw_contacts`)."""
 
     def release_slots(self, k: int, slots: int) -> list | None:
-        """Per piece, the slot the source first pushes it, (p - 1) spacing + 1
-        (a push is never refused), or None if past `slots`; None for a
-        protocol without a source schedule."""
-        l = self.spacing
-        if l is None:
-            return None
-        return [t if t <= slots else None for t in range(1, k * l + 1, l)]
+        """Per piece, the slot the source first pushes it; None without a schedule."""
+        return None
 
     def settled(self, st, events) -> bool:
         """Whether no slot after the one that granted `events` can change
         a holding; False unless a protocol can tell."""
         return False
-
-    def __call__(self, st, slot: int):
-        n = st.n
-        targets = draw_contacts(st, self.spacing is not None)
-        listed = targets.tolist()
-        acts = map(self.act, repeat(st), range(n), listed, repeat(slot))
-        if self.kind == PULL:
-            return NO_PUSHES, [(u, t, p) for u, t, p in zip(range(n), listed, acts) if p]
-        picks = np.fromiter(acts, np.int64, n)
-        return np.array((np.arange(n), targets, picks)).T[picks > 0], []
 
 
 class _DrawAndPick(Protocol):
@@ -173,7 +148,7 @@ class _DrawAndPick(Protocol):
         pull, push = self.rule == RANDOM_PULL, self.rule == RANDOM_PUSH
         picked = []
         add = picked.append
-        # int(x * m) < m for every x < 1 and m < 2**53, so no index needs a guard
+        # int(x * m) < m, so no index needs a guard (see draw_contacts)
         for u, have in enumerate(pieces):
             if lists is None:
                 t = int(rnd() * others)
@@ -218,7 +193,7 @@ class _DrawAndPick(Protocol):
                 p = offset + (bits & -bits).bit_length()
             if not pull or pieces[t] >> p - 1 & 1:  # pull: drawn whatever the contact holds
                 add((u, t, p))
-        if self.kind == PULL:
+        if not push:
             return NO_PUSHES, picked
         rows = np.fromiter(chain.from_iterable(picked), np.int64, 3 * len(picked))
         return rows.reshape(-1, 3), []
@@ -231,7 +206,14 @@ class RandomPull(_DrawAndPick):
 
 
 class SequentialPull(Protocol):
-    """Each user requests its lowest-numbered missing piece if its contact holds it."""
+    """Each user requests its lowest-numbered missing piece if its contact
+    holds it: the contacts are drawn in one batch, then ``act`` is applied
+    per user, in user order."""
+
+    def __call__(self, st, slot: int):
+        targets = draw_contacts(st).tolist()
+        acts = map(self.act, repeat(st), range(st.n), targets, repeat(slot))
+        return NO_PUSHES, [(u, t, p) for u, t, p in zip(range(st.n), targets, acts) if p]
 
     def act(self, st, user: int, target: int, slot: int):
         have = st.pieces[user]
@@ -243,7 +225,6 @@ class SequentialPull(Protocol):
 class RandomPush(_DrawAndPick):
     """Each user holding anything pushes a uniformly random held piece."""
 
-    kind = PUSH
     rule = RANDOM_PUSH
 
 
@@ -251,31 +232,45 @@ class PriorityPush(Protocol):
     """Source-paced priority push.
 
     The source works through the pieces in order, dwelling ``spacing``
-    slots on each (:meth:`~Protocol.source_piece`).  Every other user
-    pushes the highest-numbered piece it holds — the one injected most
-    recently and therefore rarest — or idles while empty-handed.
+    slots on each: in slot t it pushes :meth:`source_piece`, piece
+    ``ceil(t / spacing)`` capped at k, and draws its contact from the whole
+    network even under fixed contact lists, so that the pieces it releases
+    are not bottled up inside its own list.  Every other user pushes the
+    highest-numbered piece it holds — the one injected most recently and
+    therefore rarest — or idles while empty-handed.
 
     The slot runs on columns.  Under the single-source start, pieces come
-    only by push, so a user's highest piece is ``highest[u]``, the highest
-    pushed to it: taken from the holdings at the first slot, then raised
-    by each slot's pushes, as :attr:`Interleave.relayed` is.
+    only by push, so a user's highest piece is ``relayed[u]``, its relay
+    memory: taken from the holdings at the first slot, then raised by each
+    slot's pushes, which are never refused.
     """
-
-    kind = PUSH
 
     def __init__(self, spacing: int = 1):
         self.spacing = spacing
-        self.highest = None
+        self.relayed = None
+
+    def source_piece(self, slot: int, k: int) -> int:
+        return min((slot + self.spacing - 1) // self.spacing, k)
+
+    def release_slots(self, k: int, slots: int) -> list:
+        """Per piece, (p - 1) spacing + 1 (a push is never refused); None past `slots`."""
+        l = self.spacing
+        return [t if t <= slots else None for t in range(1, k * l + 1, l)]
 
     def __call__(self, st, slot: int):
         targets = draw_contacts(st, True)
-        if self.highest is None:
-            self.highest = np.array([have.bit_length() for have in st.pieces], np.int64)
-        picks = self.highest.copy()
-        picks[st.source] = self.source_piece(slot, st.k)
+        if self.relayed is None:
+            self.relayed = array("q", [have.bit_length() for have in st.pieces])
+        picks = self.picks(st, slot, targets)
         pushes = np.array((np.arange(st.n), targets, picks)).T[picks > 0]
-        np.maximum.at(self.highest, pushes[:, 1], pushes[:, 2])
+        np.maximum.at(np.frombuffer(self.relayed, np.int64), pushes[:, 1], pushes[:, 2])
         return pushes, []
+
+    def picks(self, st, slot: int, targets) -> np.ndarray:
+        """Each user's piece to push, 0 to idle: the source's scheduled one, or the memory."""
+        picks = np.array(self.relayed, np.int64)
+        picks[st.source] = self.source_piece(slot, st.k)
+        return picks
 
     def settled(self, st, events) -> bool:
         """From slot (k - 1) spacing + 1 on the source pushes k, and every
@@ -284,49 +279,43 @@ class PriorityPush(Protocol):
         return st.slot >= (st.k - 1) * self.spacing and bool((st.arrivals[:, -1] >= 0).all())
 
 
-class Interleave(Protocol):
-    """The odd/even interleave schedule over n users.
+class Interleave(PriorityPush):
+    """Odd slots are the push channel, priority push with spacing 2: the
+    source injects piece (t + 1) / 2, capped at k, and every other user
+    relays the highest piece it got on the push channel, its relay memory,
+    picked by a per-user ``act``.  Even slots are the pull channel,
+    sequential pull, and leave the memory alone: a pulled piece is never
+    relayed.  Complete users idle on the pull channel but still serve."""
 
-    Odd slots are the push channel: in slot t the source injects piece
-    (t + 1) / 2, capped at k (``spacing`` 2), while every other user
-    relays the highest piece it has ever received on the push channel,
-    idling until the channel first reaches it.  Even slots are the pull
-    channel, run as sequential pull: each user asks its contact for its
-    lowest missing piece if the contact holds it; complete users idle (but
-    still serve).  ``relayed[u]`` is user u's highest push-channel piece, 0
-    before the first; pushes are never refused, so it takes in an odd
-    slot's pushes once all have acted.
-    """
-
-    kind = PUSH
-    spacing = 2
-
-    def __init__(self, n: int):
-        self.relayed = array("q", bytes(8 * n))
+    def __init__(self):
+        super().__init__(2)
 
     def __call__(self, st, slot: int):
-        if not slot & 1:
-            return _PULL_CHANNEL(st, slot)
-        pushes, pulls = super().__call__(st, slot)
-        np.maximum.at(np.frombuffer(self.relayed, np.int64), pushes[:, 1], pushes[:, 2])
-        return pushes, pulls
+        if slot & 1:
+            return super().__call__(st, slot)
+        return _PULL_CHANNEL(st, slot)
 
-    def act(self, st, user: int, target: int, slot: int):
+    def picks(self, st, slot: int, targets) -> np.ndarray:
+        acts = map(self.act, repeat(st), range(st.n), targets.tolist(), repeat(slot))
+        return np.fromiter(acts, np.int64, st.n)
+
+    def act(self, st, user: int, target: int, slot: int) -> int:
         if user == st.source:
             return self.source_piece(slot, st.k)
         return self.relayed[user]
 
     def settled(self, st, events) -> bool:
         """Tested under fixed lists (uniform contacts always complete) after
-        a pull slot that granted no pull, from slot 2(k - 1) on.  The source
-        then pushes k and the others their relay memory, a maximum of pushed
-        pieces: no push is new if all hold k and every relayed piece, and no
-        pull is made if no user's pull act asks any listed contact for a
-        piece; by induction no holding ever changes."""
-        if st.contact_lists is None or st.slot & 1 or events.pulls or st.slot < 2 * (st.k - 1):
+        a pull slot that granted no pull, once priority push would settle:
+        from slot 2(k - 1) on the source pushes k, all hold k, and the
+        others push their relay memory, a maximum of pushed pieces.  No
+        push is new if all hold every relayed piece too, and no pull is
+        made if no user's pull act asks any listed contact for a piece; by
+        induction no holding ever changes."""
+        if st.slot & 1 or events.pulls or not st.contact_lists or not super().settled(st, events):
             return False
         held = reduce(and_, st.pieces)  # the pieces every user holds
-        if not held >> st.k - 1 or any(p and not held >> p - 1 & 1 for p in set(self.relayed)):
+        if any(p and not held >> p - 1 & 1 for p in set(self.relayed)):
             return False
         act = _PULL_CHANNEL.act
         return not any(
@@ -353,6 +342,7 @@ _PROTOCOLS = {
     SEQUENTIAL_PULL: SequentialPull,
     RANDOM_PUSH: RandomPush,
     ADVOCATE: Advocate,
+    INTERLEAVE: Interleave,
 }
 
 
@@ -361,8 +351,6 @@ def make_protocol(config: SimulationConfig) -> Protocol:
     pid = config.protocol
     if pid == PRIORITY_PUSH:
         return PriorityPush(config.spacing)
-    if pid == INTERLEAVE:
-        return Interleave(config.n)
     try:
         return _PROTOCOLS[pid]()
     except KeyError:

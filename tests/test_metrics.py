@@ -160,7 +160,7 @@ def test_failed_pieces_hand_case():
 
 def test_failed_pieces_window_is_epsilon_sensitive():
     # piece 2 picks up its 5th holder at slot 9 — inside the wide window
-    # (epsilon=2.0 -> floor(6 log2 8) = 18 slots) but outside the tight one
+    # (epsilon=0.9 -> floor(3.8 log2 8) = 11 slots) but outside the tight one
     # (epsilon=0.1 -> 6 slots after its slot-2 release)
     arrivals = [
         [0, 0],
@@ -173,7 +173,7 @@ def test_failed_pieces_window_is_epsilon_sensitive():
         [-1, -1],
     ]
     res = make_result(arrivals, release_slots=[1, 2], slots=12)
-    assert g.failed_pieces(res, epsilon=2.0) == []
+    assert g.failed_pieces(res, epsilon=0.9) == []
     assert g.failed_pieces(res, epsilon=0.1) == [2]
 
 
@@ -270,7 +270,28 @@ def scheduled_runs(draw):
 )
 def test_reach_metrics_match_the_per_piece_loop(res, epsilon, fraction, window):
     assert g.failed_pieces(res, epsilon=epsilon) == loop_failed_pieces(res, epsilon)
-    assert g.pieces_reached(res, fraction, window) == loop_pieces_reached(res, fraction, window)
+    if window < 0:
+        with pytest.raises(g.ConfigError, match="window"):
+            g.pieces_reached(res, fraction, window)
+    else:
+        assert g.pieces_reached(res, fraction, window) == loop_pieces_reached(res, fraction, window)
+
+
+@pytest.mark.parametrize("epsilon", [-2.0, 0, 0.0, 1, 1.5, math.nan, math.inf, True, "0.1"])
+def test_failed_pieces_refuses_an_epsilon_outside_the_open_unit_interval(epsilon):
+    # the range config.validate gives the same field
+    res = g.run(g.SimulationConfig(n=32, k=16, protocol=g.PRIORITY_PUSH, max_slots=40))
+    with pytest.raises(g.ConfigError, match=r"epsilon: need a number in \(0, 1\)"):
+        g.failed_pieces(res, epsilon)
+
+
+@pytest.mark.parametrize("window", [-5, -0.5, math.nan, math.inf, None, True])
+def test_pieces_reached_refuses_a_window_outside_zero_to_infinity(window):
+    res = g.run(g.SimulationConfig(n=32, k=16, protocol=g.PRIORITY_PUSH, max_slots=40))
+    with pytest.raises(g.ConfigError, match=r"window: need a number in \[0, inf\)"):
+        g.pieces_reached(res, 0.5, window)
+    # the fraction may put the bar below 0: every released piece meets it
+    assert g.pieces_reached(res, -1.0, 0) == 1.0
 
 
 # ----------------------------------------------------------------- occupancy

@@ -20,11 +20,9 @@ from gossipsim.bitset import from_pieces, full_mask, random_piece
 from gossipsim.engine import SlotEvents, SystemState, init_state, step_slot
 from gossipsim.protocols import (
     NO_PUSHES,
-    PUSH,
     Advocate,
     Interleave,
     PriorityPush,
-    Protocol,
     RandomPull,
     RandomPush,
     SequentialPull,
@@ -80,7 +78,7 @@ def assert_uniform(counts, support, times):
     assert stats.chisquare([counts[p] for p in support]).pvalue > 1e-3
 
 
-class RecordContacts(Protocol):
+class RecordContacts(SequentialPull):
     """Idles every user and records each ``(user, contact)`` that the
     batch draw gives the per-user rule ``act``."""
 
@@ -212,7 +210,7 @@ def reference_slot(protocol, st, slot):
         p = bits and random_piece(bits, st.rng)
         if p and (rule is not RandomPull or st.pieces[t] >> p - 1 & 1):
             picked.append((u, t, p))
-    return ((picked, []) if protocol.kind == PUSH else ([], picked)), drew
+    return ((picked, []) if rule is RandomPush else ([], picked)), drew
 
 
 def checked_against_the_reference(protocol, drew=None):
@@ -437,8 +435,8 @@ def test_priority_push_non_source_pushes_highest():
 def interleave_with(relay):
     """An interleave protocol whose relay memory is `relay`: `relay[u]` is
     the highest piece user u got on the push channel, 0 for none yet."""
-    interleave = Interleave(len(relay))
-    interleave.relayed[:] = array("q", relay)
+    interleave = Interleave()
+    interleave.relayed = array("q", relay)
     return interleave
 
 
@@ -487,7 +485,8 @@ def test_interleave_relay_memory_is_the_highest_odd_slot_push():
             cfg = g.SimulationConfig(n=12, k=10, protocol=g.INTERLEAVE, seed=seed, **overrides)
             st = init_state(cfg)
             interleave = make_protocol(cfg)
-            highest = [0] * cfg.n
+            # the memory starts from the holdings: the source's entry is k
+            highest = [have.bit_length() for have in st.pieces]
             while st.num_complete < st.n and st.slot < cfg.effective_max_slots():
                 for e in step_slot(st, interleave):
                     if e.slot & 1:

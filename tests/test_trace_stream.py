@@ -86,6 +86,15 @@ def test_run_hands_each_chunk_to_the_sink():
     assert list(engine.Trace()) == []
 
 
+def test_run_refuses_a_sink_without_a_trace():
+    # an untraced run formats no text, so a sink would never be called
+    config = g.SimulationConfig(n=8, k=4, protocol=g.INTERLEAVE, seed=8)
+    chunks = []
+    with pytest.raises(ValueError, match="record_trace"):
+        g.run(config, sink=chunks.append)
+    assert chunks == []
+
+
 def sim_yaml(tmp_path, **fields) -> str:
     config = g.SimulationConfig(**{"n": 16, "k": 8, "protocol": g.INTERLEAVE, "seed": 5, **fields})
     return write_config(tmp_path / "run.yaml", config)
