@@ -115,12 +115,15 @@ def pieces_reached(result: RunResult, fraction: float, window: float) -> float:
     """Fraction of pieces reaching ``ceil(fraction * n)`` users within
     ``floor(window)`` slots of their release; unreleased pieces count as
     not reaching.  Only defined for source-scheduled protocols; a `window`
-    outside [0, inf) is refused."""
+    outside [0, inf) is refused, and so is a `fraction` that is NaN or not
+    a number."""
+    check_range("fraction", fraction, float, -math.inf, math.inf, "[]")
     check_range("window", window, float, 0, math.inf, "[)")
     n, k = result.arrivals.shape
     holders = _holders_within(result, math.floor(window))
-    # A bar below 0 is met by every released piece and by no unreleased one.
-    need = max(math.ceil(fraction * n), 0)
+    # A bar below 0 is met by every released piece and by no unreleased
+    # one; a bar above n, +inf included, by none.
+    need = math.ceil(min(max(fraction * n, 0), n + 1))
     return int((holders >= need).sum()) / k
 
 

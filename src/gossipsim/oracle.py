@@ -52,9 +52,11 @@ def gossip_mean_map(y, n: int):
     relative even for n in the millions.  Accepts scalars or arrays.
     """
     check_range("n", n, int, 2, math.inf, "[)")
-    arr = np.asarray(y, dtype=float)
-    if np.any(arr < 1.0) or np.any(arr > n):
+    arr = np.asarray(y)
+    # a bool, a string or a NaN is no count of users
+    if arr.dtype.kind not in "iuf" or not np.all((arr >= 1) & (arr <= n)):
         raise ConfigError(f"y: need values in [1, n], got {y!r}")
+    arr = arr.astype(float)
     miss = np.exp(arr * math.log1p(-1.0 / n))
     out = arr + (n - arr) * (1.0 - miss)
     return float(out) if out.ndim == 0 else out
@@ -86,6 +88,8 @@ def classical_gossip_sample(
     starting at 1, ending at n (or truncated at max_rounds).
     """
     check_range("n", n, int, 2, math.inf, "[)")
+    if max_rounds is not None:
+        check_range("max_rounds", max_rounds, int, 0, math.inf, "[)")
     informed = np.zeros(n, dtype=bool)
     informed[0] = True
     counts = [1]
@@ -110,6 +114,7 @@ def geo_sum_sample(n: int, k: int, rng: np.random.Generator) -> int:
     probability i/n, so the climb is a sum of independent geometric
     failure counts with success probabilities 1/n, 2/n, .., k/n.
     """
+    check_range("n", n, int, 1, math.inf, "[)")
     check_range("k", k, int, 1, n, "[]")
     trials = rng.geometric(np.arange(1, k + 1) / n)  # support {1, 2, ...}
     return int(trials.sum()) - k
@@ -117,6 +122,7 @@ def geo_sum_sample(n: int, k: int, rng: np.random.Generator) -> int:
 
 def geo_sum_mean(n: int, k: int) -> float:
     """Exact mean of B_k: sum over i of (1 - i/n) / (i/n)."""
+    check_range("n", n, int, 1, math.inf, "[)")
     check_range("k", k, int, 1, n, "[]")
     return sum((n - i) / i for i in range(1, k + 1))
 
@@ -124,6 +130,7 @@ def geo_sum_mean(n: int, k: int) -> float:
 def geo_sum_tail(n: int, k: int, eps: float) -> float:
     """Bound on B_k falling a (1 - eps) factor below its typical value:
     2 exp(-k n^{-(1-eps)}), vanishing whenever k is polynomial in n."""
+    check_range("n", n, int, 1, math.inf, "[)")
     check_range("eps", eps, float, 0, 1, "()")
     check_range("k", k, int, 1, n, "[]")
     return 2.0 * math.exp(-k * n ** (eps - 1.0))

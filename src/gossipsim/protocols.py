@@ -1,4 +1,4 @@
-"""Piece-selection policies, one :class:`Protocol` subclass per protocol.
+"""Piece-selection policies, one class per slot shape.
 
 Calling a protocol, ``protocol(st, slot)``, runs one slot: from the holdings
 at its start, each user draws a contact and picks a piece to push to it or
@@ -7,15 +7,15 @@ request from it, or idles.  It returns ``(pushes, pull_requests)``: an
 piece)`` rows.  A pull rule asks only for a piece its contact holds, and a
 slot either pushes or pulls, so the engine only arbitrates the requests.
 
-Random pull, random push and advocate run one draw-and-pick loop, with the
-random piece selected inline; sequential pull applies a per-user ``act``;
-priority push runs on columns, with the source schedule and the relay
-memory.  Interleave is priority push in odd slots, its picks made by a
-per-user ``act``, and sequential pull in even ones.  The PRNG is consumed in
-user order: per user, one contact draw and then that user's piece draws.
-A slot that draws no piece draws all n contacts at once with
-:func:`uniforms`, which consumes exactly the words of n ``rng.random()``
-calls, so both ways leave the same stream.
+:class:`DrawAndPick` runs random pull, random push and advocate in one
+draw-and-pick loop, with the random piece selected inline; sequential pull
+applies a per-user ``act``; priority push runs on columns, with the source
+schedule and the relay memory.  Interleave is priority push in odd slots,
+its picks made by a per-user ``act``, and sequential pull in even ones.
+The PRNG is consumed in user order: per user, one contact draw and then
+that user's piece draws.  A slot that draws no piece draws all n contacts
+at once with :func:`uniforms`, which consumes exactly the words of n
+``rng.random()`` calls, so both ways leave the same stream.
 """
 
 from __future__ import annotations
@@ -32,10 +32,12 @@ from .config import (
     ADVOCATE,
     INTERLEAVE,
     PRIORITY_PUSH,
+    PROTOCOLS,
     RANDOM_PULL,
     RANDOM_PUSH,
     SEQUENTIAL_PULL,
     SimulationConfig,
+    check_choice,
 )
 
 __all__ = [
@@ -43,12 +45,10 @@ __all__ = [
     "PULL",
     "NO_PUSHES",
     "Protocol",
-    "RandomPull",
+    "DrawAndPick",
     "SequentialPull",
-    "RandomPush",
     "PriorityPush",
     "Interleave",
-    "Advocate",
     "make_protocol",
     "uniforms",
     "draw_contacts",
@@ -136,16 +136,25 @@ class Protocol:
         return False
 
 
-class _DrawAndPick(Protocol):
-    """The random-piece rules' slot, user by user: a contact draw, then a
-    piece of the ``rule``'s set (missing, held, or advocate's), selected
-    with the draws of :func:`~gossipsim.bitset.random_piece`, written out
-    so that no call is made per user; an empty set idles."""
+class DrawAndPick(Protocol):
+    """Random pull, random push and advocate, by ``rule``: the set a piece
+    is drawn from.  Random pull requests a uniformly random missing piece
+    if the contact holds it; random push pushes a uniformly random held
+    piece; advocate requests the contact's own initial piece whenever the
+    requester is missing it, else a uniformly random piece the contact has
+    and it lacks.  User by user: a contact draw, then a piece of the set,
+    selected with the draws of :func:`~gossipsim.bitset.random_piece`,
+    written out so that no call is made per user; an empty set idles."""
+
+    def __init__(self, rule: str):
+        check_choice("rule", rule, (RANDOM_PULL, RANDOM_PUSH, ADVOCATE))
+        self.rule = rule
+        self.pull, self.push = rule == RANDOM_PULL, rule == RANDOM_PUSH
 
     def __call__(self, st, slot: int):
         rnd = st.rng.random
         pieces, mask, lists, others = st.pieces, st.mask, st.contact_lists, st.n - 1
-        pull, push = self.rule == RANDOM_PULL, self.rule == RANDOM_PUSH
+        pull, push = self.pull, self.push
         picked = []
         add = picked.append
         # int(x * m) < m, so no index needs a guard (see draw_contacts)
@@ -199,12 +208,6 @@ class _DrawAndPick(Protocol):
         return rows.reshape(-1, 3), []
 
 
-class RandomPull(_DrawAndPick):
-    """Each user requests a uniformly random missing piece if its contact holds it."""
-
-    rule = RANDOM_PULL
-
-
 class SequentialPull(Protocol):
     """Each user requests its lowest-numbered missing piece if its contact
     holds it: the contacts are drawn in one batch, then ``act`` is applied
@@ -220,12 +223,6 @@ class SequentialPull(Protocol):
         # the lowest missing piece's bit: for a complete user bit k, which
         # nobody holds
         return (st.pieces[target] & ~have & (have + 1)).bit_length()
-
-
-class RandomPush(_DrawAndPick):
-    """Each user holding anything pushes a uniformly random held piece."""
-
-    rule = RANDOM_PUSH
 
 
 class PriorityPush(Protocol):
@@ -326,32 +323,14 @@ class Interleave(PriorityPush):
 _PULL_CHANNEL = SequentialPull()
 
 
-class Advocate(_DrawAndPick):
-    """Pull under the initial-piece advocacy rule.
-
-    The contact's own initial piece takes priority whenever the requester
-    is missing it; otherwise the requester pulls a uniformly random piece
-    the contact has and it lacks, idling if there is none.
-    """
-
-    rule = ADVOCATE
-
-
-_PROTOCOLS = {
-    RANDOM_PULL: RandomPull,
-    SEQUENTIAL_PULL: SequentialPull,
-    RANDOM_PUSH: RandomPush,
-    ADVOCATE: Advocate,
-    INTERLEAVE: Interleave,
-}
-
-
 def make_protocol(config: SimulationConfig) -> Protocol:
-    """Instantiate the protocol named by the config."""
+    """The protocol the config names; a ConfigError naming ``protocol`` if none."""
     pid = config.protocol
+    check_choice("protocol", pid, PROTOCOLS)
     if pid == PRIORITY_PUSH:
         return PriorityPush(config.spacing)
-    try:
-        return _PROTOCOLS[pid]()
-    except KeyError:
-        raise ValueError(f"unknown protocol id {pid!r}") from None
+    if pid == SEQUENTIAL_PULL:
+        return SequentialPull()
+    if pid == INTERLEAVE:
+        return Interleave()
+    return DrawAndPick(pid)

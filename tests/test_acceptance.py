@@ -7,14 +7,15 @@ plain pytest run yields a criterion-by-criterion scoreboard.  All runs
 are seeded from one master constant; the suite is fully deterministic.
 
 Criteria 4, 5 and 7 check the paper's statements at the sizes they run:
-advocate finishes within the thm7 band n - 1 <= T <= n + O(ln n), with the
-cell means of (T - n)/log2 n level across n; random pull stays above the
-thm1 lower bound, of order k ln n, and falls further behind the ideal
-k + log2 n as n grows; sampled single-message push gossip concentrates
-around the deterministic mean-map curve.  Their clauses live in pure helpers
-(``_advocate_clauses``, ``_pull_clauses``, ``_gossip_clauses``), and the
-control tests at the end feed each helper synthetic data of the measured
-shape, which must pass, and of a shape the paper rules out, which must fail.
+advocate, soft, finishes within the thm7 band n - 1 <= T <= n + O(ln n),
+with the cell means of (T - n)/log2 n level across n; random pull stays
+above the thm1 lower bound, of order k ln n, and falls further behind the
+ideal k + log2 n as n grows; sampled single-message push gossip
+concentrates around the deterministic mean-map curve.  Their clauses live
+in pure helpers (``_advocate_clauses``, ``_pull_clauses``,
+``_gossip_clauses``), and the control tests at the end feed each helper
+synthetic data of the measured shape, which must pass, and of a shape the
+paper rules out, which must fail.
 
 The run grids of criteria 1 to 6 are planned and run like any sweep, by
 ``sweep.plan`` and ``sweep.execute`` on a process pool of one worker per
@@ -152,6 +153,11 @@ def _advocate_clauses(slots: dict) -> dict:
     * trend: the cell means of (T - n)/log2 n over the completed runs span
       at most 1.  An O(log n) excess keeps them level whatever its sign; an
       excess growing like sqrt(n) spreads them by about 1.6 over 128..1024.
+
+    thm7 is reproduced only under the soft constraint, which the criterion
+    runs.  Under the hard constraint advocate takes about 1.67n slots: with
+    5 seeds at each n = k from 32 to 512, the largest (T - n)/ln n rose
+    from 6.9 to 55.9.
     """
     floor, ceiling, means = [], [], {}
     for n, ts in slots.items():

@@ -294,6 +294,21 @@ def test_pieces_reached_refuses_a_window_outside_zero_to_infinity(window):
     assert g.pieces_reached(res, -1.0, 0) == 1.0
 
 
+@pytest.mark.parametrize("fraction", [math.nan, True, "0.5", None])
+def test_pieces_reached_refuses_a_fraction_that_is_nan_or_not_a_number(fraction):
+    res = g.run(g.SimulationConfig(n=32, k=16, protocol=g.PRIORITY_PUSH, max_slots=40))
+    with pytest.raises(g.ConfigError, match=r"^fraction: need a number in \[-inf, inf\]"):
+        g.pieces_reached(res, fraction, 3)
+
+
+def test_pieces_reached_reads_an_infinite_fraction_as_any_past_its_end():
+    # 8 of the 16 pieces are released by the cap: -inf, like any bar below
+    # 0, counts those 8; +inf, like any fraction above 1, counts none
+    res = g.run(g.SimulationConfig(n=32, k=16, protocol=g.PRIORITY_PUSH, max_slots=8))
+    assert g.pieces_reached(res, -math.inf, 3) == g.pieces_reached(res, -1.0, 3) == 0.5
+    assert g.pieces_reached(res, math.inf, 3) == g.pieces_reached(res, 1.5, 3) == 0.0
+
+
 # ----------------------------------------------------------------- occupancy
 
 

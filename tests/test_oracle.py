@@ -51,6 +51,13 @@ def test_mean_map_rejects_out_of_range():
         gossip_mean_map(1, 1)
 
 
+@pytest.mark.parametrize("y", ["3", True, [1, "2"], math.nan, [2.0, math.nan]])
+def test_mean_map_refuses_a_y_that_is_not_a_count(y):
+    # strings and bools are not converted, and NaN lies in no range
+    with pytest.raises(ConfigError, match=r"^y: need values in \[1, n\]"):
+        gossip_mean_map(y, 10)
+
+
 def test_mean_map_range_is_contained():
     # G maps [1, n] into [2 - 1/n, n]
     for n in (10, 1000, 10**6):
@@ -126,6 +133,14 @@ def test_classical_sampler_respects_max_rounds():
     assert len(ys) == 6
 
 
+@pytest.mark.parametrize("max_rounds", [-3, 2.5, True, "5"])
+def test_classical_sampler_refuses_max_rounds_outside_zero_to_infinity(max_rounds):
+    rng = np.random.default_rng(7)
+    with pytest.raises(ConfigError, match=r"^max_rounds: need an integer in \[0, inf\)"):
+        classical_gossip_sample(10, rng, max_rounds=max_rounds)
+    assert classical_gossip_sample(10, rng, max_rounds=0) == [1]
+
+
 # ------------------------------------------------------------------- geo sums
 
 
@@ -152,6 +167,27 @@ def test_geo_sum_mean_matches_closed_form():
     # within 2% of the expectation (and comfortably within 3 standard errors)
     assert abs(samples.mean() - expected) / expected < 0.02
     assert abs(samples.mean() - expected) < 3 * samples.std() / 99.5
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: geo_sum_mean(2.5, 2),
+        lambda: geo_sum_mean(True, 1),
+        lambda: geo_sum_mean(math.inf, 3),
+        lambda: geo_sum_mean(0, 1),
+        lambda: geo_sum_sample(2.0, 1, np.random.default_rng(0)),
+        lambda: geo_sum_tail(math.nan, 3, 0.5),
+        lambda: geo_sum_tail("1000", 145, 0.5),
+    ],
+    ids=[
+        "mean-float", "mean-bool", "mean-inf", "mean-zero", "sample-float", "tail-nan", "tail-text",
+    ],
+)
+def test_geo_sums_refuse_an_n_that_is_not_a_positive_integer(call):
+    # n is checked first, so a bad n is never blamed on k
+    with pytest.raises(ConfigError, match=r"^n: need an integer in \[1, inf\)"):
+        call()
 
 
 def test_geo_sum_tail_values():

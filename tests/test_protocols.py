@@ -20,21 +20,19 @@ from gossipsim.bitset import from_pieces, full_mask, random_piece
 from gossipsim.engine import SlotEvents, SystemState, init_state, step_slot
 from gossipsim.protocols import (
     NO_PUSHES,
-    Advocate,
+    DrawAndPick,
     Interleave,
     PriorityPush,
-    RandomPull,
-    RandomPush,
     SequentialPull,
     draw_contacts,
     make_protocol,
     uniforms,
 )
 
-random_pull = RandomPull()
+random_pull = DrawAndPick(g.RANDOM_PULL)
 sequential_pull = SequentialPull()
-random_push = RandomPush()
-advocate = Advocate()
+random_push = DrawAndPick(g.RANDOM_PUSH)
+advocate = DrawAndPick(g.ADVOCATE)
 
 
 def state(holdings, k, targets, seed=0, **extra):
@@ -193,24 +191,23 @@ def reference_slot(protocol, st, slot):
     is not empty; advocate first takes the contact's initial piece without
     a draw.  Priority push draws every contact first, its source's over
     the whole network, and each other user pushes its highest piece."""
-    rule = type(protocol)
-    if rule is PriorityPush:
+    if type(protocol) is PriorityPush:
         contacts = reference_contacts(st, True)
         picks = [have.bit_length() for have in st.pieces]
         picks[st.source] = protocol.source_piece(slot, st.k)
         return ([(u, t, p) for u, (t, p) in enumerate(zip(contacts, picks)) if p], []), list(range(st.n))
-    picked, drew = [], []
+    rule, picked, drew = protocol.rule, [], []
     for u, have in enumerate(st.pieces):
         t = reference_contact(st, u)
         drew.append(u)
-        if rule is Advocate and not have >> t & 1:
+        if rule == g.ADVOCATE and not have >> t & 1:
             picked.append((u, t, t + 1))
             continue
-        bits = {RandomPull: st.mask ^ have, RandomPush: have, Advocate: st.pieces[t] & ~have}[rule]
+        bits = {g.RANDOM_PULL: st.mask ^ have, g.RANDOM_PUSH: have, g.ADVOCATE: st.pieces[t] & ~have}[rule]
         p = bits and random_piece(bits, st.rng)
-        if p and (rule is not RandomPull or st.pieces[t] >> p - 1 & 1):
+        if p and (rule != g.RANDOM_PULL or st.pieces[t] >> p - 1 & 1):
             picked.append((u, t, p))
-    return ((picked, []) if rule is RandomPush else ([], picked)), drew
+    return ((picked, []) if rule == g.RANDOM_PUSH else ([], picked)), drew
 
 
 def checked_against_the_reference(protocol, drew=None):
@@ -587,10 +584,23 @@ def test_interleave_slot_parity_drives_channel(slot, released):
 
 
 def test_make_protocol_returns_the_named_protocol():
-    assert type(make_protocol(g.SimulationConfig(n=2, k=6, protocol=g.RANDOM_PULL))) is RandomPull
+    for pid in (g.RANDOM_PULL, g.RANDOM_PUSH, g.ADVOCATE):
+        protocol = make_protocol(g.SimulationConfig(n=2, k=6, protocol=pid))
+        assert type(protocol) is DrawAndPick and protocol.rule == pid
+    for pid, kind in ((g.SEQUENTIAL_PULL, SequentialPull), (g.INTERLEAVE, Interleave)):
+        assert type(make_protocol(g.SimulationConfig(n=2, k=6, protocol=pid))) is kind
     spaced = make_protocol(g.SimulationConfig(n=2, k=6, protocol=g.PRIORITY_PUSH, spacing=2))
     st = state([range(1, 7), []], 6, [1, 0])
     assert uploads(spaced(st, 3)) == ([(0, 1, 2)], [])
+
+
+def test_make_protocol_refuses_an_unknown_id_naming_protocol():
+    cfg = g.SimulationConfig(n=2, k=6, protocol="flooding")
+    with pytest.raises(g.ConfigError, match=r"^protocol: .*'flooding'"):
+        make_protocol(cfg)
+    for rule in (g.SEQUENTIAL_PULL, g.PRIORITY_PUSH, g.INTERLEAVE, "flooding"):
+        with pytest.raises(g.ConfigError, match=r"^rule: "):
+            DrawAndPick(rule)
 
 
 def run_slots(cfg, slot_call=None):
