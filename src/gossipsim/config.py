@@ -122,6 +122,21 @@ def check_choice(name: str, value, choices: tuple) -> None:
         raise ConfigError(f"{name}: need one of {choices}, got {value!r}")
 
 
+def check_keys(where: str, data, known, required=()) -> Mapping:
+    """`data`, if it is a mapping with every key in `known` and every name in
+    `required`; else a :class:`ConfigError` ``<where>: need a mapping, got
+    <type>``, ``…: unknown keys [...]; known: [...]`` or ``…: missing keys [...]``."""
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"{where}: need a mapping, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(known), key=str)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}; known: {sorted(known)}")
+    missing = [name for name in required if name not in data]
+    if missing:
+        raise ConfigError(f"{where}: missing keys {missing}")
+    return data
+
+
 @dataclass
 class SimulationConfig:
     """Complete description of one simulation run."""
@@ -211,26 +226,17 @@ class SimulationConfig:
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, Any], where: str = "config") -> "SimulationConfig":
-        """Build and validate a config from a plain mapping.
-
-        Unknown keys are rejected so that typos fail loudly instead of
-        silently running the defaults.
-        """
-        if not isinstance(data, Mapping):
-            raise ConfigError(f"{where}: expected a mapping, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(f"{where}: unknown keys {unknown}")
-        missing = [name for name in ("n", "k", "protocol") if name not in data]
-        if missing:
-            raise ConfigError(f"{where}: missing required keys {missing}")
-        config = cls(**dict(data))
+        """Build and validate a config from a plain mapping; an unknown key
+        is refused, so that a typo does not silently run the default."""
+        config = cls(**check_keys(where, data, CONFIG_FIELDS, ("n", "k", "protocol")))
         try:
             config.validate()
         except ConfigError as exc:
             raise ConfigError(f"{where}: {exc}") from None
         return config
+
+
+CONFIG_FIELDS = tuple(f.name for f in fields(SimulationConfig))
 
 
 def read_versioned_yaml(path: str | Path) -> dict:

@@ -30,19 +30,24 @@ __all__ = [
 FAILURE_FRACTION = math.e / 5
 
 
-@dataclass
+@dataclass(eq=False)
 class DelayProfile:
     """Cumulative per-pair delay distribution.
 
     ``at(d)`` is the fraction of all n*k (user, piece) pairs whose piece
     arrived within d slots of the piece first becoming available anywhere —
     pairs endowed at slot 0 count as delay 0, and pairs never served
-    contribute 0 at every d.
+    contribute 0 at every d.  Two profiles are equal when their values are.
     """
 
     cumulative: np.ndarray  # cumulative[d] = D(d); final entry = limit
 
+    def __eq__(self, other):
+        return type(other) is DelayProfile and np.array_equal(self.cumulative, other.cumulative)
+
     def at(self, d: int) -> float:
+        if type(d) is not int:  # the type test first keeps an int's call cheap
+            check_range("d", d, int, -math.inf, math.inf, "()")
         if d < 0:
             return 0.0
         if d >= len(self.cumulative):
@@ -127,14 +132,21 @@ def pieces_reached(result: RunResult, fraction: float, window: float) -> float:
     return int((holders >= need).sum()) / k
 
 
-@dataclass
+@dataclass(eq=False)
 class OccupancySeries:
-    """Holders of one piece at the end of each slot, to its last arrival."""
+    """Holders of one piece at the end of each slot, to its last arrival.
+    Two series are equal when their piece and their counts are."""
 
     piece: int
     counts: np.ndarray  # counts[t] = holders at end of slot t; t = 0..last arrival
 
+    def __eq__(self, other):
+        same = type(other) is OccupancySeries and self.piece == other.piece
+        return same and np.array_equal(self.counts, other.counts)
+
     def at(self, t: int) -> int:
+        if type(t) is not int:
+            check_range("t", t, int, -math.inf, math.inf, "()")
         if t < 0:
             return 0
         if t >= len(self.counts):

@@ -25,6 +25,8 @@ from .config import (
     SOFT,
     UNIFORM,
     ConfigError,
+    check_choice,
+    check_keys,
     check_range,
 )
 
@@ -53,8 +55,14 @@ def gossip_mean_map(y, n: int):
     """
     check_range("n", n, int, 2, math.inf, "[)")
     arr = np.asarray(y)
-    # a bool, a string or a NaN is no count of users
-    if arr.dtype.kind not in "iuf" or not np.all((arr >= 1) & (arr <= n)):
+    # a bool, a string or a NaN is no count of users, nor a bool in a list,
+    # which numpy reads as 0 or 1
+    listed = () if isinstance(y, np.ndarray) else np.asarray(y, dtype=object).flat
+    if (
+        arr.dtype.kind not in "iuf"
+        or any(isinstance(v, (bool, np.bool_)) for v in listed)
+        or not np.all((arr >= 1) & (arr <= n))
+    ):
         raise ConfigError(f"y: need values in [1, n], got {y!r}")
     arr = arr.astype(float)
     miss = np.exp(arr * math.log1p(-1.0 / n))
@@ -140,12 +148,13 @@ def geo_sum_tail(n: int, k: int, eps: float) -> float:
 # `sweep.reach_summary`), so the coverage pair is checked at it only.
 REACH_DELTA = 0.08
 
-# Parameter ranges: (low, high, brackets), where "(" and ")" exclude an end.
-_N = (2, math.inf, "[)")
-_K = (1, math.inf, "[)")
-_POSITIVE = (0, math.inf, "()")
-_OPEN_UNIT = (0, 1, "()")
-_HALF_OPEN_UNIT = (0, 1, "(]")
+# Parameter ranges: (kind, low, high, brackets), the arguments of
+# `config.check_range`: counts are integers, the rest numbers.
+_N = (int, 2, math.inf, "[)")
+_K = (int, 1, math.inf, "[)")
+_POSITIVE = (float, 0, math.inf, "()")
+_OPEN_UNIT = (float, 0, 1, "()")
+_HALF_OPEN_UNIT = (float, 0, 1, "(]")
 
 
 def _pull_lower(n, k, beta, eps):
@@ -167,7 +176,7 @@ _UNIFORM = (UNIFORM,)
 #   kind     -- "lower" or "upper" on completion slots, or "pair" for a
 #               (coverage fraction, slot window) guarantee
 #   fn       -- the bound, called with one keyword per parameter
-#   params   -- each parameter's range
+#   params   -- each parameter's kind and range
 #   defaults -- the values `verify` uses for parameters not given
 #   columns  -- the run column each remaining parameter is read from
 #   applies  -- the run values the theorem's hypotheses allow
@@ -263,33 +272,25 @@ THEOREMS = {
 
 def theorem_entry(theorem: str) -> dict:
     """The catalog entry of `theorem`; an unknown id is a :class:`ConfigError`."""
-    entry = THEOREMS.get(theorem)
-    if entry is None:
-        raise ConfigError(f"unknown theorem id {theorem!r}; known: {sorted(THEOREMS)}")
-    return entry
+    check_choice("theorem", theorem, tuple(THEOREMS))
+    return THEOREMS[theorem]
 
 
-def check_params(theorem: str, params: dict) -> None:
-    """Refuse a parameter `theorem` does not take, then each given one
-    outside its catalog range, in catalog order."""
+def check_params(theorem: str, params: dict, required=()) -> None:
+    """Refuse a parameter `theorem` does not take or a `required` one that
+    is missing, then each given one outside its catalog range, in catalog
+    order."""
     ranges = theorem_entry(theorem)["params"]
-    for name in params:
-        if name not in ranges:
-            raise ConfigError(f"{theorem}: takes no parameter {name!r}; takes {sorted(ranges)}")
-    for name, (lo, hi, brackets) in ranges.items():
+    check_keys(theorem, params, ranges, required)
+    for name, rng in ranges.items():
         if name in params:
-            check_range(f"{theorem}: {name}", params[name], float, lo, hi, brackets)
+            check_range(f"{theorem}: {name}", params[name], *rng)
 
 
 def bound_value(theorem: str, **params):
-    """Evaluate one catalog entry; returns a float, or a pair for a "pair" kind.
-
-    Raises :class:`ConfigError` for an unknown id, and for a parameter that
-    is not one the theorem takes, outside its range, or missing.
-    """
-    check_params(theorem, params)
-    entry = THEOREMS[theorem]
-    for name in entry["params"]:
-        if name not in params:
-            raise ConfigError(f"{theorem}: missing parameter {name!r}")
+    """Evaluate one catalog entry: a float, or a pair for a "pair" kind.  An
+    unknown id, or a parameter the theorem does not take, missing or out of
+    its range, is a :class:`ConfigError`."""
+    entry = theorem_entry(theorem)
+    check_params(theorem, params, entry["params"])
     return entry["fn"](**params)

@@ -21,10 +21,12 @@ from statistics import fmean
 from typing import Any, Mapping
 
 from .config import (
+    CONFIG_FIELDS,
     PRIORITY_PUSH,
     SCHEMA_VERSION,
     ConfigError,
     SimulationConfig,
+    check_keys,
     check_range,
     read_versioned_yaml,
 )
@@ -133,14 +135,8 @@ class SweepSpec:
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, Any], where: str = "sweep") -> "SweepSpec":
-        if not isinstance(data, Mapping):
-            raise ConfigError(f"{where}: expected a mapping")
-        unknown = sorted(set(data) - {"base", "axes", "seeds", "master_seed"})
-        if unknown:
-            raise ConfigError(f"{where}: unknown keys {unknown}")
-        base = data.get("base")
-        if not isinstance(base, Mapping):
-            raise ConfigError(f"{where}: 'base' must be a mapping")
+        check_keys(where, data, ("base", "axes", "seeds", "master_seed"), ("base",))
+        base = check_keys(f"{where}: base", data["base"], CONFIG_FIELDS)
         if "seed" in base:
             raise ConfigError(
                 f"{where}: base.seed is not used: each run's seed is derived "
@@ -151,15 +147,9 @@ class SweepSpec:
                 f"{where}: base.record_trace is not used: a sweep writes no "
                 "trace; use 'simulate --trace' for one run's events"
             )
-        axes_raw = data.get("axes") or {}
-        if not isinstance(axes_raw, Mapping):
-            raise ConfigError(f"{where}: 'axes' must be a mapping of axis -> list")
         axes = []
+        axes_raw = check_keys(f"{where}: axes", data.get("axes", {}), AXIS_FIELDS)
         for name, values in axes_raw.items():
-            if name not in AXIS_FIELDS:
-                raise ConfigError(
-                    f"{where}: unknown axis {name!r}; known: {sorted(AXIS_FIELDS)}"
-                )
             if not isinstance(values, list) or not values:
                 raise ConfigError(f"{where}: axis {name!r} needs a non-empty list")
             for i, value in enumerate(values):

@@ -129,7 +129,7 @@ def _bound_params(entry: dict, row: dict, params: dict, run: str) -> dict:
     """The bound's parameters for one run: its columns, each in its range
     or a :class:`ConfigError` naming `run` and the column, then `params`."""
     ranges, columns = entry["params"], entry["columns"].items()
-    checked = {p: check_range(f"{run}: {c}", row[c], float, *ranges[p]) for p, c in columns}
+    checked = {p: check_range(f"{run}: {c}", row[c], *ranges[p]) for p, c in columns}
     return {**checked, **params}
 
 

@@ -1,5 +1,5 @@
 """Configuration validation and YAML loading, and the one rule every
-number from outside is checked by."""
+number, and every mapping, from outside is checked by."""
 
 import math
 import re
@@ -19,6 +19,7 @@ from gossipsim.config import (
     SCHEMA_VERSION,
     ConfigError,
     SimulationConfig,
+    check_keys,
     load_config,
 )
 from gossipsim.engine import build_contact_lists
@@ -221,3 +222,66 @@ def test_outside_numbers_are_refused_in_one_format(call, field):
     assert re.match(
         rf"{re.escape(field)}: need (an integer|a number) in [\[(]\S+, \S+[\])], got ", str(err.value)
     ), str(err.value)
+
+
+def test_check_keys_refuses_in_three_formats():
+    data = {"a": 1}
+    assert check_keys("x", data, ("a", "b"), ("a",)) is data
+    with pytest.raises(ConfigError, match=r"^x: need a mapping, got list$"):
+        check_keys("x", [("a", 1)], ("a", "b"))
+    with pytest.raises(ConfigError, match=r"^x: unknown keys \['c'\]; known: \['a', 'b'\]$"):
+        check_keys("x", {"a": 1, "c": 2}, ("a", "b"), ("b",))
+    with pytest.raises(ConfigError, match=r"^x: missing keys \['b'\]$"):
+        check_keys("x", data, ("a", "b"), ("a", "b"))
+    # a YAML key need not be a string; it is named as it was given
+    with pytest.raises(ConfigError, match=r"^x: unknown keys \[1, 'c'\]; known: "):
+        check_keys("x", {1: 0, "c": 0}, ("a",))
+
+
+RUN = {"n": 8, "k": 2, "protocol": RANDOM_PULL}
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SimulationConfig.from_mapping([8, 2]), "config: need a mapping, got list"),
+        (
+            lambda: SimulationConfig.from_mapping({**RUN, "sed": 1}),
+            "config: unknown keys ['sed']; known: ['constraint', ",
+        ),
+        (lambda: SimulationConfig.from_mapping({"n": 8}), "config: missing keys ['k', 'protocol']"),
+        (lambda: SweepSpec.from_mapping(5), "sweep: need a mapping, got int"),
+        (lambda: SweepSpec.from_mapping({"seed": 1}), "sweep: unknown keys ['seed']; known: "),
+        (lambda: SweepSpec.from_mapping({"axes": {}}), "sweep: missing keys ['base']"),
+        (lambda: SweepSpec.from_mapping({"base": None}), "sweep: base: need a mapping, got NoneType"),
+        # a base key is checked when the sweep loads, not when its cells are planned
+        (
+            lambda: SweepSpec.from_mapping({"base": {**RUN, "spacnig": 2}}),
+            "sweep: base: unknown keys ['spacnig']; known: ",
+        ),
+        (
+            lambda: SweepSpec.from_mapping({"base": RUN, "axes": [["n", [8]]]}),
+            "sweep: axes: need a mapping, got list",
+        ),
+        # an empty value is no mapping either: it does not stand for no axes
+        (lambda: SweepSpec.from_mapping({"base": RUN, "axes": 0}), "sweep: axes: need a mapping, got int"),
+        (
+            lambda: SweepSpec.from_mapping({"base": RUN, "axes": {"m": [2], "seed": [1]}}),
+            "sweep: axes: unknown keys ['seed']; known: ['constraint', 'eta', ",
+        ),
+        (
+            lambda: bound_value("thm6", n=64, k=32, eps=0.1, eta=0.5),
+            "thm6: unknown keys ['eta']; known: ['eps', 'k', 'n']",
+        ),
+        (lambda: bound_value("thm6", n=64, k=32), "thm6: missing keys ['eps']"),
+    ],
+    ids=[
+        "config-list", "config-unknown", "config-missing", "sweep-int", "sweep-unknown",
+        "sweep-missing", "base-none", "base-unknown", "axes-list", "axes-zero", "axes-unknown",
+        "bound-unknown", "bound-missing",
+    ],
+)
+def test_outside_mappings_are_refused_in_one_format(call, message):
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert str(err.value).startswith(message), str(err.value)

@@ -447,6 +447,33 @@ def test_incomplete_run_reports_completed_false():
     assert result.slots == 8
 
 
+def test_runs_stepped_alternately_in_one_process_share_no_state():
+    # interleave shares one pull channel object between runs, so a protocol
+    # that kept state there would leak it from one run into another
+    lists = dict(contact_model=g.FIXED_LISTS, contact_list_size=4)
+    configs = [
+        config(n=40, k=20, protocol=g.INTERLEAVE, seed=3, record_trace=True),
+        config(n=40, k=20, protocol=g.INTERLEAVE, seed=4, record_trace=True, **lists),
+        config(n=40, k=20, protocol=g.SEQUENTIAL_PULL, seed=5, record_trace=True),
+        config(n=40, k=20, protocol=g.PRIORITY_PUSH, spacing=2, seed=6, record_trace=True),
+    ]
+    runs = [(cfg, init_state(cfg), make_protocol(cfg), Trace()) for cfg in configs]
+    completion = {}
+    while len(completion) < len(runs):
+        for i, (cfg, st, protocol, trace) in enumerate(runs):
+            if i in completion:
+                continue
+            if st.num_complete == st.n or st.slot == cfg.effective_max_slots():
+                completion[i] = st.slot if st.num_complete == st.n else None
+                continue
+            trace.add(step_slot(st, protocol))
+    for i, (cfg, st, _protocol, trace) in enumerate(runs):
+        alone = g.run(cfg)
+        assert trace_digest(trace) == alone.trace_hash, cfg.protocol
+        assert (completion[i], st.slot) == (alone.completion_slot, alone.slots), cfg.protocol
+    assert completion[0] is not None and completion[2] is not None
+
+
 # ---------------------------------------------------------------- settled runs
 
 

@@ -352,6 +352,33 @@ def test_occupancy_on_real_run_reaches_n():
         assert all(b >= a for a, b in zip(counts, counts[1:]))
 
 
+# ------------------------------------------------------------ series values
+
+
+def test_profiles_and_occupancy_series_compare_by_value():
+    cfg = g.SimulationConfig(n=40, k=20, protocol=g.INTERLEAVE, seed=1)
+    a, b, other = g.run(cfg), g.run(cfg), g.run(g.SimulationConfig(**{**cfg.to_dict(), "seed": 2}))
+    assert g.delay_profile(a) == g.delay_profile(b)
+    assert g.delay_profile(a) != g.delay_profile(other)
+    assert g.occupancy(a, 2) == g.occupancy(b, 2)
+    assert g.occupancy(a, 2) != g.occupancy(other, 2)
+    assert g.delay_profile(a) != g.occupancy(a, 2)
+    # the same counts for another piece is another series
+    res = make_result([[0, 0], [1, 1]])
+    first, second = g.occupancy(res, 1), g.occupancy(res, 2)
+    assert list(first.counts) == list(second.counts) and first != second
+
+
+@pytest.mark.parametrize("index", [2.5, math.nan, True, np.True_, 10**6 + 0.5, "1", None])
+def test_series_refuse_an_index_that_is_not_an_integer(index):
+    res = make_result([[0, 0], [1, 2]])
+    for series, name, last in ((g.delay_profile(res), "d", 1.0), (g.occupancy(res, 1), "t", 2)):
+        with pytest.raises(g.ConfigError, match=rf"^{name}: need an integer in \(-inf, inf\), got "):
+            series.at(index)
+        # an integer before the start reads 0, and one past the end the last value
+        assert (series.at(-(10**6)), series.at(10**6)) == (0, last)
+
+
 # ------------------------------------------------------------------- speedup
 
 

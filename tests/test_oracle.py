@@ -20,6 +20,7 @@ from gossipsim.oracle import (
     geo_sum_sample,
     geo_sum_tail,
     gossip_mean_map,
+    theorem_entry,
 )
 from gossipsim.sweep import RUN_COLUMNS
 
@@ -51,9 +52,12 @@ def test_mean_map_rejects_out_of_range():
         gossip_mean_map(1, 1)
 
 
-@pytest.mark.parametrize("y", ["3", True, [1, "2"], math.nan, [2.0, math.nan]])
+@pytest.mark.parametrize(
+    "y", ["3", True, [1, "2"], math.nan, [2.0, math.nan], [2, True], (3, True), [[2.0], [np.True_]]]
+)
 def test_mean_map_refuses_a_y_that_is_not_a_count(y):
-    # strings and bools are not converted, and NaN lies in no range
+    # strings and bools are not converted, also inside a list, where numpy
+    # would read True as the count 1; and NaN lies in no range
     with pytest.raises(ConfigError, match=r"^y: need values in \[1, n\]"):
         gossip_mean_map(y, 10)
 
@@ -267,14 +271,36 @@ def test_bound_catalog_validates_parameters():
         bound_value("thm6", n=100, k=20)  # missing eps
     with pytest.raises(ValueError):
         bound_value("thm5", n=100, l=0.5, delta=0.1)
-    with pytest.raises(ConfigError, match="unknown theorem id 'thm0'"):
+    with pytest.raises(ConfigError, match=r"^theorem: need one of \(.*\), got 'thm0'$"):
         bound_value("thm0", n=10)
-    with pytest.raises(ConfigError, match="thm1: takes no parameter 'eta'"):
+    with pytest.raises(ConfigError, match=r"^thm1: unknown keys \['eta'\]; known: "):
         bound_value("thm1", n=100, k=20, beta=0.5, eps=0.1, eta=0.5)
     # each end of a range is open or closed as stated
     with pytest.raises(ConfigError, match=r"^thm6: eps: need a number in \(0, 1\), got 1$"):
         bound_value("thm6", n=100, k=20, eps=1)
     assert bound_value("thm2", n=100, k=20, eta=1, c=1.0) > 0  # eta in (0, 1]
+
+
+@pytest.mark.parametrize(
+    "theorem, params, field, low",
+    [
+        ("thm1", dict(n=2.5, k=3, beta=0.5, eps=0.1), "n", 2),
+        ("thm1", dict(n=64, k=3.0, beta=0.5, eps=0.1), "k", 1),
+        ("thm5", dict(n=64, l=1.5, delta=0.08), "l", 1),
+        ("thm7", dict(n=True, C=3.0), "n", 2),
+    ],
+)
+def test_bound_counts_are_integers(theorem, params, field, low):
+    with pytest.raises(ConfigError) as err:
+        bound_value(theorem, **params)
+    expected = f"{theorem}: {field}: need an integer in [{low}, inf), got {params[field]!r}"
+    assert str(err.value) == expected
+
+
+def test_theorem_ids_are_refused_as_names():
+    for theorem in ("thm0", ["thm1"], None):
+        with pytest.raises(ConfigError, match=r"^theorem: need one of \('thm1', .*'thm7'\), got "):
+            theorem_entry(theorem)
 
 
 @pytest.mark.parametrize("theorem", sorted(THEOREMS))

@@ -57,7 +57,7 @@ def test_spec_from_mapping_rejects_bad_shapes():
         SweepSpec.from_mapping({"base": {}, "extra": 1})
     with pytest.raises(ConfigError, match="'base'"):
         SweepSpec.from_mapping({"axes": {"n": [8]}})
-    with pytest.raises(ConfigError, match="unknown axis"):
+    with pytest.raises(ConfigError, match=r"^sweep: axes: unknown keys \['population'\]; known: "):
         small_spec(axes={"population": [8]})
     with pytest.raises(ConfigError, match="non-empty list"):
         small_spec(axes={"n": []})
@@ -306,8 +306,16 @@ def test_verify_refuses_wrong_protocol():
 def test_verify_refuses_empty_and_rejects_unknown():
     with pytest.raises(VerificationRefusal):
         verify_rows([], "thm6")
-    with pytest.raises(ConfigError, match="unknown theorem"):
+    with pytest.raises(ConfigError, match=r"^theorem: need one of \(.*\), got 'thm9'$"):
         verify_rows(interleave_rows(), "thm9")
+
+
+def test_verify_reads_the_counts_of_a_bound_as_integers():
+    rows = [dict(r) for r in sweep_rows({"k": 8, "protocol": g.RANDOM_PULL}, {"n": [32]})]
+    rows[0]["n"] = 32.5
+    run = rows[0]["run_id"]
+    with pytest.raises(ConfigError, match=rf"^results: {run}: n: need an integer in \[2, inf\), got 32.5$"):
+        verify_rows(rows, "thm1")
 
 
 def test_verify_never_passes_with_a_violation():
@@ -741,7 +749,7 @@ def test_cli_verify_usage_errors_exit_2(tmp_path, capsys):
         (bad_n, [], f"config error: {bad_n}: line 2: n: need an integer, got 'abc'"),
         (maybe, [], f"config error: {maybe}: line 2: completed: need true or false, got 'maybe'"),
         (no_n, [], f"config error: {no_n}: no 'n' column, which thm1 reads"),
-        (runs, ["--eta", "0.5"], "config error: thm1: takes no parameter 'eta'"),
+        (runs, ["--eta", "0.5"], "config error: thm1: unknown keys ['eta']; known: "),
         (list_config, [], f"config error: {list_config}: line 1: config: need a JSON object, got [1, 2]"),
         (scalar_metrics, [], f"config error: {scalar_metrics}: line 1: metrics: need a JSON object, got 5"),
         (text_slot, [], f"config error: {text_slot}: line 1: completion_slot: need an integer, got '30'"),
@@ -749,8 +757,8 @@ def test_cli_verify_usage_errors_exit_2(tmp_path, capsys):
         (bool_slots, [], f"config error: {bool_slots}: line 1: slots: need an integer, got True"),
         (null_completed, [], f"config error: {null_completed}: {null_message}"),
         (null_slots, [], f"config error: {null_slots}: {null_message}"),
-        (null_n, [], f"config error: {null_n}: row0: n: need a number in [2, inf), got None"),
-        (one_user, [], f"config error: {one_user}: row0: n: need a number in [2, inf), got 1"),
+        (null_n, [], f"config error: {null_n}: row0: n: need an integer in [2, inf), got None"),
+        (one_user, [], f"config error: {one_user}: row0: n: need an integer in [2, inf), got 1"),
         (tmp_path, [], is_dir),
         (runs, ["--out", str(tmp_path)], is_dir),
     ]
