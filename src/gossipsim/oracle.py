@@ -54,7 +54,10 @@ def gossip_mean_map(y, n: int):
     relative even for n in the millions.  Accepts scalars or arrays.
     """
     check_range("n", n, int, 2, math.inf, "[)")
-    arr = np.asarray(y)
+    try:
+        arr = np.asarray(y)
+    except ValueError:  # a ragged list: kept as objects, refused below
+        arr = np.asarray(y, dtype=object)
     # a bool, a string or a NaN is no count of users, nor a bool in a list,
     # which numpy reads as 0 or 1
     listed = () if isinstance(y, np.ndarray) else np.asarray(y, dtype=object).flat
@@ -176,6 +179,7 @@ _UNIFORM = (UNIFORM,)
 #   kind     -- "lower" or "upper" on completion slots, or "pair" for a
 #               (coverage fraction, slot window) guarantee
 #   fn       -- the bound, called with one keyword per parameter
+#   summary  -- the theorem in one line, for a reader of the catalog
 #   params   -- each parameter's kind and range
 #   defaults -- the values `verify` uses for parameters not given
 #   columns  -- the run column each remaining parameter is read from

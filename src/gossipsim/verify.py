@@ -136,18 +136,19 @@ def _bound_params(entry: dict, row: dict, params: dict, run: str) -> dict:
 def verify_rows(
     rows: list, theorem: str, params: dict | None = None, where: str = "results"
 ) -> BoundReport:
-    """Check one catalog bound against result rows.
+    """Check one catalog bound against result rows, one pass for every kind.
 
     Lower bounds must hold for every run — a run that hit its slot cap
     counts as satisfying a lower bound only if the cap already exceeds it.
     Upper bounds hold for every run, or for at least 0.999 (1 - n^-c) of
     runs where the entry says "whp".  A band needs every run to finish
-    between its floor and the bound.  A coverage pair checks the recorded
-    reach statistic.  Parameters not supplied fall back to the entry's
+    between its floor and the bound.  A coverage pair reads each run's
+    reach fraction, recorded at delta ``REACH_DELTA``, and needs a mean of
+    at least 0.9.  Parameters not supplied fall back to the entry's
     defaults.  Rows missing a column the check reads, or with a value out
     of its parameter's range there (None included), or a completion slot,
-    slot count or reach fraction that no run can have, are a
-    :class:`ConfigError` naming `where`, the run if a value, and the column.
+    slot count, completed flag or reach fraction that no run can have, are
+    a :class:`ConfigError` naming `where`, the run if a value, and the column.
     """
     entry = theorem_entry(theorem)
     if not rows:
@@ -160,46 +161,71 @@ def verify_rows(
                 f"{theorem}: bound applies only to runs with {name} in "
                 f"{sorted(allowed)}, but results contain {sorted(map(str, bad))}"
             )
-    kind = entry["kind"]
+    kind, floor = entry["kind"], entry.get("floor")
     reads = _REACH_COLUMNS if kind == "pair" else _TIME_COLUMNS
     _require_columns(rows, (*entry["columns"].values(), *reads), theorem, where)
-    params = {**entry["defaults"], **(params or {})}
-    check_params(theorem, params)
-    if kind == "pair":
-        return _verify_reach(rows, theorem, entry, params, where)
+    given = {} if params is None else params
+    check_params(theorem, given)  # the defaults are in range by the catalog's own test
+    params = {**entry["defaults"], **given}
+    if kind == "pair" and any(row["reach_fraction"] is None for row in rows):
+        raise VerificationRefusal(
+            f"{theorem}: results lack the per-run reach_fraction statistic "
+            "(re-run the sweep with a spaced-push protocol to record it)"
+        )
+    if kind == "pair" and abs(params["delta"] - REACH_DELTA) > 1e-12:
+        raise VerificationRefusal(
+            f"{theorem}: recorded reach_fraction uses delta={REACH_DELTA}; "
+            f"cannot re-check at delta={params['delta']}"
+        )
 
-    floor = entry.get("floor")
     bounds = []
-    times = []
+    measures = []
     excess = []
     violations = []
     for i, row in enumerate(rows):
         run = row.get("run_id") or f"row{i}"
-        values = _bound_params(entry, row, params, f"{where}: {run}")
+        at = f"{where}: {run}"
+        values = _bound_params(entry, row, params, at)
         b = entry["fn"](**values)
+        bounds.append(b)
+        if kind == "pair":
+            reach = check_range(f"{at}: reach_fraction", row["reach_fraction"], float, 0, 1, "[]")
+            measures.append(reach)
+            continue
         for column in ("completion_slot", "slots"):
             if row[column] is not None:
-                check_range(f"{where}: {run}: {column}", row[column], int, 0, math.inf, "[)")
+                check_range(f"{at}: {column}", row[column], int, 0, math.inf, "[)")
         t = row["completion_slot"]
         if t is None:  # an unfinished run: the slot cap it reached
             t = row["slots"]
-        if t is None or row["completed"] is None:
-            raise ConfigError(f"{where}: {run}: need completed, and slots if no completion_slot")
-        bounds.append(b)
-        times.append(t)
+        done = _column_value("completed", row["completed"], at, cell=False)
+        if t is None or done is None:
+            raise ConfigError(f"{at}: need completed, and slots if no completion_slot")
+        measures.append(t)
         if floor is not None:
-            ok = row["completed"] and t >= floor(**values)
+            ok = done and t >= floor(**values)
             if ok:
                 excess.append((t - row["n"]) / math.log(row["n"]))
             ok = ok and t <= b
         else:
-            ok = t >= b if kind == "lower" else (row["completed"] and t <= b)
+            ok = t >= b if kind == "lower" else (done and t <= b)
         if not ok:
             violations.append(run)
     within = 1.0 - len(violations) / len(rows)
     details = {"violations": violations[:10], "violation_count": len(violations)}
     required = 1.0
-    if floor is not None:
+    if kind == "pair":
+        within, required = fmean(measures), 0.9
+        details = {"required_mean_reach": required}
+        bound = {
+            "fraction": min(frac for frac, _ in bounds),
+            "window_slots": max(window for _, window in bounds),
+        }
+        empirical = {
+            "mean_reach_fraction": round(within, 6),
+            "min_reach_fraction": round(min(measures), 6),
+        }
+    elif floor is not None:
         bound = {side: text.format(**params) for side, text in entry["band"].items()}
         fitted = round(max(excess), 3) if excess else None
         empirical = {"max_excess_over_n_per_ln_n": fitted}
@@ -209,9 +235,9 @@ def verify_rows(
             required = _WHP_MARGIN * (1.0 - n_min ** (-params["c"]))
         bound = min(bounds) if kind == "upper" else max(bounds)
         empirical = {
-            "min_time": min(times),
-            "max_time": max(times),
-            "mean_time": round(fmean(times), 3),
+            "min_time": min(measures),
+            "max_time": max(measures),
+            "mean_time": round(fmean(measures), 3),
         }
         details["required_fraction"] = round(required, 6)
     return BoundReport(
@@ -224,44 +250,4 @@ def verify_rows(
         fraction_within=round(within, 6),
         verdict=within >= required,
         details=details,
-    )
-
-
-def _verify_reach(rows: list, theorem: str, entry: dict, params: dict, where: str):
-    """Coverage pair for spaced priority push: each run's recorded
-    reach_fraction must show ~all pieces hitting the target fraction of
-    users within the per-piece window."""
-    if any(row["reach_fraction"] is None for row in rows):
-        raise VerificationRefusal(
-            f"{theorem}: results lack the per-run reach_fraction statistic "
-            "(re-run the sweep with a spaced-push protocol to record it)"
-        )
-    if abs(params["delta"] - REACH_DELTA) > 1e-12:
-        raise VerificationRefusal(
-            f"{theorem}: recorded reach_fraction uses delta={REACH_DELTA}; "
-            f"cannot re-check at delta={params['delta']}"
-        )
-    runs = [f"{where}: {row.get('run_id') or f'row{i}'}" for i, row in enumerate(rows)]
-    pairs = [entry["fn"](**_bound_params(entry, row, params, run)) for row, run in zip(rows, runs)]
-    reaches = [
-        check_range(f"{run}: reach_fraction", row["reach_fraction"], float, 0, 1, "[]")
-        for row, run in zip(rows, runs)
-    ]
-    mean_reach = fmean(reaches)
-    return BoundReport(
-        theorem=theorem,
-        kind="pair",
-        params=params,
-        rows=len(rows),
-        bound={
-            "fraction": min(frac for frac, _ in pairs),
-            "window_slots": max(window for _, window in pairs),
-        },
-        empirical={
-            "mean_reach_fraction": round(mean_reach, 6),
-            "min_reach_fraction": round(min(reaches), 6),
-        },
-        fraction_within=round(mean_reach, 6),
-        verdict=mean_reach >= 0.9,
-        details={"required_mean_reach": 0.9},
     )

@@ -53,11 +53,23 @@ def test_mean_map_rejects_out_of_range():
 
 
 @pytest.mark.parametrize(
-    "y", ["3", True, [1, "2"], math.nan, [2.0, math.nan], [2, True], (3, True), [[2.0], [np.True_]]]
+    "y",
+    [
+        "3",
+        True,
+        [1, "2"],
+        math.nan,
+        [2.0, math.nan],
+        [2, True],
+        (3, True),
+        [[2.0], [np.True_]],
+        [[1, 2], [3]],
+    ],
 )
 def test_mean_map_refuses_a_y_that_is_not_a_count(y):
     # strings and bools are not converted, also inside a list, where numpy
-    # would read True as the count 1; and NaN lies in no range
+    # would read True as the count 1; NaN lies in no range; and a ragged
+    # list is no array of counts
     with pytest.raises(ConfigError, match=r"^y: need values in \[1, n\]"):
         gossip_mean_map(y, 10)
 
@@ -303,9 +315,21 @@ def test_theorem_ids_are_refused_as_names():
             theorem_entry(theorem)
 
 
+# the keys the comment above oracle.THEOREMS documents
+CATALOG_KEYS = {
+    "kind", "fn", "summary", "params", "defaults", "columns", "applies", "whp", "floor", "band"
+}
+
+
 @pytest.mark.parametrize("theorem", sorted(THEOREMS))
 def test_catalog_entry_is_consistent(theorem):
     entry = THEOREMS[theorem]
+    # verify_rows tells the kinds apart by these names alone, so a mistyped
+    # kind or a qualifier on the wrong kind would pass unchecked
+    assert entry["kind"] in ("lower", "upper", "pair")
+    assert ("floor" in entry) == ("band" in entry)
+    assert "whp" not in entry or entry["kind"] == "upper"
+    assert set(entry) <= CATALOG_KEYS
     # every parameter is read from a run or has a default, never both
     assert not set(entry["columns"]) & set(entry["defaults"])
     assert set(entry["params"]) == set(entry["columns"]) | set(entry["defaults"])

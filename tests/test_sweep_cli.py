@@ -406,6 +406,38 @@ def test_verify_linear_mechanics():
     assert verify_rows(slow, "thm7").verdict is False  # exceeds n + C ln n
 
 
+def capped_pull_run(**changes):
+    """One thm1/thm3 row for a random-pull run that stopped at its 60-slot cap."""
+    row = {
+        "run_id": "r0",
+        "protocol": g.RANDOM_PULL,
+        "initial_state": g.SINGLE_SOURCE,
+        "contact_model": g.UNIFORM,
+        "n": 32,
+        "k": 8,
+        "completed": False,
+        "completion_slot": None,
+        "slots": 60,
+    }
+    return {**row, **changes}
+
+
+@pytest.mark.parametrize("flag", ["no", 1])
+def test_verify_refuses_a_completed_that_is_not_a_flag(flag):
+    # rows handed to verify_rows are not read from a file, so nothing else
+    # checks the flag; a truthy "no" would count an unfinished run as done
+    assert verify_rows([capped_pull_run()], "thm3").verdict is False
+    with pytest.raises(ConfigError, match=rf"^results: r0: completed: need true or false, got {flag!r}$"):
+        verify_rows([capped_pull_run(completed=flag)], "thm3")
+
+
+@pytest.mark.parametrize("params", [[("beta", 0.9)], [], "beta=0.9"])
+def test_verify_refuses_params_that_are_not_a_mapping(params):
+    name = type(params).__name__
+    with pytest.raises(ConfigError, match=rf"^thm1: need a mapping, got {name}$"):
+        verify_rows([capped_pull_run()], "thm1", params)
+
+
 def golden_report_cases():
     """(name, rows, theorem, params): every bound on small seeded sweeps,
     at its defaults and at other parameters, passing and failing."""
