@@ -53,7 +53,8 @@ def random_piece(bits: int, rng: Random) -> int:
     terminates quickly because at least half the span is populated whenever
     this branch is taken.  Sparse masks draw a rank j and select the j-th
     lowest set bit: halving the mask by the popcount of its low half while
-    j is large, then stripping the last few bits one at a time.
+    j is large, then stripping the last few bits one at a time.  No index
+    needs a guard: ``int(x * m)`` < m (see ``protocols.draw_contacts``).
     """
     if not bits:
         raise ValueError("empty piece set")
@@ -64,11 +65,9 @@ def random_piece(bits: int, rng: Random) -> int:
     if c << 1 >= span:
         while True:
             p = int(rng.random() * span) + 1
-            if p <= span and bits >> (p - 1) & 1:
+            if bits >> (p - 1) & 1:
                 return p
     j = int(rng.random() * c)
-    if j >= c:  # guard the float rounding edge
-        j = c - 1
     offset = 0
     while j > 8:
         half = bits.bit_length() >> 1

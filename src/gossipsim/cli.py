@@ -19,6 +19,7 @@ invocations with the same inputs are byte-identical, except for the
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -199,12 +200,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="regenerate a report figure dataset")
     p.add_argument("--figure", required=True, choices=list(FIGURES))
-    p.add_argument("--scale", type=float, default=1.0, help="population scale in (0, 1]")
-    p.add_argument("--seeds", type=int, default=10, help="seeds per cell (default 10)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
-    p.add_argument("--master-seed", type=int, default=97, dest="master_seed")
+    p.add_argument("--scale", type=float, help="population scale in (0, 1] (default %(default)s)")
+    p.add_argument("--seeds", type=int, help="seeds per cell (default %(default)s)")
+    p.add_argument("--jobs", type=int, help="worker processes (default %(default)s)")
+    p.add_argument("--master-seed", type=int, help="master seed (default %(default)s)")
     p.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUT} or .)")
-    p.set_defaults(func=cmd_reproduce)
+    # reproduce's own defaults, so that each value is stated once
+    params = inspect.signature(reproduce).parameters.values()
+    defaults = {arg.name: arg.default for arg in params if arg.default is not arg.empty}
+    p.set_defaults(func=cmd_reproduce, **defaults)
     return parser
 
 

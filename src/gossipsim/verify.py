@@ -19,7 +19,7 @@ from pathlib import Path
 from statistics import fmean
 from typing import Any
 
-from .config import NEED, ConfigError, check_range, is_kind
+from .config import NEED, ConfigError, check_keys, check_range, is_kind
 from .oracle import REACH_DELTA, check_params, theorem_entry
 from .sweep import RUN_COLUMNS
 
@@ -125,14 +125,6 @@ def _require_columns(rows: list, columns, theorem: str, where: str) -> None:
             raise ConfigError(f"{where}: no {column!r} column, which {theorem} reads")
 
 
-def _bound_params(entry: dict, row: dict, params: dict, run: str) -> dict:
-    """The bound's parameters for one run: its columns, each in its range
-    or a :class:`ConfigError` naming `run` and the column, then `params`."""
-    ranges, columns = entry["params"], entry["columns"].items()
-    checked = {p: check_range(f"{run}: {c}", row[c], *ranges[p]) for p, c in columns}
-    return {**checked, **params}
-
-
 def verify_rows(
     rows: list, theorem: str, params: dict | None = None, where: str = "results"
 ) -> BoundReport:
@@ -144,27 +136,31 @@ def verify_rows(
     runs where the entry says "whp".  A band needs every run to finish
     between its floor and the bound.  A coverage pair reads each run's
     reach fraction, recorded at delta ``REACH_DELTA``, and needs a mean of
-    at least 0.9.  Parameters not supplied fall back to the entry's
-    defaults.  Rows missing a column the check reads, or with a value out
-    of its parameter's range there (None included), or a completion slot,
-    slot count, completed flag or reach fraction that no run can have, are
-    a :class:`ConfigError` naming `where`, the run if a value, and the column.
+    at least 0.9.  `params` may set only the bound's numbers, its float
+    parameters, else the entry's defaults apply; the counts (n, k, l) are
+    each run's columns, as is thm2's eta unless given.  Rows missing a
+    column the check reads, or with a value out of its parameter's range
+    there (None included), or a completion slot, slot count, completed flag
+    or reach fraction that no run can have, are a :class:`ConfigError`
+    naming `where`, the run if a value, and the column.
     """
     entry = theorem_entry(theorem)
     if not rows:
         raise VerificationRefusal(f"{theorem}: no result rows to check")
     _require_columns(rows, entry["applies"], theorem, where)
     for name, allowed in entry["applies"].items():
-        bad = {row[name] for row in rows} - set(allowed)
+        bad = {str(row[name]) for row in rows if row[name] not in allowed}
         if bad:
             raise VerificationRefusal(
                 f"{theorem}: bound applies only to runs with {name} in "
-                f"{sorted(allowed)}, but results contain {sorted(map(str, bad))}"
+                f"{sorted(allowed)}, but results contain {sorted(bad)}"
             )
     kind, floor = entry["kind"], entry.get("floor")
     reads = _REACH_COLUMNS if kind == "pair" else _TIME_COLUMNS
     _require_columns(rows, (*entry["columns"].values(), *reads), theorem, where)
     given = {} if params is None else params
+    ranges, columns = entry["params"], entry["columns"].items()
+    check_keys(theorem, given, [name for name, rng in ranges.items() if rng[0] is float])
     check_params(theorem, given)  # the defaults are in range by the catalog's own test
     params = {**entry["defaults"], **given}
     if kind == "pair" and any(row["reach_fraction"] is None for row in rows):
@@ -185,7 +181,7 @@ def verify_rows(
     for i, row in enumerate(rows):
         run = row.get("run_id") or f"row{i}"
         at = f"{where}: {run}"
-        values = _bound_params(entry, row, params, at)
+        values = {p: check_range(f"{at}: {c}", row[c], *ranges[p]) for p, c in columns} | params
         b = entry["fn"](**values)
         bounds.append(b)
         if kind == "pair":

@@ -333,6 +333,10 @@ def test_catalog_entry_is_consistent(theorem):
     # every parameter is read from a run or has a default, never both
     assert not set(entry["columns"]) & set(entry["defaults"])
     assert set(entry["params"]) == set(entry["columns"]) | set(entry["defaults"])
+    # a count (an int parameter) is always the run's own: verify_rows lets a
+    # caller set only the float ones
+    counts = {name for name, rng in entry["params"].items() if rng[0] is int}
+    assert counts <= set(entry["columns"])
     assert set(entry["columns"].values()) <= set(RUN_COLUMNS)
     assert set(entry["applies"]) <= set(RUN_COLUMNS)
     n, k = (64, 64) if theorem == "thm7" else (64, 32)

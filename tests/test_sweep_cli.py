@@ -3,6 +3,7 @@
 import csv
 import errno
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -17,10 +18,11 @@ import yaml
 
 import gossipsim as g
 from gossipsim import sweep
-from gossipsim.cli import main
+from gossipsim.cli import build_parser, main
 from gossipsim.config import ConfigError
 from gossipsim.engine import init_state, step_slot
 from gossipsim.figures import reproduce
+from gossipsim.oracle import bound_value
 from gossipsim.protocols import make_protocol
 from gossipsim.sweep import (
     AGGREGATE_COLUMNS,
@@ -436,6 +438,48 @@ def test_verify_refuses_params_that_are_not_a_mapping(params):
     name = type(params).__name__
     with pytest.raises(ConfigError, match=rf"^thm1: need a mapping, got {name}$"):
         verify_rows([capped_pull_run()], "thm1", params)
+
+
+# capped_pull_run's changes that make it a run each bound applies to
+BOUND_RUNS = {
+    "thm1": {},
+    "thm2": {"initial_state": g.ETA_SEEDED, "eta": 0.5},
+    "thm5": {"protocol": g.PRIORITY_PUSH, "spacing": 1, "reach_fraction": 0.95},
+    "thm7": {"protocol": g.ADVOCATE, "initial_state": g.ONE_UNIQUE, "constraint": g.SOFT},
+}
+
+
+@pytest.mark.parametrize(
+    "theorem, params, unknown, known",
+    [
+        ("thm1", {"n": 2, "k": 1}, ["k", "n"], ["beta", "eps"]),
+        ("thm2", {"k": 1, "eta": 0.25}, ["k"], ["c", "eta"]),
+        ("thm5", {"l": 3}, ["l"], ["delta"]),
+        ("thm7", {"n": 64, "C": 1.0}, ["n"], ["C"]),
+        ("thm2", {"eta": 0.25}, None, None),  # eta is a number: it replaces each run's
+    ],
+)
+def test_verify_takes_a_bounds_counts_only_from_the_runs(theorem, params, unknown, known):
+    # a count set by the caller would check the bound on a network the runs
+    # never had: thm1 at n = 2, k = 1 is 0.31 slots, at n = 16, k = 4 it is 4.99
+    row = capped_pull_run(**BOUND_RUNS[theorem])
+    if unknown is None:
+        report = verify_rows([row], theorem, params)
+        assert report.bound == bound_value(theorem, n=32, k=8, eta=0.25, c=1.0)
+        return
+    with pytest.raises(ConfigError) as err:
+        verify_rows([row], theorem, params)
+    assert str(err.value) == f"{theorem}: unknown keys {unknown}; known: {known}"
+
+
+def test_verify_refuses_a_hypothesis_value_that_is_not_hashable():
+    row = capped_pull_run(protocol=[g.RANDOM_PULL])
+    with pytest.raises(VerificationRefusal) as err:
+        verify_rows([row], "thm1")
+    assert str(err.value) == (
+        "thm1: bound applies only to runs with protocol in ['random-pull', 'sequential-pull'], "
+        f"but results contain {[str([g.RANDOM_PULL])]}"
+    )
 
 
 def golden_report_cases():
@@ -957,6 +1001,13 @@ def test_cli_reproduce_writes_figure_csv(tmp_path, capsys):
     assert rows[0]["schema_version"] == "1"
     assert rows[-1]["m"] == "full"
     assert all(r["figure"] == "fig1" for r in rows)
+
+
+def test_cli_reproduce_defaults_are_reproduces_own():
+    args = build_parser().parse_args(["reproduce", "--figure", "fig1"])
+    for name, arg in inspect.signature(reproduce).parameters.items():
+        if arg.default is not arg.empty:
+            assert getattr(args, name) == arg.default, name
 
 
 @pytest.mark.parametrize("figure", ["fig1", "fig2", "fig3"])
