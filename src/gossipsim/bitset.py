@@ -1,48 +1,20 @@
-"""Piece sets as Python integers.
+"""Piece sets as Python integers, and the reference random-piece select.
 
 A user's holdings are a single int: bit ``p - 1`` set means the user holds
 piece ``p`` (pieces are numbered 1..k).  Arbitrary-precision ints make the
 hot-path set algebra (union, difference, membership) single C-level calls
 even for thousands of pieces.
+
+No run calls :func:`random_piece`: the random-piece protocols write its
+select out inline.  It stays because ``perfbench`` hot mode wraps it by
+name, and ``tests/test_protocols.py`` checks the inline select against it.
 """
 
 from __future__ import annotations
 
 from random import Random
 
-__all__ = [
-    "full_mask",
-    "from_pieces",
-    "to_pieces",
-    "random_piece",
-]
-
-
-def full_mask(k: int) -> int:
-    """The set {1, .., k} as a bit mask."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    return (1 << k) - 1
-
-
-def from_pieces(pieces) -> int:
-    """Build a mask from an iterable of piece numbers."""
-    bits = 0
-    for p in pieces:
-        if p < 1:
-            raise ValueError(f"piece numbers start at 1, got {p}")
-        bits |= 1 << (p - 1)
-    return bits
-
-
-def to_pieces(bits: int) -> list[int]:
-    """Sorted piece numbers present in the mask."""
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length())
-        bits ^= low
-    return out
+__all__ = ["random_piece"]
 
 
 def random_piece(bits: int, rng: Random) -> int:

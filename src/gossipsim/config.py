@@ -24,6 +24,7 @@ __all__ = [
     "load_config",
     "read_versioned_yaml",
     "MAX_CELLS",
+    "MAX_SLOTS",
     "RANDOM_PULL",
     "SEQUENTIAL_PULL",
     "RANDOM_PUSH",
@@ -83,6 +84,8 @@ _MAX_SEED = 2**64
 # Largest n * k a run may have: the engine allocates an (n, k) int32
 # arrivals matrix up front, so this caps it at 1 GiB.
 MAX_CELLS = 2**28
+# Largest slot a run may reach: the arrivals matrix records slots as int32.
+MAX_SLOTS = 2**31 - 1
 
 
 class ConfigError(ValueError):
@@ -201,7 +204,7 @@ class SimulationConfig:
             )
         check_range("seed", self.seed, int, 0, _MAX_SEED, "[)")
         if self.max_slots is not None:
-            check_range("max_slots", self.max_slots, int, 1, math.inf, "[)")
+            check_range("max_slots", self.max_slots, int, 1, MAX_SLOTS, "[]")
         if not is_kind(self.record_trace, bool):
             raise ConfigError(
                 f"record_trace: need {NEED[bool]}, got {self.record_trace!r}"
@@ -213,13 +216,15 @@ class SimulationConfig:
         The default is generous: the protocols studied here complete in
         O(k + log n) to O(k log n) slots, so a cap of ``50 (k + log2 n) + 10 n``
         sits far above every completion time and analytic bound of interest
-        while still terminating runs that genuinely stall.  A run that
-        settles (no later slot can change a holding) reports this cap as
-        its slot count without stepping the slots in between.
+        while still terminating runs that genuinely stall.  It stops at
+        :data:`MAX_SLOTS` (2**31 - 1), the last slot the int32 arrivals
+        matrix can record.  A run that settles (no later slot can change a
+        holding) reports this cap as its slot count without stepping the
+        slots in between.
         """
         if self.max_slots is not None:
             return self.max_slots
-        return 50 * (self.k + math.ceil(math.log2(self.n))) + 10 * self.n
+        return min(50 * (self.k + math.ceil(math.log2(self.n))) + 10 * self.n, MAX_SLOTS)
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)

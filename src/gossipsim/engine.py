@@ -15,7 +15,8 @@ One slot proceeds in three phases shared by every protocol:
    delivered as columns, with one gather and test on the flat matrix,
    then merged as (user, piece) rows; each pull is tested, set and merged
    at once.  Holdings are read only when users act, so a piece received
-   in slot t is usable (pushable, servable) from slot t+1 on.
+   in slot t is usable (pushable, servable) from slot t+1 on.  The slot
+   ends by counting the users whose holdings equal the full mask.
 
 A slot's granted uploads are a :class:`SlotEvents`: ``len()`` counts them,
 and iterating builds their :class:`TransferEvent` tuples only then, so an
@@ -49,7 +50,6 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .bitset import full_mask
 from .config import ETA_SEEDED, FIXED_LISTS, HARD, SINGLE_SOURCE, SimulationConfig, check_range
 from .protocols import PULL, PUSH, make_protocol
 
@@ -205,7 +205,7 @@ def init_state(config: SimulationConfig) -> SystemState:
         contact_lists = build_contact_lists(n, config.contact_list_size, rng)
     pieces = [0] * n
     arrivals = np.full((n, k), -1, dtype=np.int32)
-    mask = full_mask(k)
+    mask = (1 << k) - 1
     source = None
     if config.initial_state == SINGLE_SOURCE:
         source = 0
@@ -232,7 +232,7 @@ def init_state(config: SimulationConfig) -> SystemState:
         arrivals=arrivals,
         source=source,
         contact_lists=contact_lists,
-        num_complete=sum(1 for b in pieces if b == mask),
+        num_complete=pieces.count(mask),
     )
 
 
@@ -295,19 +295,15 @@ def step_slot(st: SystemState, protocol) -> SlotEvents:
         new = flat[cells] < 0
         flat[cells[new]] = slot
         for to, piece in zip(to[new].tolist(), piece[new].tolist()):
-            old = pieces[to]
-            pieces[to] = have = old | 1 << piece - 1
-            if have == mask and old != mask:  # a second copy in this slot tests new too
-                st.num_complete += 1
+            pieces[to] |= 1 << piece - 1
     if events.pulls:
         arrived = memoryview(st.arrivals).cast("B").cast("i")
         for _frm, to, piece in events.pulls:
             cell = to * k + piece - 1
             if arrived[cell] < 0:  # so the holdings lack it
                 arrived[cell] = slot
-                pieces[to] = have = pieces[to] | 1 << piece - 1
-                if have == mask:
-                    st.num_complete += 1
+                pieces[to] |= 1 << piece - 1
+    st.num_complete = pieces.count(mask)
     st.slot = slot
     return events
 

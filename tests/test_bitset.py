@@ -6,7 +6,8 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from gossipsim.bitset import from_pieces, full_mask, random_piece, to_pieces
+from gossipsim.bitset import random_piece
+from pieces import from_pieces, to_pieces
 
 
 def lowest_piece(bits: int) -> int:
@@ -24,18 +25,6 @@ def highest_piece(bits: int) -> int:
 
 
 piece_sets = st.sets(st.integers(min_value=1, max_value=200), min_size=0, max_size=50)
-
-
-def test_full_mask_small_values():
-    assert full_mask(0) == 0
-    assert full_mask(1) == 0b1
-    assert full_mask(3) == 0b111
-    assert full_mask(10) == (1 << 10) - 1
-
-
-def test_full_mask_large_k():
-    assert full_mask(1000) == (1 << 1000) - 1
-    assert full_mask(1000).bit_count() == 1000
 
 
 def test_from_pieces_and_membership():

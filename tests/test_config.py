@@ -13,6 +13,7 @@ from gossipsim.config import (
     FIXED_LISTS,
     INTERLEAVE,
     MAX_CELLS,
+    MAX_SLOTS,
     ONE_UNIQUE,
     PRIORITY_PUSH,
     RANDOM_PULL,
@@ -131,6 +132,22 @@ def test_effective_max_slots_override_and_default():
     assert make(max_slots=77).effective_max_slots() == 77
     default = make().effective_max_slots()
     assert default > 100  # far above any plausible completion at n=10, k=3
+
+
+def test_max_slots_is_refused_past_the_int32_arrivals_matrix():
+    # a slot past 2**31 - 1 would not fit its arrivals cell: refused up front
+    make(max_slots=MAX_SLOTS).validate()
+    for too_many in (MAX_SLOTS + 1, 2**40):
+        with pytest.raises(ConfigError, match=r"max_slots: need an integer in \[1, 2147483647\]"):
+            make(max_slots=too_many).validate()
+
+
+def test_default_slot_cap_stops_at_the_int32_limit():
+    # 50 (k + ceil(log2 n)) + 10 n is 6,710,886,470 at n = 2, k = 2**27
+    widest = make(n=2, k=MAX_CELLS // 2)
+    widest.validate()
+    assert widest.effective_max_slots() == MAX_SLOTS == 2**31 - 1
+    assert make(n=2, k=2**20).effective_max_slots() == 50 * (2**20 + 1) + 20
 
 
 def test_to_dict_roundtrip():

@@ -4,6 +4,7 @@ import hashlib
 from collections import Counter
 from dataclasses import replace
 from random import Random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import given, settings, strategies as hs
 
 import gossipsim as g
 from gossipsim import engine, figures
-from gossipsim.bitset import from_pieces, full_mask, to_pieces
 from gossipsim.engine import (
     SlotEvents,
     Trace,
@@ -24,6 +24,7 @@ from gossipsim.engine import (
 )
 from gossipsim.protocols import NO_PUSHES, make_protocol
 from gossipsim.sweep import plan
+from pieces import from_pieces, to_pieces
 
 
 def config(**overrides):
@@ -52,7 +53,7 @@ def line_digest(events):
 def test_single_source_start():
     st = init_state(config(n=3, k=2))
     assert st.source == 0
-    assert st.pieces[0] == full_mask(2)
+    assert st.pieces[0] == (1 << 2) - 1
     assert st.pieces[1] == 0 and st.pieces[2] == 0
     assert list(st.arrivals[0]) == [0, 0]
     assert emergence(st) == [None, None]
@@ -141,6 +142,34 @@ def test_no_requests_yield_no_events():
     assert list(resolve_uploads(1, NO_PUSHES, [], st)) == []
 
 
+def per_target_grants(requests, constraint, rng):
+    """Reference arbitration, one target at a time in ascending order: its
+    requests in request order, all granted when soft; when hard, one, the
+    ``int(x * size)``-th for one draw x if two or more ask, else the one."""
+    grants = []
+    for t in sorted({t for _r, t, _p in requests}):
+        asking = [(t, r, p) for r, to, p in requests if to == t]
+        if constraint == g.HARD:
+            asking = [asking[int(rng.random() * len(asking)) if len(asking) > 1 else 0]]
+        grants += asking
+    return grants
+
+
+@settings(deadline=None)
+@given(
+    hs.lists(hs.tuples(hs.integers(0, 7), hs.integers(0, 4), hs.integers(1, 4)), max_size=24),
+    hs.sampled_from([g.HARD, g.SOFT]),
+    hs.integers(0, 2**32 - 1),
+)
+def test_arbitration_draws_once_per_contested_target_in_target_order(requests, constraint, seed):
+    # arbitration reads only the constraint and the stream
+    st = SimpleNamespace(constraint=constraint, rng=Random(seed))
+    ref_rng = Random(seed)
+    events = resolve_uploads(1, NO_PUSHES, list(requests), st)
+    assert events.pulls == per_target_grants(requests, constraint, ref_rng)
+    assert st.rng.random() == ref_rng.random()  # the same draws, no more
+
+
 # -------------------------------------------------------------------- stepping
 
 
@@ -161,7 +190,7 @@ def test_step_slot_two_user_push_and_availability_delay():
 def _delivery_state(constraint):
     # the source 0 and user 1 (since slot 3) hold the only piece; user 2 lacks it
     st = init_state(config(n=3, k=1, constraint=constraint))
-    st.pieces[1] = full_mask(1)
+    st.pieces[1] = (1 << 1) - 1
     st.arrivals[1, 0] = 3
     st.num_complete = 2
     st.slot = 4

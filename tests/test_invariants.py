@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gossipsim as g
-from gossipsim.bitset import to_pieces
 from gossipsim.engine import init_state, resolve_uploads, step_slot
 from gossipsim.protocols import NO_PUSHES, PULL, PUSH, make_protocol
+from pieces import to_pieces
 
 
 def config(**kw):

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as hs
 from scipy import stats
 
 import gossipsim as g
-from gossipsim.bitset import from_pieces, full_mask, random_piece
+from gossipsim.bitset import random_piece
 from gossipsim.engine import SlotEvents, SystemState, init_state, step_slot
 from gossipsim.protocols import (
     NO_PUSHES,
@@ -28,6 +28,7 @@ from gossipsim.protocols import (
     make_protocol,
     uniforms,
 )
+from pieces import from_pieces
 
 random_pull = DrawAndPick(g.RANDOM_PULL)
 sequential_pull = SequentialPull()
@@ -42,7 +43,7 @@ def state(holdings, k, targets, seed=0, **extra):
     return SystemState(
         n=n,
         k=k,
-        mask=full_mask(k),
+        mask=(1 << k) - 1,
         constraint=g.HARD,
         rng=Random(seed),
         pieces=[from_pieces(h) for h in holdings],
@@ -238,7 +239,7 @@ def mask_of(shape, k, rnd):
     if shape == "one":
         return 1 << rnd.randrange(k)
     if shape == "dense":
-        return full_mask(k) & ~(rnd.getrandbits(k) & rnd.getrandbits(k))
+        return (1 << k) - 1 & ~(rnd.getrandbits(k) & rnd.getrandbits(k))
     return rnd.getrandbits(k) & rnd.getrandbits(k) & rnd.getrandbits(k)
 
 
@@ -346,7 +347,7 @@ def test_pull_rules_idle_when_the_contact_lacks_the_piece(rule):
 def test_pull_rules_request_only_pieces_the_contact_holds(data, n, seed):
     # a state of the one-unique start that advocate runs from: user u
     # still holds its initial piece u + 1, and any others
-    pieces = [data.draw(hs.integers(0, full_mask(n))) | 1 << u for u in range(n)]
+    pieces = [data.draw(hs.integers(0, (1 << n) - 1)) | 1 << u for u in range(n)]
     st = state([[]] * n, n, [0] * n, seed=seed)
     st.pieces = pieces
     # over the shifts, every user asks every other user
@@ -366,7 +367,7 @@ def test_pull_rules_request_only_pieces_the_contact_holds(data, n, seed):
     shape=hs.sampled_from(["empty", "full", "prefix", "any"]),
 )
 def test_lowest_missing_rule_equals_the_lowest_missing_bit(data, k, shape):
-    mask = full_mask(k)
+    mask = (1 << k) - 1
     if shape == "empty":
         have = 0
     elif shape == "full":
@@ -374,7 +375,7 @@ def test_lowest_missing_rule_equals_the_lowest_missing_bit(data, k, shape):
     elif shape == "prefix":  # pieces 1..j held, maybe a few above j + 1
         j = data.draw(hs.integers(0, k))
         above = data.draw(hs.integers(0, mask)) << (j + 1)
-        have = full_mask(j) | above & mask
+        have = (1 << j) - 1 | above & mask
     else:
         have = data.draw(hs.integers(0, mask))
     missing = mask ^ have
