@@ -19,6 +19,7 @@ invocations with the same inputs are byte-identical, except for the
 from __future__ import annotations
 
 import argparse
+import errno
 import inspect
 import json
 import os
@@ -105,6 +106,11 @@ def cmd_simulate(args) -> int:
         config = replace(config, seed=args.seed)
     if args.trace:
         config = replace(config, record_trace=True)
+    paths = [Path(p) for p in (args.out, args.trace) if p]  # refused before any slot runs
+    if len({path.resolve() for path in paths}) < len(paths):
+        raise ConfigError(f"--out and --trace name the same file {args.out}")
+    for path in filter(Path.is_dir, paths):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     with _trace_csv(Path(args.trace)) if args.trace else nullcontext() as sink:
         result = run_engine(config, sink=sink)
         line = json.dumps(run_record(result), sort_keys=True, separators=(",", ":"))
@@ -131,8 +137,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     rows = load_results(args.results)
-    given = {name: getattr(args, name) for name in ("beta", "eps", "delta", "c", "eta", "C")}
-    params = {name: value for name, value in given.items() if value is not None}
+    names = dict.fromkeys(name for entry in THEOREMS.values() for name in entry["defaults"])
+    params = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     report = verify_rows(rows, args.theorem, params, where=str(args.results))
     out = report.to_json()
     if args.out:
@@ -191,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=None, help="slack parameter")
     p.add_argument("--delta", type=float, default=None, help="slack parameter")
     p.add_argument("--c", type=float, default=None, help="probability exponent")
-    p.add_argument("--eta", type=float, default=None, help="seeding density override")
     p.add_argument(
         "--const", type=float, default=None, dest="C", help="band constant C in n + C ln n"
     )

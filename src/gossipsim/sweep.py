@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -193,13 +194,6 @@ def derive_seed(master_seed: int, cell, seed_index: int) -> int:
     return int.from_bytes(hashlib.sha256(tag.encode()).digest()[:8], "big")
 
 
-def _cell_product(axes: list) -> list:
-    cells = [()]
-    for name, values in axes:
-        cells = [cell + ((name, v),) for cell in cells for v in values]
-    return cells
-
-
 def plan(cells, seeds: int, master_seed: int) -> list[RunPlan]:
     """`seeds` run plans for each (cell, config data) pair, in cell order.
 
@@ -220,10 +214,11 @@ def plan(cells, seeds: int, master_seed: int) -> list[RunPlan]:
 
 
 def expand(spec: SweepSpec) -> list[RunPlan]:
-    """All run plans for a sweep: the base config under each axis cell."""
+    """All run plans for a sweep: the base config under each axis cell, last axis fastest."""
+    axes = [[(name, value) for value in values] for name, values in spec.axes]
     cells = [
         (cell, {**spec.base, **{AXIS_FIELDS[name]: value for name, value in cell}})
-        for cell in _cell_product(spec.axes)
+        for cell in itertools.product(*axes)
     ]
     return plan(cells, spec.seeds, spec.master_seed)
 

@@ -136,9 +136,9 @@ def verify_rows(
     runs where the entry says "whp".  A band needs every run to finish
     between its floor and the bound.  A coverage pair reads each run's
     reach fraction, recorded at delta ``REACH_DELTA``, and needs a mean of
-    at least 0.9.  `params` may set only the bound's numbers, its float
-    parameters, else the entry's defaults apply; the counts (n, k, l) are
-    each run's columns, as is thm2's eta unless given.  Rows missing a
+    at least 0.9.  `params` may set only the entry's defaults (the bound's
+    numbers, such as beta and c); every other parameter (n, k, l and thm2's
+    eta) is read from each run's columns.  Rows missing a
     column the check reads, or with a value out of its parameter's range
     there (None included), or a completion slot, slot count, completed flag
     or reach fraction that no run can have, are a :class:`ConfigError`
@@ -160,7 +160,7 @@ def verify_rows(
     _require_columns(rows, (*entry["columns"].values(), *reads), theorem, where)
     given = {} if params is None else params
     ranges, columns = entry["params"], entry["columns"].items()
-    check_keys(theorem, given, [name for name, rng in ranges.items() if rng[0] is float])
+    check_keys(theorem, given, entry["defaults"])
     check_params(theorem, given)  # the defaults are in range by the catalog's own test
     params = {**entry["defaults"], **given}
     if kind == "pair" and any(row["reach_fraction"] is None for row in rows):

@@ -334,7 +334,7 @@ def test_catalog_entry_is_consistent(theorem):
     assert not set(entry["columns"]) & set(entry["defaults"])
     assert set(entry["params"]) == set(entry["columns"]) | set(entry["defaults"])
     # a count (an int parameter) is always the run's own: verify_rows lets a
-    # caller set only the float ones
+    # caller set only the defaults
     counts = {name for name, rng in entry["params"].items() if rng[0] is int}
     assert counts <= set(entry["columns"])
     assert set(entry["columns"].values()) <= set(RUN_COLUMNS)

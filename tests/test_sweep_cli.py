@@ -1,5 +1,6 @@
 """Sweeps, result files, bound verification, figures, and the CLI."""
 
+import argparse
 import csv
 import errno
 import hashlib
@@ -22,7 +23,7 @@ from gossipsim.cli import build_parser, main
 from gossipsim.config import ConfigError
 from gossipsim.engine import init_state, step_slot
 from gossipsim.figures import reproduce
-from gossipsim.oracle import bound_value
+from gossipsim.oracle import THEOREMS, bound_value
 from gossipsim.protocols import make_protocol
 from gossipsim.sweep import (
     AGGREGATE_COLUMNS,
@@ -453,23 +454,39 @@ BOUND_RUNS = {
     "theorem, params, unknown, known",
     [
         ("thm1", {"n": 2, "k": 1}, ["k", "n"], ["beta", "eps"]),
-        ("thm2", {"k": 1, "eta": 0.25}, ["k"], ["c", "eta"]),
+        ("thm2", {"k": 1, "eta": 0.25}, ["eta", "k"], ["c"]),
         ("thm5", {"l": 3}, ["l"], ["delta"]),
         ("thm7", {"n": 64, "C": 1.0}, ["n"], ["C"]),
-        ("thm2", {"eta": 0.25}, None, None),  # eta is a number: it replaces each run's
+        ("thm2", {"eta": 0.25}, ["eta"], ["c"]),  # a run column too, like the counts
     ],
 )
 def test_verify_takes_a_bounds_counts_only_from_the_runs(theorem, params, unknown, known):
     # a count set by the caller would check the bound on a network the runs
     # never had: thm1 at n = 2, k = 1 is 0.31 slots, at n = 16, k = 4 it is 4.99
     row = capped_pull_run(**BOUND_RUNS[theorem])
-    if unknown is None:
-        report = verify_rows([row], theorem, params)
-        assert report.bound == bound_value(theorem, n=32, k=8, eta=0.25, c=1.0)
-        return
     with pytest.raises(ConfigError) as err:
         verify_rows([row], theorem, params)
     assert str(err.value) == f"{theorem}: unknown keys {unknown}; known: {known}"
+
+
+def test_thm2_reads_each_runs_own_eta():
+    # 200 slots at eta = 1.0 is past that run's bound (55.7 slots); a caller's
+    # eta = 0.25 would have checked it against 303.8 and passed it
+    seeded = {"initial_state": g.ETA_SEEDED, "completed": True}
+    late = capped_pull_run(**seeded, eta=1.0, completion_slot=200, slots=200)
+    report = verify_rows([late], "thm2")
+    assert report.verdict is False
+    assert report.bound == bound_value("thm2", n=32, k=8, eta=1.0, c=1.0)
+    with pytest.raises(ConfigError, match=r"^thm2: unknown keys \['eta'\]; known: \['c'\]$"):
+        verify_rows([late], "thm2", {"eta": 0.25})
+    # 100 slots is within the bound at eta = 0.5 (129.3 slots), not at 1.0
+    rows = [
+        capped_pull_run(**seeded, run_id=f"eta{eta}", eta=eta, completion_slot=100, slots=100)
+        for eta in (0.5, 1.0)
+    ]
+    report = verify_rows(rows, "thm2")
+    assert report.bound == min(bound_value("thm2", n=32, k=8, eta=eta, c=1.0) for eta in (0.5, 1.0))
+    assert report.details["violations"] == ["eta1.0"]
 
 
 def test_verify_refuses_a_hypothesis_value_that_is_not_hashable():
@@ -522,7 +539,7 @@ def golden_report_cases():
         ("thm1", pull, "thm1", {}),
         ("thm1-beta-eps", pull, "thm1", {"beta": 0.9, "eps": 0.05}),
         ("thm2", seeded, "thm2", {}),
-        ("thm2-eta-c", seeded, "thm2", {"eta": 0.25, "c": 2.0}),
+        ("thm2-c", seeded, "thm2", {"c": 2.0}),
         ("thm2-whp-margin", whp, "thm2", {}),
         ("thm3", pull, "thm3", {}),
         ("thm3-delta-c", pull, "thm3", {"delta": 0.5, "c": 0.5}),
@@ -544,7 +561,7 @@ GOLDEN_REPORTS = {
     "thm1": "0fd13a3b43c9a28cd4bf7de3d38a27ec6760234f38f5e98a99aa469dba8f5f34",  # PASS
     "thm1-beta-eps": "e61073f49099e22919e9979a82dcc97177877864ac907ebf7ce43f182fa2cf54",  # PASS
     "thm2": "010b396aaad39ccf67ee8045213f7736df0b301dbfddb40f4bec487704b3e6bf",  # PASS
-    "thm2-eta-c": "570f89b85d0c33c13cebd3b748b66aef2016342220643076173801ba64d6b58a",  # PASS
+    "thm2-c": "1cf8de9d7e8d31fe6bd7b58017b1388b60d830df7bcecf1e17ee5383e6a23023",  # PASS
     "thm2-whp-margin": "4e1eef2aaba0f0f10b9c20014b9650c2c625204d8b294283f2158ae626355988",  # PASS
     "thm3": "4aa5875eaac8ed02e7afcfc7478f60764cd8541258cba340f5dcaa0506df98c5",  # PASS
     "thm3-delta-c": "8854b140cb3e9b2edf57d4e36d296da15c6c322ae7a3266ddbb5a8153d3f6b65",  # PASS
@@ -825,7 +842,7 @@ def test_cli_verify_usage_errors_exit_2(tmp_path, capsys):
         (bad_n, [], f"config error: {bad_n}: line 2: n: need an integer, got 'abc'"),
         (maybe, [], f"config error: {maybe}: line 2: completed: need true or false, got 'maybe'"),
         (no_n, [], f"config error: {no_n}: no 'n' column, which thm1 reads"),
-        (runs, ["--eta", "0.5"], "config error: thm1: unknown keys ['eta']; known: "),
+        (runs, ["--delta", "0.5"], "config error: thm1: unknown keys ['delta']; known: "),
         (list_config, [], f"config error: {list_config}: line 1: config: need a JSON object, got [1, 2]"),
         (scalar_metrics, [], f"config error: {scalar_metrics}: line 1: metrics: need a JSON object, got 5"),
         (text_slot, [], f"config error: {text_slot}: line 1: completion_slot: need an integer, got '30'"),
@@ -872,6 +889,17 @@ def test_cli_verify_usage_errors_exit_2(tmp_path, capsys):
         assert main(["verify", "--results", str(results), *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith(expected) and err.count("\n") == 1, err
+
+
+def test_cli_verify_flags_are_the_catalogs_defaults(capsys):
+    # a caller sets only what a bound defaults; a run column such as eta has no flag
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    numbers = {a.dest for a in sub.choices["verify"]._actions if a.type is float}
+    assert numbers == {name for entry in THEOREMS.values() for name in entry["defaults"]}
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--results", "x.csv", "--theorem", "thm2", "--eta", "0.5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --eta 0.5" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_subcommand_and_theorem(tmp_path):

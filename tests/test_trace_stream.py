@@ -7,6 +7,7 @@ no trace file, and the memory of a traced run must not grow with its trace.
 """
 
 import csv
+import errno
 import io
 import json
 import tracemalloc
@@ -15,7 +16,7 @@ from dataclasses import asdict, replace
 import pytest
 
 import gossipsim as g
-from gossipsim import engine
+from gossipsim import cli, engine
 from gossipsim.cli import main
 from make_behaviour_pin import PIN
 
@@ -140,10 +141,42 @@ def test_an_unwritable_trace_path_fails_before_any_slot(tmp_path, capsys, monkey
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "run.yaml"]
 
 
-def test_a_trace_that_cannot_be_moved_into_place_is_removed(tmp_path, capsys):
-    # a directory in the trace's place: the run completes, the move fails
+def no_slot(st, protocol):
+    raise AssertionError("a slot ran")
+
+
+def test_out_and_trace_on_one_path_fail_before_any_slot(tmp_path, capsys, monkeypatch):
+    # the trace would be moved over the JSONL record
+    monkeypatch.setattr(engine, "step_slot", no_slot)
+    path = tmp_path / "run.out"
+    argv = ["simulate", "--config", sim_yaml(tmp_path, n=8, k=4), "--out", str(path)]
+    assert main(argv + ["--trace", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"config error: --out and --trace name the same file {path}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
+
+
+@pytest.mark.parametrize("flag", ["--trace", "--out"])
+def test_a_directory_as_destination_fails_before_any_slot(tmp_path, capsys, monkeypatch, flag):
+    monkeypatch.setattr(engine, "step_slot", no_slot)
+    place = tmp_path / "place"
+    place.mkdir()
+    assert main(["simulate", "--config", sim_yaml(tmp_path, n=8, k=4), flag, str(place)]) == 2
+    assert capsys.readouterr() == ("", f"error: [Errno {errno.EISDIR}] Is a directory: '{place}'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["place", "run.yaml"]
+    assert list(place.iterdir()) == []
+
+
+def test_a_trace_that_cannot_be_moved_into_place_is_removed(tmp_path, capsys, monkeypatch):
+    # a directory takes the trace's place during the run: the run completes,
+    # the move fails
     trace = tmp_path / "trace.csv"
-    trace.mkdir()
+
+    def run_then_block(config, sink):
+        result = engine.run(config, sink=sink)
+        trace.mkdir()
+        return result
+
+    monkeypatch.setattr(cli, "run_engine", run_then_block)
     argv = ["simulate", "--config", sim_yaml(tmp_path), "--out", str(tmp_path / "run.jsonl")]
     assert main(argv + ["--trace", str(trace)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
