@@ -50,7 +50,14 @@ ENV_OUT = "GOSSIPSIM_OUT"
 
 
 def _out_dir(arg: str | None) -> Path:
-    return Path(arg or os.environ.get(ENV_OUT) or ".")
+    """The output directory, refused before any run if a file stands at it
+    or at the nearest of its parents that exists."""
+    out = Path(arg or os.environ.get(ENV_OUT) or ".")
+    place = next(path for path in (out, *out.parents) if path.exists())
+    if not place.is_dir():
+        code = errno.EEXIST if place == out else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), str(out))
+    return out
 
 
 def run_record(result) -> dict:
@@ -111,6 +118,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--out and --trace name the same file {args.out}")
     for path in filter(Path.is_dir, paths):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    for path in paths:
+        _out_dir(str(path.parent))
     with _trace_csv(Path(args.trace)) if args.trace else nullcontext() as sink:
         result = run_engine(config, sink=sink)
         line = json.dumps(run_record(result), sort_keys=True, separators=(",", ":"))
@@ -126,8 +135,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = load_sweep(args.config)
-    rows, agg = run_sweep(spec, jobs=args.jobs)
     out = _out_dir(args.out)
+    rows, agg = run_sweep(spec, jobs=args.jobs)
     runs_path = write_rows_csv(rows, out / "runs.csv", RUN_COLUMNS)
     agg_path = write_rows_csv(agg, out / "aggregate.csv", AGGREGATE_COLUMNS)
     print(runs_path)
@@ -151,6 +160,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    out = _out_dir(args.out)
     dataset = reproduce(
         args.figure,
         scale=args.scale,
@@ -158,7 +168,6 @@ def cmd_reproduce(args) -> int:
         jobs=args.jobs,
         master_seed=args.master_seed,
     )
-    out = _out_dir(args.out)
     path = dataset.write_csv(out / f"{args.figure}.csv")
     print(path)
     return 0

@@ -38,6 +38,7 @@ __all__ = [
     "geo_sum_mean",
     "geo_sum_tail",
     "REACH_DELTA",
+    "UNIFORM_CONTACTS",
     "THEOREMS",
     "theorem_entry",
     "check_params",
@@ -171,8 +172,9 @@ def _seeded_pull_upper(n, k, eta, c):
 
 _PULL = (RANDOM_PULL, SEQUENTIAL_PULL)
 # The paper states every bound for users that contact each other uniformly
-# at random, not over fixed contact lists.
-_UNIFORM = (UNIFORM,)
+# at random, not over fixed contact lists: a hypothesis of every entry,
+# which `verify` adds to the entry's own.
+UNIFORM_CONTACTS = {"contact_model": (UNIFORM,)}
 
 # Catalog of completion-time bounds.  Each entry is all `verify` knows of
 # its theorem:
@@ -180,10 +182,10 @@ _UNIFORM = (UNIFORM,)
 #               (coverage fraction, slot window) guarantee
 #   fn       -- the bound, called with one keyword per parameter
 #   summary  -- the theorem in one line, for a reader of the catalog
-#   params   -- each parameter's kind and range
+#   params   -- each parameter's kind and range; one without a default is
+#               read from its sweep axis's run column (`sweep.AXIS_FIELDS`)
 #   defaults -- the values `verify` uses for parameters not given
-#   columns  -- the run column each remaining parameter is read from
-#   applies  -- the run values the theorem's hypotheses allow
+#   applies  -- the run values the theorem's own hypotheses allow
 # Two optional keys qualify the kind.  "whp": an upper bound that holds
 # with probability 1 - n^-c, so that share of runs may straggle.  "floor"
 # and "band": a lower bound whose runs must also finish, between floor
@@ -195,8 +197,7 @@ THEOREMS = {
         "summary": "pull protocols need at least beta (1-eps) k ln n slots",
         "params": {"n": _N, "k": _K, "beta": _HALF_OPEN_UNIT, "eps": _OPEN_UNIT},
         "defaults": {"beta": 0.5, "eps": 0.1},
-        "columns": {"n": "n", "k": "k"},
-        "applies": {"protocol": _PULL, "contact_model": _UNIFORM},
+        "applies": {"protocol": _PULL},
     },
     "thm2": {
         "kind": "upper",
@@ -204,8 +205,7 @@ THEOREMS = {
         "summary": "seeded random pull finishes in O(k + ln n) slots whp",
         "params": {"n": _N, "k": _K, "eta": _HALF_OPEN_UNIT, "c": _POSITIVE},
         "defaults": {"c": 1.0},
-        "columns": {"n": "n", "k": "k", "eta": "eta"},
-        "applies": {"protocol": _PULL, "initial_state": (ETA_SEEDED,), "contact_model": _UNIFORM},
+        "applies": {"protocol": _PULL, "initial_state": (ETA_SEEDED,)},
         "whp": True,
     },
     "thm3": {
@@ -216,12 +216,7 @@ THEOREMS = {
         "summary": "random pull from one source finishes in O(k ln(kn)) slots whp",
         "params": {"n": _N, "k": _K, "delta": _POSITIVE, "c": _POSITIVE},
         "defaults": {"delta": 0.1, "c": 1.0},
-        "columns": {"n": "n", "k": "k"},
-        "applies": {
-            "protocol": _PULL,
-            "initial_state": (SINGLE_SOURCE, ONE_UNIQUE),
-            "contact_model": _UNIFORM,
-        },
+        "applies": {"protocol": _PULL, "initial_state": (SINGLE_SOURCE, ONE_UNIQUE)},
     },
     "thm4": {
         "kind": "lower",
@@ -229,8 +224,7 @@ THEOREMS = {
         "summary": "push protocols need at least beta (1-eps) k ln n slots",
         "params": {"n": _N, "k": _K, "beta": _HALF_OPEN_UNIT, "eps": _OPEN_UNIT},
         "defaults": {"beta": 0.5, "eps": 0.1},
-        "columns": {"n": "n", "k": "k"},
-        "applies": {"protocol": (RANDOM_PUSH, PRIORITY_PUSH), "contact_model": _UNIFORM},
+        "applies": {"protocol": (RANDOM_PUSH, PRIORITY_PUSH)},
     },
     "thm5": {
         "kind": "pair",
@@ -238,8 +232,7 @@ THEOREMS = {
         "summary": "spaced priority push reaches most users within ~log2 n slots per piece",
         "params": {"n": _N, "l": _K, "delta": _OPEN_UNIT},
         "defaults": {"delta": REACH_DELTA},
-        "columns": {"n": "n", "l": "spacing"},
-        "applies": {"protocol": (PRIORITY_PUSH,), "contact_model": _UNIFORM},
+        "applies": {"protocol": (PRIORITY_PUSH,)},
     },
     "thm6": {
         "kind": "upper",
@@ -247,11 +240,9 @@ THEOREMS = {
         "summary": "interleave completes within 9k + 2(1+eps) log2 n slots whp",
         "params": {"n": _N, "k": _K, "eps": _OPEN_UNIT},
         "defaults": {"eps": 0.1},
-        "columns": {"n": "n", "k": "k"},
         "applies": {
             "protocol": (INTERLEAVE,),
             "initial_state": (SINGLE_SOURCE,),
-            "contact_model": _UNIFORM,
             "constraint": (HARD,),
         },
     },
@@ -261,12 +252,10 @@ THEOREMS = {
         "summary": "advocate pull completes in n + O(ln n) slots",
         "params": {"n": _N, "C": _POSITIVE},
         "defaults": {"C": 3.0},
-        "columns": {"n": "n"},
         "applies": {
             "protocol": (ADVOCATE,),
             "initial_state": (ONE_UNIQUE,),
             "constraint": (SOFT,),
-            "contact_model": _UNIFORM,
         },
         "floor": lambda n, C: n - 1,
         "band": {"floor": "n - 1", "ceiling": "n + {C} ln n"},

@@ -49,6 +49,7 @@ __all__ = [
     "plan",
     "expand",
     "execute",
+    "reach_window",
     "reach_summary",
     "summarize_run",
     "aggregate",
@@ -223,6 +224,11 @@ def expand(spec: SweepSpec) -> list[RunPlan]:
     return plan(cells, spec.seeds, spec.master_seed)
 
 
+def reach_window(n: int) -> int:
+    """The window of ``reach_fraction`` in a run of n users, in slots."""
+    return math.ceil(REACH_WINDOW_FACTOR * math.log2(n))
+
+
 def reach_summary(result: RunResult) -> dict:
     """``failed_piece_count`` (source-scheduled runs) and ``reach_fraction``
     (priority-push runs) of one run; None where a statistic is undefined."""
@@ -232,8 +238,7 @@ def reach_summary(result: RunResult) -> dict:
         summary["failed_piece_count"] = len(failed_pieces(result))
     if cfg.protocol == PRIORITY_PUSH:
         fraction = 1.0 - math.exp(-cfg.spacing) - REACH_DELTA
-        window = math.ceil(REACH_WINDOW_FACTOR * math.log2(cfg.n))
-        summary["reach_fraction"] = round(pieces_reached(result, fraction, window), 6)
+        summary["reach_fraction"] = round(pieces_reached(result, fraction, reach_window(cfg.n)), 6)
     return summary
 
 

@@ -1,12 +1,12 @@
 """Check recorded runs against the analytic bound catalog.
 
 ``verify_rows`` takes result rows (from a sweep CSV or simulate JSONL),
-confirms the requested bound actually applies to those runs — the
-protocol, initial state and constraint its catalog entry allows — and
-then evaluates the bound per row.  Verification never passes while any
-member run violates a bound claimed to hold for all runs, and it refuses
-outright (rather than failing) when the results cannot support the claim
-at all.
+confirms the requested bound actually applies to those runs — uniform
+contacts, and the protocol, initial state and constraint its catalog entry
+allows — and then evaluates the bound per row.  Verification never passes
+while any member run violates a bound claimed to hold for all runs, and it
+refuses outright (rather than failing) when the results cannot support the
+claim at all.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from statistics import fmean
 from typing import Any
 
 from .config import NEED, ConfigError, check_keys, check_range, is_kind
-from .oracle import REACH_DELTA, check_params, theorem_entry
-from .sweep import RUN_COLUMNS
+from .oracle import REACH_DELTA, UNIFORM_CONTACTS, check_params, theorem_entry
+from .sweep import AXIS_FIELDS, RUN_COLUMNS, reach_window
 
 __all__ = [
     "VerificationRefusal",
@@ -136,19 +136,21 @@ def verify_rows(
     runs where the entry says "whp".  A band needs every run to finish
     between its floor and the bound.  A coverage pair reads each run's
     reach fraction, recorded at delta ``REACH_DELTA``, and needs a mean of
-    at least 0.9.  `params` may set only the entry's defaults (the bound's
-    numbers, such as beta and c); every other parameter (n, k, l and thm2's
-    eta) is read from each run's columns.  Rows missing a
-    column the check reads, or with a value out of its parameter's range
-    there (None included), or a completion slot, slot count, completed flag
-    or reach fraction that no run can have, are a :class:`ConfigError`
-    naming `where`, the run if a value, and the column.
+    at least 0.9; the report states the window that statistic used.  `params`
+    may set only the entry's defaults (the bound's numbers, such as beta and
+    c); every other parameter is read from the run column of its sweep axis
+    name (n, k, eta, and spacing for l).  Every bound also needs uniform
+    contacts.  Rows missing a column the check reads, or with a value out of
+    its parameter's range there (None included), or a completion slot, slot
+    count, completed flag or reach fraction that no run can have, are a
+    :class:`ConfigError` naming `where`, the run if a value, and the column.
     """
     entry = theorem_entry(theorem)
     if not rows:
         raise VerificationRefusal(f"{theorem}: no result rows to check")
-    _require_columns(rows, entry["applies"], theorem, where)
-    for name, allowed in entry["applies"].items():
+    applies = {**entry["applies"], **UNIFORM_CONTACTS}
+    _require_columns(rows, applies, theorem, where)
+    for name, allowed in applies.items():
         bad = {str(row[name]) for row in rows if row[name] not in allowed}
         if bad:
             raise VerificationRefusal(
@@ -157,9 +159,10 @@ def verify_rows(
             )
     kind, floor = entry["kind"], entry.get("floor")
     reads = _REACH_COLUMNS if kind == "pair" else _TIME_COLUMNS
-    _require_columns(rows, (*entry["columns"].values(), *reads), theorem, where)
+    ranges = entry["params"]
+    columns = [(p, AXIS_FIELDS[p]) for p in ranges if p not in entry["defaults"]]
+    _require_columns(rows, (*(c for _, c in columns), *reads), theorem, where)
     given = {} if params is None else params
-    ranges, columns = entry["params"], entry["columns"].items()
     check_keys(theorem, given, entry["defaults"])
     check_params(theorem, given)  # the defaults are in range by the catalog's own test
     params = {**entry["defaults"], **given}
@@ -212,7 +215,10 @@ def verify_rows(
     required = 1.0
     if kind == "pair":
         within, required = fmean(measures), 0.9
-        details = {"required_mean_reach": required}
+        details = {
+            "required_mean_reach": required,
+            "reach_window_slots": max(reach_window(row["n"]) for row in rows),
+        }
         bound = {
             "fraction": min(frac for frac, _ in bounds),
             "window_slots": max(window for _, window in bounds),

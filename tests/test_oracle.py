@@ -13,6 +13,7 @@ import pytest
 from gossipsim.config import ConfigError
 from gossipsim.oracle import (
     THEOREMS,
+    UNIFORM_CONTACTS,
     bound_value,
     classical_gossip_sample,
     deterministic_gossip,
@@ -22,7 +23,7 @@ from gossipsim.oracle import (
     gossip_mean_map,
     theorem_entry,
 )
-from gossipsim.sweep import RUN_COLUMNS
+from gossipsim.sweep import AXIS_FIELDS, RUN_COLUMNS
 
 # ------------------------------------------------------------------ mean map
 
@@ -316,9 +317,7 @@ def test_theorem_ids_are_refused_as_names():
 
 
 # the keys the comment above oracle.THEOREMS documents
-CATALOG_KEYS = {
-    "kind", "fn", "summary", "params", "defaults", "columns", "applies", "whp", "floor", "band"
-}
+CATALOG_KEYS = {"kind", "fn", "summary", "params", "defaults", "applies", "whp", "floor", "band"}
 
 
 @pytest.mark.parametrize("theorem", sorted(THEOREMS))
@@ -330,16 +329,20 @@ def test_catalog_entry_is_consistent(theorem):
     assert ("floor" in entry) == ("band" in entry)
     assert "whp" not in entry or entry["kind"] == "upper"
     assert set(entry) <= CATALOG_KEYS
-    # every parameter is read from a run or has a default, never both
-    assert not set(entry["columns"]) & set(entry["defaults"])
-    assert set(entry["params"]) == set(entry["columns"]) | set(entry["defaults"])
+    # every parameter without a default is read from the run column its
+    # sweep axis name gives
+    runs = set(entry["params"]) - set(entry["defaults"])
+    assert set(entry["defaults"]) <= set(entry["params"])
+    assert runs <= set(AXIS_FIELDS)
+    assert {AXIS_FIELDS[name] for name in runs} <= set(RUN_COLUMNS)
     # a count (an int parameter) is always the run's own: verify_rows lets a
     # caller set only the defaults
     counts = {name for name, rng in entry["params"].items() if rng[0] is int}
-    assert counts <= set(entry["columns"])
-    assert set(entry["columns"].values()) <= set(RUN_COLUMNS)
-    assert set(entry["applies"]) <= set(RUN_COLUMNS)
+    assert not counts & set(entry["defaults"])
+    # the uniform-contacts hypothesis is stated once, for every entry
+    assert not set(entry["applies"]) & set(UNIFORM_CONTACTS)
+    assert set(entry["applies"]) | set(UNIFORM_CONTACTS) <= set(RUN_COLUMNS)
     n, k = (64, 64) if theorem == "thm7" else (64, 32)
     row = {"n": n, "k": k, "eta": 0.5, "spacing": 2}
-    values = {name: row[column] for name, column in entry["columns"].items()}
+    values = {name: row[AXIS_FIELDS[name]] for name in runs}
     bound_value(theorem, **values, **entry["defaults"])

@@ -18,7 +18,7 @@ import pytest
 import yaml
 
 import gossipsim as g
-from gossipsim import sweep
+from gossipsim import engine, sweep
 from gossipsim.cli import build_parser, main
 from gossipsim.config import ConfigError
 from gossipsim.engine import init_state, step_slot
@@ -469,6 +469,25 @@ def test_verify_takes_a_bounds_counts_only_from_the_runs(theorem, params, unknow
     assert str(err.value) == f"{theorem}: unknown keys {unknown}; known: {known}"
 
 
+@pytest.mark.parametrize("theorem, column", [("thm1", "n"), ("thm5", "spacing"), ("thm2", "eta")])
+def test_verify_reads_a_bound_parameter_from_its_axis_column(theorem, column):
+    # thm5's l is the sweep axis l, whose run column is spacing
+    row = capped_pull_run(**BOUND_RUNS[theorem])
+    del row[column]
+    with pytest.raises(ConfigError) as err:
+        verify_rows([row], theorem)
+    assert str(err.value) == f"results: no {column!r} column, which {theorem} reads"
+
+
+def test_thm5_reports_the_window_its_reach_statistic_used():
+    # the theorem's window at n = 500 is 9.683 slots; the recorded reach
+    # fraction counts holders within ceil(1.3 log2 500) = 12
+    rows = [capped_pull_run(**BOUND_RUNS["thm5"], n=n, run_id=f"n{n}") for n in (64, 500)]
+    report = verify_rows(rows, "thm5")
+    assert report.bound["window_slots"] == pytest.approx(1.08 * math.log2(500))
+    assert report.details["reach_window_slots"] == sweep.reach_window(500) == 12
+
+
 def test_thm2_reads_each_runs_own_eta():
     # 200 slots at eta = 1.0 is past that run's bound (55.7 slots); a caller's
     # eta = 0.25 would have checked it against 303.8 and passed it
@@ -567,8 +586,8 @@ GOLDEN_REPORTS = {
     "thm3-delta-c": "8854b140cb3e9b2edf57d4e36d296da15c6c322ae7a3266ddbb5a8153d3f6b65",  # PASS
     "thm4": "89ca4ca6862a27c82ae49a3b9387347005b206b6eb006733e20cbd6a71a59fcb",  # PASS
     "thm4-beta": "ff80c03869df43e3f0a93906620ceebf6c0b5816d0f0eb9ba90b81fc31650969",  # PASS
-    "thm5-fail": "f9228609e525311957cd96b9425d16aa01711b61dd19f6742f6e03ff3fb343a2",  # FAIL
-    "thm5-pass": "e3e756e2333933b8dd2744c188ba5959a351f984ba30192548b6116172bc6aa6",  # PASS
+    "thm5-fail": "653368716c12853c4485da71c9643f021afe373a8e2ccf107731fcd5ec844f8f",  # FAIL
+    "thm5-pass": "37c598f645afca45f16fb6ebf4fe4939c1e50a8b2048d494e1e8d0f676145246",  # PASS
     "thm6": "02af5dcd1048ed4c4c4ae1267d5f0fe41d6f2f328b90c09143506963e6ec38cd",  # PASS
     "thm6-eps": "a1326f04f242935df7b1f282daeb93fa9c1ea658ea082f18dd7fd8063eb248e1",  # PASS
     "thm6-late": "9ec983539ac7e5ec42f7c4d4e0e21df25eb12b60f97ca7dc70dd338a272f809b",  # FAIL
@@ -788,6 +807,29 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error:") and expected in err
     assert not (tmp_path / "out").exists()
+
+
+def no_slot(st, protocol):
+    raise AssertionError("a slot ran")
+
+
+@pytest.mark.parametrize("command", ["sweep", "reproduce"])
+def test_an_out_a_file_blocks_fails_before_any_run(tmp_path, capsys, monkeypatch, command):
+    # the results could not be written: refuse before stepping the grid
+    monkeypatch.setattr(engine, "step_slot", no_slot)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    if command == "sweep":
+        spec = {"schema_version": 1, "base": {"k": 4, "protocol": g.INTERLEAVE}, "axes": {"n": [8, 16]}}
+        argv = ["sweep", "--config", write_yaml(tmp_path / "s.yaml", spec)]
+    else:
+        argv = ["reproduce", "--figure", "fig3", "--scale", "0.04", "--seeds", "1"]
+    before = sorted(tmp_path.iterdir())
+    for out, code in ((blocker, errno.EEXIST), (blocker / "sub", errno.ENOTDIR)):
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno {code}] {os.strerror(code)}: '{out}'\n")
+    assert sorted(tmp_path.iterdir()) == before
+    assert blocker.read_text() == ""
 
 
 def test_cli_verify_usage_errors_exit_2(tmp_path, capsys):

@@ -10,6 +10,7 @@ import csv
 import errno
 import io
 import json
+import os
 import tracemalloc
 from dataclasses import asdict, replace
 
@@ -164,6 +165,19 @@ def test_a_directory_as_destination_fails_before_any_slot(tmp_path, capsys, monk
     assert capsys.readouterr() == ("", f"error: [Errno {errno.EISDIR}] Is a directory: '{place}'\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["place", "run.yaml"]
     assert list(place.iterdir()) == []
+
+
+def test_an_out_under_a_file_fails_before_any_slot(tmp_path, capsys, monkeypatch):
+    # the record could not be written: refuse before the run
+    monkeypatch.setattr(engine, "step_slot", no_slot)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    config = sim_yaml(tmp_path, n=8, k=4)
+    for parent, code in ((blocker, errno.EEXIST), (blocker / "sub", errno.ENOTDIR)):
+        assert main(["simulate", "--config", config, "--out", str(parent / "run.jsonl")]) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno {code}] {os.strerror(code)}: '{parent}'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "run.yaml"]
+    assert blocker.read_text() == ""
 
 
 def test_a_trace_that_cannot_be_moved_into_place_is_removed(tmp_path, capsys, monkeypatch):
