@@ -224,6 +224,15 @@ class SequentialPull(Protocol):
         # nobody holds
         return (st.pieces[target] & ~have & (have + 1)).bit_length()
 
+    def settled(self, st, events) -> bool:
+        """Under fixed lists, after a slot that granted no pull: when no
+        listed contact holds its user's lowest missing piece, no request
+        is made, so by induction no holding ever changes."""
+        if events.pulls or not st.contact_lists:
+            return False
+        act, lists = self.act, st.contact_lists
+        return not any(act(st, u, c, st.slot) for u, listed in enumerate(lists) for c in listed)
+
 
 class PriorityPush(Protocol):
     """Source-paced priority push.
@@ -271,26 +280,30 @@ class PriorityPush(Protocol):
 
     def settled(self, st, events) -> bool:
         """From slot (k - 1) spacing + 1 on the source pushes k, and every
-        other user its highest piece, which is k once it holds k: when all
-        hold k, no push brings anything new."""
-        return st.slot >= (st.k - 1) * self.spacing and bool((st.arrivals[:, -1] >= 0).all())
+        other user its relay memory, its highest piece when run alone: when
+        all hold k and every relayed piece, no push brings anything new."""
+        if st.slot < (st.k - 1) * self.spacing or not (st.arrivals[:, -1] >= 0).all():
+            return False
+        held = reduce(and_, st.pieces)  # the pieces every user holds
+        return all(held >> p - 1 & 1 for p in set(self.relayed or ()) if p)
 
 
 class Interleave(PriorityPush):
     """Odd slots are the push channel, priority push with spacing 2: the
     source injects piece (t + 1) / 2, capped at k, and every other user
     relays the highest piece it got on the push channel, its relay memory,
-    picked by a per-user ``act``.  Even slots are the pull channel,
-    sequential pull, and leave the memory alone: a pulled piece is never
-    relayed.  Complete users idle on the pull channel but still serve."""
+    picked by a per-user ``act``.  Even slots are the pull channel, its
+    own sequential pull, and leave the memory alone: a pulled piece is
+    never relayed.  Complete users idle on the pull channel but still serve."""
 
     def __init__(self):
         super().__init__(2)
+        self.pull = SequentialPull()
 
     def __call__(self, st, slot: int):
         if slot & 1:
             return super().__call__(st, slot)
-        return _PULL_CHANNEL(st, slot)
+        return self.pull(st, slot)
 
     def picks(self, st, slot: int, targets) -> np.ndarray:
         acts = map(self.act, repeat(st), range(st.n), targets.tolist(), repeat(slot))
@@ -302,25 +315,11 @@ class Interleave(PriorityPush):
         return self.relayed[user]
 
     def settled(self, st, events) -> bool:
-        """Tested under fixed lists (uniform contacts always complete) after
-        a pull slot that granted no pull, once priority push would settle:
-        from slot 2(k - 1) on the source pushes k, all hold k, and the
-        others push their relay memory, a maximum of pushed pieces.  No
-        push is new if all hold every relayed piece too, and no pull is
-        made if no user's pull act asks any listed contact for a piece; by
-        induction no holding ever changes."""
-        if st.slot & 1 or events.pulls or not st.contact_lists or not super().settled(st, events):
+        """Under fixed lists (uniform contacts always complete), after a pull
+        slot that granted no pull: settled once each channel's own rule says so."""
+        if st.slot & 1 or events.pulls or not st.contact_lists:
             return False
-        held = reduce(and_, st.pieces)  # the pieces every user holds
-        if any(p and not held >> p - 1 & 1 for p in set(self.relayed)):
-            return False
-        act = _PULL_CHANNEL.act
-        return not any(
-            act(st, u, c, st.slot) for u, listed in enumerate(st.contact_lists) for c in listed
-        )
-
-
-_PULL_CHANNEL = SequentialPull()
+        return super().settled(st, events) and self.pull.settled(st, events)
 
 
 def make_protocol(config: SimulationConfig) -> Protocol:

@@ -22,6 +22,7 @@ from gossipsim.config import (
     SimulationConfig,
     check_keys,
     load_config,
+    read_versioned_yaml,
 )
 from gossipsim.engine import build_contact_lists
 from gossipsim.figures import reproduce
@@ -179,6 +180,13 @@ def test_load_config_rejects_bad_yaml(tmp_path):
     path.write_text("n: [unclosed\n")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_read_versioned_yaml_rejects_a_top_level_that_is_not_a_mapping(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text(f"- schema_version: {SCHEMA_VERSION}\n")
+    with pytest.raises(ConfigError, match="expected a mapping at top level"):
+        read_versioned_yaml(path)
 
 
 @pytest.mark.parametrize(

@@ -477,8 +477,8 @@ def test_incomplete_run_reports_completed_false():
 
 
 def test_runs_stepped_alternately_in_one_process_share_no_state():
-    # interleave shares one pull channel object between runs, so a protocol
-    # that kept state there would leak it from one run into another
+    # protocol state (interleave's relay memory and its pull channel) is
+    # per run, so runs stepped in turn must end as each one does alone
     lists = dict(contact_model=g.FIXED_LISTS, contact_list_size=4)
     configs = [
         config(n=40, k=20, protocol=g.INTERLEAVE, seed=3, record_trace=True),
@@ -544,10 +544,10 @@ def stepped(cfg):
 @hs.composite
 def settling_configs(draw):
     """Small runs of the protocols that can settle: priority push under
-    uniform contacts or fixed lists with l from 1 to 4, and interleave on
-    fixed lists of 1 to 3 contacts; hard or soft, with caps from one slot
-    to the default horizon."""
-    protocol = draw(hs.sampled_from([g.PRIORITY_PUSH, g.INTERLEAVE]))
+    uniform contacts or fixed lists with l from 1 to 4, and interleave and
+    sequential pull on fixed lists of 1 to 3 contacts; hard or soft, with
+    caps from one slot to the default horizon."""
+    protocol = draw(hs.sampled_from([g.PRIORITY_PUSH, g.INTERLEAVE, g.SEQUENTIAL_PULL]))
     n = draw(hs.integers(2, 10))
     k = draw(hs.integers(1, 10))
     fields = dict(
@@ -559,8 +559,8 @@ def settling_configs(draw):
     )
     if protocol == g.PRIORITY_PUSH:
         fields["spacing"] = draw(hs.integers(1, 4))
-    if protocol == g.INTERLEAVE or draw(hs.booleans()):
-        top = min(n - 1, 3) if protocol == g.INTERLEAVE else n - 1
+    if protocol != g.PRIORITY_PUSH or draw(hs.booleans()):
+        top = n - 1 if protocol == g.PRIORITY_PUSH else min(n - 1, 3)
         fields.update(contact_model=g.FIXED_LISTS, contact_list_size=draw(hs.integers(1, top)))
     fields["max_slots"] = draw(hs.none() | hs.integers(1, 4 * k * fields.get("spacing", 2) + 40))
     return g.SimulationConfig(**fields)
@@ -594,6 +594,27 @@ def test_a_run_that_cannot_settle_steps_to_its_cap(monkeypatch):
     calls = count_steps(monkeypatch)
     result = g.run(config(n=16, k=40, protocol=g.PRIORITY_PUSH, spacing=2, max_slots=70, seed=1))
     assert result.slots == len(calls) == 70
+
+
+def test_a_sequential_pull_stall_settles_in_its_first_slot(monkeypatch):
+    # no user lists the source, so no listed contact ever holds a piece the
+    # user lacks: the first slot grants no pull and the run settles
+    cfg = config(
+        n=40,
+        k=20,
+        protocol=g.SEQUENTIAL_PULL,
+        contact_model=g.FIXED_LISTS,
+        contact_list_size=2,
+        constraint=g.HARD,
+        seed=2,
+    )
+    st = init_state(cfg)
+    assert all(st.source not in listed for listed in st.contact_lists)
+    calls = count_steps(monkeypatch)
+    result = g.run(cfg)
+    assert len(calls) == 1
+    assert result.slots == cfg.effective_max_slots() == 1700
+    assert outcome(result) == stepped(cfg)[0]
 
 
 def test_the_readme_fig1_stall_settles_at_its_last_arrival(monkeypatch):

@@ -76,6 +76,13 @@ def test_delay_profile_boundaries():
     assert prof.at(prof.max_delay) == prof.limit
 
 
+def test_delay_profile_of_a_run_that_served_no_pair():
+    prof = g.delay_profile(make_result([[-1, -1], [-1, -1]]))
+    assert prof.max_delay == 0
+    assert prof.limit == 0.0
+    assert prof.at(5) == 0.0
+
+
 def reference_delay_profile(result):
     """delay_profile as it was written on int64 copies of the (n, k)
     matrix, with the endowed pairs set to delay 0 by their arrival."""

@@ -1023,6 +1023,18 @@ def test_cli_verify_reads_jsonl(tmp_path, capsys):
     assert load_results(out)[0]["eta"] == 1
 
 
+def test_load_results_skips_blank_jsonl_lines(tmp_path, capsys):
+    main(["simulate", "--config", sim_config(tmp_path)])
+    record = capsys.readouterr().out.strip()
+    path = tmp_path / "runs.jsonl"
+    path.write_text(f"{record}\n\n{record}\n  \n")
+    assert [row["seed"] for row in load_results(path)] == [5, 5]
+    # a skipped line still counts toward the line a refusal names
+    path.write_text(f"{record}\n\nnot json\n")
+    with pytest.raises(ConfigError, match="line 3: not JSON"):
+        load_results(path)
+
+
 def test_cli_verify_writes_report(tmp_path, capsys):
     cfg = sweep_yaml(tmp_path)
     out = tmp_path / "results"
