@@ -1,5 +1,5 @@
-"""Seeded sweeps: run grids expanded deterministically, executed serially
-or across processes, and written as versioned CSVs.
+"""Seeded sweeps: run grids expanded deterministically, executed in this
+process or split across forked workers, and written as versioned CSVs.
 
 Per-run seeds are derived by hashing (master seed, cell, seed index), so a
 sweep's outcome is independent of execution order and worker count, and any
@@ -14,9 +14,10 @@ import csv
 import hashlib
 import itertools
 import math
+import os
+import pickle
 import time
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from statistics import fmean
 from typing import Any, Mapping
@@ -79,8 +80,8 @@ AXIS_FIELDS = {
 # log2 n) coverage guarantee of spaced push that `verify` checks.
 REACH_WINDOW_FACTOR = 1.3
 
-# Most worker processes a sweep or figure may ask for: a process pool
-# starts all its workers at once, however few runs there are.
+# Most worker processes a sweep or figure may ask for: each is a fork of the
+# caller, and all of them run at once.
 MAX_JOBS = 64
 
 # The run row schema: each column of a sweep's runs.csv, in order, with the
@@ -274,26 +275,66 @@ def _execute_plan(plan: RunPlan, keep_profile: bool = False) -> dict:
     return row
 
 
-def ProcessPoolExecutor(max_workers: int):
-    """The process pool, imported on first use: most commands run none."""
-    from concurrent.futures import ProcessPoolExecutor as Pool
-
-    return Pool(max_workers=max_workers)
+def _work(share: list, keep_profile: bool, fd: int) -> None:
+    """A forked worker: pipe `share`'s rows, or what stopped them, to `fd`
+    as one pickle, and exit without returning into the caller's stack."""
+    try:
+        try:
+            out = pickle.dumps([_execute_plan(plan, keep_profile) for plan in share])
+        except BaseException as exc:
+            try:
+                pickle.loads(out := pickle.dumps(exc))
+            except Exception:
+                import traceback
+                out = pickle.dumps(RuntimeError("".join(traceback.format_exception(exc))))
+        with open(fd, "wb") as fh:
+            fh.write(out)
+        os._exit(0)
+    finally:
+        os._exit(1)
 
 
 def execute(plans: list, jobs: int = 1, keep_profile: bool = False) -> list:
-    """Run all plans, serially or with a process pool; row order follows
-    plan order either way.  With `keep_profile` each row also carries the
-    run's :class:`DelayProfile` under ``"profile"``, so that a pool worker
-    returns the profile rather than the run's (n, k) arrivals matrix.
-    `jobs` is an integer in [1, MAX_JOBS]; the pool has at most one
-    worker per plan."""
+    """Run all plans, in this process or in forked workers; row order
+    follows plan order either way.  With `keep_profile` each row also
+    carries the run's :class:`DelayProfile` under ``"profile"``, so that a
+    worker returns the profile rather than the run's (n, k) arrivals matrix.
+    `jobs` is an integer in [1, MAX_JOBS], above 1 only with `os.fork`: then
+    worker i of w = min(jobs, plans) runs ``plans[i::w]``, and none outlives
+    the call."""
     check_range("jobs", jobs, int, 1, MAX_JOBS, "[]")
-    task = partial(_execute_plan, keep_profile=keep_profile)
-    if jobs == 1 or len(plans) <= 1:
-        return [task(plan) for plan in plans]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(plans))) as pool:
-        return list(pool.map(task, plans))
+    if jobs > 1 and not hasattr(os, "fork"):
+        raise ConfigError(f"jobs: {jobs} needs os.fork, which this platform lacks; use 1")
+    w = min(jobs, len(plans))
+    if w <= 1:
+        return [_execute_plan(plan, keep_profile) for plan in plans]
+    workers = []  # (pid, read end of its pipe) of each worker not yet reaped
+    rows = [None] * len(plans)
+    try:
+        for i in range(w):
+            r, fd = os.pipe()
+            if (pid := os.fork()) == 0:
+                _work(plans[i::w], keep_profile, fd)
+            os.close(fd)
+            workers.append((pid, open(r, "rb")))
+        for i in range(w):
+            pid, fh = workers[0]
+            with fh:
+                data = fh.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[0]
+            if status or not data:
+                raise RuntimeError(f"worker {pid} exited with status {status} without its rows")
+            if isinstance(out := pickle.loads(data), BaseException):
+                raise out
+            rows[i::w] = out
+    finally:
+        import signal  # here, not at module import: most commands fork no worker
+        for pid, fh in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            fh.close()
+    return rows
 
 
 def aggregate(rows: list) -> list:

@@ -9,8 +9,11 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -135,42 +138,51 @@ def test_run_sweep_rows_and_aggregate():
         assert by_n[n]["max_completion"] == max(members)
 
 
+def strip_wall_time(rows):
+    return [{k: v for k, v in r.items() if k != "wall_time_s"} for r in rows]
+
+
 def test_parallel_sweep_matches_serial():
     spec = small_spec()
     rows1, agg1 = run_sweep(spec, jobs=1)
     rows2, agg2 = run_sweep(spec, jobs=2)
-    strip = lambda rs: [{k: v for k, v in r.items() if k != "wall_time_s"} for r in rs]
-    assert strip(rows1) == strip(rows2)
+    assert strip_wall_time(rows1) == strip_wall_time(rows2)
     assert agg1 == agg2
 
 
-def pool_recorder(sizes: list):
-    """A stand-in for ProcessPoolExecutor that appends each pool size asked
-    for to `sizes` and runs the tasks in this process."""
+def record_run_pids(tmp_path, monkeypatch):
+    """Wrap sweep._execute_plan so that each run, in whichever process runs
+    it, appends that process's pid to a file under `tmp_path`.  Returns a
+    function that yields the set of pids recorded since its last call."""
+    log = tmp_path / "run_pids"
+    run_plan = sweep._execute_plan
 
-    class Pool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def recording(plan, keep_profile=False):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return run_plan(plan, keep_profile)
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(sweep, "_execute_plan", recording)
 
-        def __exit__(self, *exc):
-            return False
+    def pids():
+        found = set(map(int, log.read_text().split())) if log.exists() else set()
+        log.unlink(missing_ok=True)
+        return found
 
-        def map(self, fn, items):
-            return map(fn, items)
+    return pids
 
-    return Pool
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_jobs_out_of_range_is_refused_before_any_run(tmp_path, capsys, monkeypatch):
     def no_run(config):
         raise AssertionError("a run started")
 
-    sizes = []
+    pids = record_run_pids(tmp_path, monkeypatch)
     monkeypatch.setattr(sweep, "run_engine", no_run)
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", pool_recorder(sizes))
     plans = expand(small_spec())
     for jobs in (0, -3, MAX_JOBS + 1, True, 2.0, "2"):
         expected = rf"^jobs: need an integer in \[1, {MAX_JOBS}\], got {re.escape(repr(jobs))}$"
@@ -182,35 +194,138 @@ def test_jobs_out_of_range_is_refused_before_any_run(tmp_path, capsys, monkeypat
     argv = ["reproduce", "--figure", "fig3", "--scale", "0.04", "--seeds", "1"]
     assert main(argv + ["--jobs", "-3", "--out", str(tmp_path)]) == 2
     assert "config error: jobs" in capsys.readouterr().err
-    assert sizes == []
+    assert pids() == set()  # no run, so no worker was forked
     assert not (tmp_path / "runs.csv").exists() and not (tmp_path / "fig3.csv").exists()
 
 
-def test_pool_has_at_most_one_worker_per_plan(monkeypatch):
-    sizes = []
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", pool_recorder(sizes))
+def test_pool_has_at_most_one_worker_per_plan(tmp_path, monkeypatch):
+    pids = record_run_pids(tmp_path, monkeypatch)
     plans = expand(small_spec())  # 6 plans
     serial = execute(plans, jobs=1)
-    strip = lambda rs: [{k: v for k, v in r.items() if k != "wall_time_s"} for r in rs]
-    for jobs in (2, MAX_JOBS):
-        assert strip(execute(plans, jobs=jobs)) == strip(serial)
+    assert pids() == {os.getpid()}
+    for jobs, workers in ((2, 2), (MAX_JOBS, 6)):
+        assert strip_wall_time(execute(plans, jobs=jobs)) == strip_wall_time(serial)
+        seen = pids()
+        assert len(seen) == workers and os.getpid() not in seen
     assert execute(plans[:1], jobs=MAX_JOBS)[0]["run_id"] == serial[0]["run_id"]
-    assert sizes == [2, 6]  # one plan runs without a pool
+    assert pids() == {os.getpid()}  # one plan runs in the caller, unforked
+    assert_no_child_left()
 
 
-def test_a_serial_sweep_imports_no_process_pool(tmp_path):
-    # the pool's module costs memory and start-up time, so only a pool run loads it
+def test_jobs_above_one_needs_fork(tmp_path, capsys, monkeypatch):
+    pids = record_run_pids(tmp_path, monkeypatch)
+    monkeypatch.delattr(os, "fork")
+    plans = expand(small_spec())
+    for jobs in (2, MAX_JOBS):
+        for share in (plans, plans[:1]):
+            with pytest.raises(ConfigError, match=rf"^jobs: {jobs} needs os\.fork"):
+                execute(share, jobs=jobs)
+    assert pids() == set()
     cfg = sweep_yaml(tmp_path)
+    assert main(["sweep", "--config", cfg, "--jobs", "2", "--out", str(tmp_path)]) == 2
+    assert "config error: jobs: 2 needs os.fork" in capsys.readouterr().err
+    assert pids() == set() and not (tmp_path / "runs.csv").exists()
+    assert len(execute(plans, jobs=1)) == len(plans)
+    assert pids() == {os.getpid()}
+
+
+class Unpicklable(Exception):
+    """An exception that holds a lock, so pickle refuses it."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+def fail_in_worker(monkeypatch, plans, failure):
+    """Patch sweep.run_engine so that the run of plans[3] (the second
+    worker's, with two workers) calls `failure`; the forks inherit it."""
+    caller, bad_seed, run = os.getpid(), plans[3].config.seed, sweep.run_engine
+
+    def engine(config):
+        assert os.getpid() != caller, "a pooled run ran in the caller"
+        if config.seed == bad_seed:
+            failure(config)
+        return run(config)
+
+    monkeypatch.setattr(sweep, "run_engine", engine)
+
+
+def test_a_worker_exception_is_raised_in_the_caller(monkeypatch):
+    plans = expand(small_spec())
+
+    def raise_value_error(config):
+        raise ValueError(f"no run for seed {config.seed}")
+
+    fail_in_worker(monkeypatch, plans, raise_value_error)
+    with pytest.raises(ValueError, match=rf"^no run for seed {plans[3].config.seed}$"):
+        execute(plans, jobs=2)
+    assert_no_child_left()
+
+
+def test_an_unpicklable_worker_exception_arrives_as_its_traceback(monkeypatch):
+    plans = expand(small_spec())
+
+    def raise_unpicklable(config):
+        raise Unpicklable("holds a lock")
+
+    fail_in_worker(monkeypatch, plans, raise_unpicklable)
+    with pytest.raises(RuntimeError) as info:
+        execute(plans, jobs=2)
+    text = str(info.value)
+    assert text.startswith("Traceback (most recent call last):")
+    assert "in raise_unpicklable" in text
+    assert text.rstrip().endswith("Unpicklable: holds a lock")
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "die, status",
+    [(lambda config: os._exit(3), 3), (lambda config: os.kill(os.getpid(), signal.SIGKILL), -9)],
+    ids=["exit-3", "sigkill"],
+)
+def test_a_worker_that_dies_without_rows_is_an_error(monkeypatch, die, status):
+    plans = expand(small_spec())
+    fail_in_worker(monkeypatch, plans, die)
+    with pytest.raises(RuntimeError, match=rf"^worker \d+ exited with status {status} without its rows$"):
+        execute(plans, jobs=2)
+    assert_no_child_left()
+
+
+def test_an_interrupt_kills_and_reaps_every_worker(monkeypatch):
+    # The first worker interrupts the caller once both workers are forked;
+    # every worker then sleeps far longer than the test waits.
+    caller, first = os.getpid(), expand(small_spec())[0].config.seed
+
+    def engine(config):
+        assert os.getpid() != caller, "a pooled run ran in the caller"
+        if config.seed == first:
+            time.sleep(0.5)
+            os.kill(caller, signal.SIGINT)
+        time.sleep(60)
+
+    monkeypatch.setattr(sweep, "run_engine", engine)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        execute(expand(small_spec()), jobs=2)
+    assert time.monotonic() - started < 30
+    assert_no_child_left()
+
+
+def test_a_sweep_imports_no_process_pool(tmp_path):
+    # forked workers need no pool module, so no sweep loads one
+    cfg = sweep_yaml(tmp_path)
+    out = str(tmp_path / "jobs")
     code = (
         "import sys; from gossipsim.cli import main; "
-        f"rc = main(['sweep', '--config', {cfg!r}, '--jobs', '1', '--out', {str(tmp_path)!r}]); "
-        "print(rc, 'concurrent.futures.process' in sys.modules)"
+        f"rc = [main(['sweep', '--config', {cfg!r}, '--jobs', j, '--out', {out!r} + j]) for j in '12']; "
+        "print(*rc, any(m.split('.')[0] in ('concurrent', 'multiprocessing') for m in sys.modules))"
     )
     src = str(Path(g.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert proc.stdout.split()[-2:] == ["0", "False"], proc.stderr
-    assert (tmp_path / "runs.csv").exists()
+    assert proc.stdout.split()[-3:] == ["0", "0", "False"], proc.stderr
+    assert csv_digest(tmp_path / "jobs1" / "runs.csv") == csv_digest(tmp_path / "jobs2" / "runs.csv")
 
 
 def test_priority_push_rows_record_reach():
