@@ -33,9 +33,9 @@ slots (the relay memory) lives on its instance, one per run, and a run's
 release slots come from the protocol's source schedule.
 
 An untraced run stops stepping once its protocol says it is settled (a
-priority-push tail, a sequential-pull or interleave stall on fixed lists):
-no later slot can change a holding, so it ends at its cap as stepping there
-would; a traced run steps every slot, since its trace records each push.
+priority-push tail, or any protocol's stall on fixed lists): no later slot
+can change a holding, so it ends at its cap as stepping there would; a
+traced run steps every slot, since its trace records each push.
 """
 
 from __future__ import annotations

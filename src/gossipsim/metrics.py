@@ -98,17 +98,16 @@ def _holders_within(result: RunResult, window: int) -> np.ndarray:
     return np.where(release >= 0, holders, -1)
 
 
-def failed_pieces(result: RunResult, epsilon: float | None = None) -> list[int]:
+def failed_pieces(result: RunResult) -> list[int]:
     """Pieces that never spread: released but stuck below the failure bar.
 
     A piece fails when fewer than ``ceil(n * e / 5)`` users hold it within
-    ``floor(2 (1 + epsilon) log2 n)`` slots of its release by the source;
-    a piece the source never released at all also counts as failed.  Only
-    defined for runs whose protocol releases pieces on a schedule; an
-    `epsilon` outside (0, 1), the range of the config's, is refused.
+    ``floor(2 (1 + epsilon) log2 n)`` slots of its release by the source,
+    epsilon the run config's (refused outside (0, 1), as validation would);
+    a piece the source never released also counts as failed.  Only defined
+    for runs whose protocol releases pieces on a schedule.
     """
-    if epsilon is None:
-        epsilon = result.config.epsilon
+    epsilon = result.config.epsilon
     check_range("epsilon", epsilon, float, 0, 1, "()")
     n = result.arrivals.shape[0]
     window = math.floor(2.0 * (1.0 + epsilon) * math.log2(n))

@@ -124,7 +124,9 @@ class Protocol:
 
     Each user's contact costs one ``rng.random()`` draw: uniform over the
     other n - 1 users, or under fixed contact lists uniform over the user's
-    own list (:func:`draw_contacts`)."""
+    own list (:func:`draw_contacts`).  ``moves(have, held)`` is the set of
+    pieces a user holding `have` can move with a contact holding `held`;
+    it decides the fixed-list settle rule, :meth:`settled`."""
 
     def release_slots(self, k: int, slots: int) -> list | None:
         """Per piece, the slot the source first pushes it; None without a schedule."""
@@ -132,8 +134,12 @@ class Protocol:
 
     def settled(self, st, events) -> bool:
         """Whether no slot after the one that granted `events` can change
-        a holding; False unless a protocol can tell."""
-        return False
+        a holding: under fixed lists, when no user and listed contact have
+        a piece to move, no slot brings a new piece, so none ever will."""
+        if not (lists := st.contact_lists):
+            return False
+        moves, pieces = self.moves, st.pieces
+        return not any(moves(pieces[u], pieces[c]) for u, row in enumerate(lists) for c in row)
 
 
 class DrawAndPick(Protocol):
@@ -150,6 +156,9 @@ class DrawAndPick(Protocol):
         check_choice("rule", rule, (RANDOM_PULL, RANDOM_PUSH, ADVOCATE))
         self.rule = rule
         self.pull, self.push = rule == RANDOM_PULL, rule == RANDOM_PUSH
+
+    def moves(self, have: int, held: int) -> int:
+        return have & ~held if self.push else held & ~have
 
     def __call__(self, st, slot: int):
         rnd = st.rng.random
@@ -220,18 +229,10 @@ class SequentialPull(Protocol):
 
     def act(self, st, user: int, target: int, slot: int):
         have = st.pieces[user]
-        # the lowest missing piece's bit: for a complete user bit k, which
-        # nobody holds
-        return (st.pieces[target] & ~have & (have + 1)).bit_length()
+        return (st.pieces[target] & ~have & (have + 1)).bit_length()  # moves, with no call
 
-    def settled(self, st, events) -> bool:
-        """Under fixed lists, after a slot that granted no pull: when no
-        listed contact holds its user's lowest missing piece, no request
-        is made, so by induction no holding ever changes."""
-        if events.pulls or not st.contact_lists:
-            return False
-        act, lists = self.act, st.contact_lists
-        return not any(act(st, u, c, st.slot) for u, listed in enumerate(lists) for c in listed)
+    def moves(self, have: int, held: int) -> int:
+        return held & ~have & (have + 1)  # the lowest missing piece; k + 1 (none) if complete
 
 
 class PriorityPush(Protocol):
@@ -315,8 +316,8 @@ class Interleave(PriorityPush):
         return self.relayed[user]
 
     def settled(self, st, events) -> bool:
-        """Under fixed lists (uniform contacts always complete), after a pull
-        slot that granted no pull: settled once each channel's own rule says so."""
+        """Under fixed lists (uniform contacts always complete), after a pull slot
+        that granted no pull: the tail rule and its pull channel's fixed-list rule."""
         if st.slot & 1 or events.pulls or not st.contact_lists:
             return False
         return super().settled(st, events) and self.pull.settled(st, events)

@@ -543,13 +543,14 @@ def stepped(cfg):
 
 @hs.composite
 def settling_configs(draw):
-    """Small runs of the protocols that can settle: priority push under
-    uniform contacts or fixed lists with l from 1 to 4, and interleave and
-    sequential pull on fixed lists of 1 to 3 contacts; hard or soft, with
-    caps from one slot to the default horizon."""
-    protocol = draw(hs.sampled_from([g.PRIORITY_PUSH, g.INTERLEAVE, g.SEQUENTIAL_PULL]))
+    """Small runs of every protocol: priority push under uniform contacts
+    or fixed lists with l from 1 to 4, the others on fixed lists of 1 to 3
+    contacts, advocate from its one-unique start (k = n) and random pull,
+    random push and sequential pull from a single source or an eta-seeded
+    start; hard or soft, with caps from one slot to the default horizon."""
+    protocol = draw(hs.sampled_from(g.PROTOCOLS))
     n = draw(hs.integers(2, 10))
-    k = draw(hs.integers(1, 10))
+    k = n if protocol == g.ADVOCATE else draw(hs.integers(1, 10))
     fields = dict(
         n=n,
         k=k,
@@ -559,6 +560,10 @@ def settling_configs(draw):
     )
     if protocol == g.PRIORITY_PUSH:
         fields["spacing"] = draw(hs.integers(1, 4))
+    if protocol == g.ADVOCATE:
+        fields["initial_state"] = g.ONE_UNIQUE
+    elif protocol not in (g.PRIORITY_PUSH, g.INTERLEAVE) and draw(hs.booleans()):
+        fields.update(initial_state=g.ETA_SEEDED, eta=draw(hs.floats(0.01, 1.0)))
     if protocol != g.PRIORITY_PUSH or draw(hs.booleans()):
         top = n - 1 if protocol == g.PRIORITY_PUSH else min(n - 1, 3)
         fields.update(contact_model=g.FIXED_LISTS, contact_list_size=draw(hs.integers(1, top)))
@@ -614,6 +619,27 @@ def test_a_sequential_pull_stall_settles_in_its_first_slot(monkeypatch):
     result = g.run(cfg)
     assert len(calls) == 1
     assert result.slots == cfg.effective_max_slots() == 1700
+    assert outcome(result) == stepped(cfg)[0]
+
+
+@pytest.mark.parametrize(
+    "fields, steps, cap",
+    [
+        # pushes follow the lists, so users the source cannot reach never fill
+        (dict(protocol=g.RANDOM_PUSH, seed=0), 332, 1700),
+        # as in the sequential-pull stall, no user lists the source
+        (dict(protocol=g.RANDOM_PULL, seed=2), 1, 1700),
+        (dict(protocol=g.ADVOCATE, k=40, initial_state=g.ONE_UNIQUE, constraint=g.SOFT), 38, 2700),
+    ],
+    ids=[g.RANDOM_PUSH, g.RANDOM_PULL, g.ADVOCATE],
+)
+def test_a_draw_and_pick_stall_settles_once_nothing_can_move(monkeypatch, fields, steps, cap):
+    cfg = config(**dict(n=40, k=20, contact_model=g.FIXED_LISTS, contact_list_size=2) | fields)
+    calls = count_steps(monkeypatch)
+    result = g.run(cfg)
+    assert len(calls) == steps
+    assert result.slots == cfg.effective_max_slots() == cap
+    assert not result.completed
     assert outcome(result) == stepped(cfg)[0]
 
 

@@ -1,6 +1,7 @@
 """Metrics: delay profiles, failure classification, reach, occupancy."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,11 +21,10 @@ def make_result(
     emergence=None,
     release_slots=None,
     slots=None,
-    epsilon=0.1,
 ):
     arr = np.asarray(arrivals, dtype=np.int32)
     n, k = arr.shape
-    cfg = g.SimulationConfig(n=n, k=k, protocol=protocol, epsilon=epsilon)
+    cfg = g.SimulationConfig(n=n, k=k, protocol=protocol)
     last = int(arr.max(initial=0))
     return RunResult(
         config=cfg,
@@ -37,6 +37,11 @@ def make_result(
         trace=None,
         trace_hash=None,
     )
+
+
+def with_epsilon(result, epsilon):
+    """`result` with its config's epsilon set, as failed_pieces reads it."""
+    return replace(result, config=replace(result.config, epsilon=epsilon))
 
 
 # ------------------------------------------------------------- delay profile
@@ -180,8 +185,8 @@ def test_failed_pieces_window_is_epsilon_sensitive():
         [-1, -1],
     ]
     res = make_result(arrivals, release_slots=[1, 2], slots=12)
-    assert g.failed_pieces(res, epsilon=0.9) == []
-    assert g.failed_pieces(res, epsilon=0.1) == [2]
+    assert g.failed_pieces(with_epsilon(res, 0.9)) == []
+    assert g.failed_pieces(with_epsilon(res, 0.1)) == [2]
 
 
 def test_failed_pieces_requires_source_schedule():
@@ -276,7 +281,7 @@ def scheduled_runs(draw):
     window=st.floats(min_value=-3.0, max_value=30.0),
 )
 def test_reach_metrics_match_the_per_piece_loop(res, epsilon, fraction, window):
-    assert g.failed_pieces(res, epsilon=epsilon) == loop_failed_pieces(res, epsilon)
+    assert g.failed_pieces(with_epsilon(res, epsilon)) == loop_failed_pieces(res, epsilon)
     if window < 0:
         with pytest.raises(g.ConfigError, match="window"):
             g.pieces_reached(res, fraction, window)
@@ -286,10 +291,10 @@ def test_reach_metrics_match_the_per_piece_loop(res, epsilon, fraction, window):
 
 @pytest.mark.parametrize("epsilon", [-2.0, 0, 0.0, 1, 1.5, math.nan, math.inf, True, "0.1"])
 def test_failed_pieces_refuses_an_epsilon_outside_the_open_unit_interval(epsilon):
-    # the range config.validate gives the same field
+    # the range config.validate gives the same field, on a config never validated
     res = g.run(g.SimulationConfig(n=32, k=16, protocol=g.PRIORITY_PUSH, max_slots=40))
     with pytest.raises(g.ConfigError, match=r"epsilon: need a number in \(0, 1\)"):
-        g.failed_pieces(res, epsilon)
+        g.failed_pieces(with_epsilon(res, epsilon))
 
 
 @pytest.mark.parametrize("window", [-5, -0.5, math.nan, math.inf, None, True])
