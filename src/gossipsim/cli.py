@@ -60,6 +60,20 @@ def _out_dir(arg: str | None) -> Path:
     return out
 
 
+def _out_files(args, source: str, *outs: str) -> None:
+    """Refuse, before any work, an output option of `outs` that names the
+    input file `source` or an earlier output, a directory, or a path under a file."""
+    seen = {Path(getattr(args, source)).resolve(): source}
+    for name in outs:
+        if (arg := getattr(args, name)) is None:
+            continue
+        if (other := seen.setdefault(Path(arg).resolve(), name)) != name:
+            raise ConfigError(f"--{other} and --{name} name the same file {arg}")
+        if Path(arg).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), arg)
+        _out_dir(str(Path(arg).parent))
+
+
 def run_record(result) -> dict:
     """The JSONL record for one run: config echo, outcome, metric summary."""
     cfg = result.config
@@ -108,18 +122,12 @@ def _trace_csv(path: Path):
 
 
 def cmd_simulate(args) -> int:
+    _out_files(args, "config", "out", "trace")
     config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.trace:
         config = replace(config, record_trace=True)
-    paths = [Path(p) for p in (args.out, args.trace) if p]  # refused before any slot runs
-    if len({path.resolve() for path in paths}) < len(paths):
-        raise ConfigError(f"--out and --trace name the same file {args.out}")
-    for path in filter(Path.is_dir, paths):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    for path in paths:
-        _out_dir(str(path.parent))
     with _trace_csv(Path(args.trace)) if args.trace else nullcontext() as sink:
         result = run_engine(config, sink=sink)
         line = json.dumps(run_record(result), sort_keys=True, separators=(",", ":"))
@@ -145,6 +153,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _out_files(args, "results", "out")
     rows = load_results(args.results)
     names = dict.fromkeys(name for entry in THEOREMS.values() for name in entry["defaults"])
     params = {name: getattr(args, name) for name in names if getattr(args, name) is not None}

@@ -2,10 +2,10 @@
 
 One slot proceeds in three phases shared by every protocol:
 
-1. every user samples one contact and picks an action (push, pull, idle),
-   in one protocol call per slot: a draw-and-pick loop, per-user ``act``
-   on a batch of contacts, or columns; the pushes come back as an (m, 3)
-   array of (user, target, piece) rows;
+1. every user samples one contact (some runs draw blocks of slots; see
+   below) and picks an action (push, pull, idle), in one protocol call per
+   slot: draw-and-pick, per-user ``act`` on a batch of contacts, or
+   columns; the pushes come back as (m, 3) (user, target, piece) rows;
 2. uploads are resolved against the per-user upload budget: pushes pass
    through as they are, and pull requests are sorted by target and
    arbitrated in Python;
@@ -35,7 +35,10 @@ release slots come from the protocol's source schedule.
 An untraced run stops stepping once its protocol says it is settled (a
 priority-push tail, or any protocol's stall on fixed lists): no later slot
 can change a holding, so it ends at its cap as stepping there would; a
-traced run steps every slot, since its trace records each push.
+traced run steps every slot, since its trace records each push.  A run
+whose slots draw nothing but contacts (``contacts_only``) draws B slots'
+at once (:func:`~gossipsim.protocols.draw_contacts`); a :class:`RunResult`
+keeps no PRNG, so the draws past its last slot are never read.
 """
 
 from __future__ import annotations
@@ -175,6 +178,7 @@ class SystemState:
     source: int | None = None
     contact_lists: list | None = None
     contact_table: np.ndarray | None = None  # contact_lists as an (n, m) array
+    rows: list | None = None  # a contact block's rows not yet used; None: draw per slot
 
 
 def build_contact_lists(n: int, m: int, rng: Random) -> list:
@@ -346,6 +350,7 @@ def run(config: SimulationConfig, sink=None) -> RunResult:
     st = init_state(config)
     protocol = make_protocol(config)
     trace = Trace(sink) if config.record_trace else None
+    st.rows = [] if st.constraint in protocol.contacts_only else None  # draw in blocks
     cap = config.effective_max_slots()
     completion = 0 if st.num_complete == st.n else None
     while completion is None and st.slot < cap:

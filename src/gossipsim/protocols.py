@@ -30,12 +30,14 @@ import numpy as np
 
 from .config import (
     ADVOCATE,
+    CONSTRAINTS,
     INTERLEAVE,
     PRIORITY_PUSH,
     PROTOCOLS,
     RANDOM_PULL,
     RANDOM_PUSH,
     SEQUENTIAL_PULL,
+    SOFT,
     SimulationConfig,
     check_choice,
 )
@@ -63,7 +65,8 @@ NO_PUSHES = np.empty((0, 3), dtype=np.int64)
 NO_PUSHES.flags.writeable = False
 
 # Users per getrandbits call in a batch draw: bounds the integer it builds
-# to 512 KiB whatever n is.
+# to 512 KiB whatever n is.  A block of B slots' contacts (engine.run) is
+# one call: B = min(64, _CHUNK // n), and n > _CHUNK / 2 draws per slot.
 _CHUNK = 1 << 16
 
 
@@ -97,24 +100,30 @@ def draw_contacts(st, source_all: bool = False) -> np.ndarray:
     """Every user's contact for one slot, drawn as :class:`Protocol` draws
     them one by one: uniform over the other users, or under fixed lists
     uniform over the user's own list, and with `source_all` the source
-    uniform over the whole network.
+    uniform over the whole network.  With ``st.rows`` set, as by
+    :func:`~gossipsim.engine.run`, it draws B = min(64, _CHUNK // n) slots
+    at once and hands each slot its row: the values of B calls, in order.
 
     A draw x < 1 indexes a pool of m < 2**53 as ``int(x * m)``, which is
     below m: x is at most 1 - 2**-53, and x m rounds to a float below m.
     ``MAX_CELLS`` keeps n at most 2**28, so the contact draws, the piece
     selects and hard arbitration index with no guard for a rounding edge."""
-    n = st.n
-    x = uniforms(st.rng, n)
-    lists = st.contact_lists
-    if lists is None:
-        return _uniform_other(x, np.arange(n), n - 1)
-    table = st.contact_table
-    if table is None:  # the lists are fixed for the run: convert them once
-        table = st.contact_table = np.array(lists, dtype=np.intp)
-    m = table.shape[1]
-    targets = table[np.arange(n), (x * m).astype(np.intp)]
-    s = st.source
-    if source_all and s is not None:
+    n, lists, s = st.n, st.contact_lists, st.source
+    if not st.rows:
+        b = 1 if st.rows is None else min(64, _CHUNK // n) or 1
+        x = uniforms(st.rng, b * n).reshape(b, n) if b > 1 else uniforms(st.rng, n)
+        if lists is None:
+            targets = _uniform_other(x, np.arange(n), n - 1)
+        else:
+            table = st.contact_table
+            if table is None:  # the lists are fixed for the run: convert them once
+                table = st.contact_table = np.array(lists, dtype=np.intp)
+            targets = table[np.arange(n), (x * table.shape[1]).astype(np.intp)]
+        if b > 1:
+            st.rows = list(zip(x, targets))[::-1]
+    if st.rows:  # this slot's row of the block
+        x, targets = st.rows.pop()
+    if source_all and s is not None and lists is not None:
         targets[s] = _uniform_other(x[s], s, n - 1)
     return targets
 
@@ -128,6 +137,7 @@ class Protocol:
     pieces a user holding `have` can move with a contact holding `held`;
     it decides the fixed-list settle rule, :meth:`settled`."""
 
+    contacts_only = ()  # constraints under which a slot draws only its contacts
     def release_slots(self, k: int, slots: int) -> list | None:
         """Per piece, the slot the source first pushes it; None without a schedule."""
         return None
@@ -222,6 +232,7 @@ class SequentialPull(Protocol):
     holds it: the contacts are drawn in one batch, then ``act`` is applied
     per user, in user order."""
 
+    contacts_only = (SOFT,)  # hard arbitration draws
     def __call__(self, st, slot: int):
         targets = draw_contacts(st).tolist()
         acts = map(self.act, repeat(st), range(st.n), targets, repeat(slot))
@@ -252,6 +263,7 @@ class PriorityPush(Protocol):
     slot's pushes, which are never refused.
     """
 
+    contacts_only = CONSTRAINTS  # no pulls, so no arbitration
     def __init__(self, spacing: int = 1):
         self.spacing = spacing
         self.relayed = None
@@ -297,6 +309,7 @@ class Interleave(PriorityPush):
     own sequential pull, and leave the memory alone: a pulled piece is
     never relayed.  Complete users idle on the pull channel but still serve."""
 
+    contacts_only = (SOFT,)
     def __init__(self):
         super().__init__(2)
         self.pull = SequentialPull()

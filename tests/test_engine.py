@@ -1,6 +1,7 @@
 """Engine mechanics: seeding, contact draws, arbitration, the slot loop."""
 
 import hashlib
+import math
 from collections import Counter
 from dataclasses import replace
 from random import Random
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 import gossipsim as g
-from gossipsim import engine, figures
+from gossipsim import engine, figures, protocols
 from gossipsim.engine import (
     SlotEvents,
     Trace,
@@ -658,3 +659,104 @@ def test_the_readme_fig1_stall_settles_at_its_last_arrival(monkeypatch):
     assert len(calls) <= 650
     assert cfg.effective_max_slots() == 8600
     assert outcome(result) == stepped(cfg)[0]
+
+
+# ------------------------------------------------------- contacts in blocks
+
+
+def block(n):
+    """B, the slots of contacts a run of n users draws at once."""
+    return min(64, protocols._CHUNK // n) or 1
+
+
+LISTS = dict(contact_model=g.FIXED_LISTS, contact_list_size=3)
+BLOCKED = {  # runs whose slots draw nothing but their contacts
+    **{
+        f"priority-push-l{l}-{name}": dict(protocol=g.PRIORITY_PUSH, spacing=l, **model)
+        for l in (1, 2, 3)
+        for name, model in (("uniform", {}), ("lists", LISTS))
+    },
+    **{
+        f"{protocol}-soft-{name}": dict(protocol=protocol, constraint=g.SOFT, **model)
+        for protocol in (g.SEQUENTIAL_PULL, g.INTERLEAVE)
+        for name, model in (("uniform", {}), ("lists", LISTS))
+    },
+}
+
+
+def capped(n, cap):
+    """No cap, or one that falls mid-block or on a block edge, in the second block."""
+    return {"none": None, "mid": block(n) + block(n) // 2 + 1, "edge": 2 * block(n)}[cap]
+
+
+# (n, run, cap); priority push never completes (spaced push reaches a
+# fraction of the users), so at n = 1500 it runs capped only
+BLOCK_CASES = [(40, name, cap) for name in BLOCKED for cap in ("none", "mid", "edge")] + [
+    (1500, "priority-push-l1-uniform", "mid"),
+    (1500, "priority-push-l1-uniform", "edge"),
+    *((1500, "interleave-soft-uniform", cap) for cap in ("none", "mid", "edge")),
+]
+
+
+@pytest.mark.parametrize(
+    "n, name, cap", BLOCK_CASES, ids=["-".join(map(str, case)) for case in BLOCK_CASES]
+)
+def test_a_run_drawn_in_blocks_equals_stepping_slot_by_slot(n, name, cap):
+    # run draws B slots of contacts at once; stepped() calls step_slot, which
+    # draws each slot's own: same completion, slots, arrivals and trace
+    cfg = config(n=n, k=2 * block(n), seed=n + 7, max_slots=capped(n, cap), **BLOCKED[name])
+    reference, digest = stepped(cfg)
+    if cap != "none":
+        assert reference[2] == cfg.max_slots and not reference[0]  # the cap ends the run
+    for traced in (False, True):
+        result = g.run(replace(cfg, record_trace=traced))
+        assert outcome(result) == reference
+        assert result.arrivals.tobytes() == np.array(reference[3], np.int32).tobytes()
+        assert result.trace_hash == (digest if traced else None)
+
+
+def count_uniforms(monkeypatch):
+    """Make `draw_contacts` record the size of each `uniforms` draw."""
+    sizes = []
+    draw = protocols.uniforms
+
+    def counted(rng, n):
+        sizes.append(n)
+        return draw(rng, n)
+
+    monkeypatch.setattr(protocols, "uniforms", counted)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "fields, blocked",
+    [
+        (dict(protocol=g.PRIORITY_PUSH), True),
+        (dict(protocol=g.PRIORITY_PUSH, **LISTS), True),
+        (dict(protocol=g.SEQUENTIAL_PULL, constraint=g.SOFT), True),
+        (dict(protocol=g.INTERLEAVE, constraint=g.SOFT), True),
+        (dict(protocol=g.INTERLEAVE, constraint=g.HARD), False),
+        (dict(protocol=g.SEQUENTIAL_PULL, constraint=g.HARD), False),
+    ],
+    ids=[
+        "priority-push",
+        "priority-push-lists",
+        "sequential-pull-soft",
+        "interleave-soft",
+        "interleave-hard",
+        "sequential-pull-hard",
+    ],
+)
+def test_a_run_draws_its_contacts_once_per_block(monkeypatch, fields, blocked):
+    # a run whose slots draw only contacts makes one uniforms call per B
+    # stepped slots; one whose pulls are arbitrated draws every slot alone
+    n = 40
+    cfg = config(n=n, k=100, seed=3, **fields)
+    steps = count_steps(monkeypatch)
+    sizes = count_uniforms(monkeypatch)
+    g.run(cfg)  # hard, the config default, unless stated
+    assert len(steps) > block(n)  # more than one block
+    if blocked:
+        assert sizes == [block(n) * n] * math.ceil(len(steps) / block(n))
+    else:
+        assert sizes.count(n) == len(steps)

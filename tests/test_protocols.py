@@ -19,6 +19,7 @@ import gossipsim as g
 from gossipsim.bitset import random_piece
 from gossipsim.engine import SlotEvents, SystemState, init_state, step_slot
 from gossipsim.protocols import (
+    _CHUNK,
     NO_PUSHES,
     DrawAndPick,
     Interleave,
@@ -163,6 +164,23 @@ def test_batch_uniforms_in_chunks(monkeypatch):
     batch, single = Random(5), Random(5)
     assert uniforms(batch, 30).tolist() == [single.random() for _ in range(30)]
     assert batch.getstate() == single.getstate()
+
+
+@pytest.mark.parametrize(
+    "n, chunk", [(1024, None), (75, 1000), (3, 7)], ids=["one-chunk", "chunked", "tiny"]
+)
+def test_a_block_of_draws_equals_its_slots_drawn_one_by_one(monkeypatch, n, chunk):
+    # engine.run's block of B slots: at B n == _CHUNK it is one getrandbits
+    # call, and with _CHUNK below B n its chunks give the same stream
+    if chunk is not None:
+        monkeypatch.setattr("gossipsim.protocols._CHUNK", chunk)
+    b = 64
+    assert (b * n == _CHUNK) if chunk is None else (b * n > chunk)
+    for seed in range(3):
+        blocked, single = Random(seed), Random(seed)
+        rows = uniforms(blocked, b * n).reshape(b, n)
+        assert rows.tolist() == [uniforms(single, n).tolist() for _ in range(b)]
+        assert blocked.getstate() == single.getstate()
 
 
 def reference_contact(st, user, source_all=False):

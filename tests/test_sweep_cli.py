@@ -21,7 +21,7 @@ import pytest
 import yaml
 
 import gossipsim as g
-from gossipsim import engine, sweep
+from gossipsim import cli, engine, sweep
 from gossipsim.cli import build_parser, main
 from gossipsim.config import ConfigError
 from gossipsim.engine import init_state, step_slot
@@ -945,6 +945,55 @@ def test_an_out_a_file_blocks_fails_before_any_run(tmp_path, capsys, monkeypatch
         assert capsys.readouterr() == ("", f"error: [Errno {code}] {os.strerror(code)}: '{out}'\n")
     assert sorted(tmp_path.iterdir()) == before
     assert blocker.read_text() == ""
+
+
+def no_read(*args, **kwargs):
+    raise AssertionError("the results were read")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_simulate_refuses_an_output_that_names_its_config(tmp_path, capsys, monkeypatch, flag):
+    # the record or the trace would overwrite the config it was run from
+    monkeypatch.setattr(engine, "step_slot", no_slot)
+    config = sim_config(tmp_path, n=8)
+    text = Path(config).read_text()
+    same = f"{tmp_path}/./run.yaml"  # another spelling of the one file
+    for path in (config, same):
+        assert main(["simulate", "--config", config, flag, path]) == 2
+        message = f"config error: --config and {flag} name the same file {path}\n"
+        assert capsys.readouterr() == ("", message)
+    assert Path(config).read_text() == text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
+
+
+def test_verify_refuses_an_out_that_names_its_results(tmp_path, capsys, monkeypatch):
+    # sweep ... --out o; verify --results o/runs.csv --out o/runs.csv would
+    # leave the JSON report in place of the rows
+    spec = {"schema_version": 1, "base": {"k": 4, "protocol": g.RANDOM_PULL}, "axes": {"n": [8]}}
+    out = tmp_path / "o"
+    spec_path = write_yaml(tmp_path / "s.yaml", spec)
+    assert main(["sweep", "--config", spec_path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    runs = out / "runs.csv"
+    text = runs.read_text()
+
+    monkeypatch.setattr(cli, "load_results", no_read)
+    for path in (runs, out / ".." / "o" / "runs.csv"):
+        argv = ["verify", "--results", str(runs), "--theorem", "thm3", "--out", str(path)]
+        assert main(argv) == 2
+        message = f"config error: --results and --out name the same file {path}\n"
+        assert capsys.readouterr() == ("", message)
+    assert runs.read_text() == text
+
+
+def test_verify_refuses_an_out_that_is_a_directory_before_reading(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "load_results", no_read)
+    place = tmp_path / "place"
+    place.mkdir()
+    argv = ["verify", "--results", str(tmp_path / "runs.csv"), "--theorem", "thm1"]
+    assert main(argv + ["--out", str(place)]) == 2
+    assert capsys.readouterr() == ("", f"error: [Errno {errno.EISDIR}] Is a directory: '{place}'\n")
+    assert list(place.iterdir()) == []
 
 
 def test_cli_verify_usage_errors_exit_2(tmp_path, capsys):
