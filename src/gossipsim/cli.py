@@ -31,16 +31,9 @@ from pathlib import Path
 from .config import SCHEMA_VERSION, ConfigError, load_config
 from .engine import run as run_engine
 from .figures import FIGURES, reproduce
-from .metrics import delay_profile
+from .metrics import run_metrics
 from .oracle import THEOREMS
-from .sweep import (
-    AGGREGATE_COLUMNS,
-    RUN_COLUMNS,
-    load_sweep,
-    reach_summary,
-    run_sweep,
-    write_rows_csv,
-)
+from .sweep import AGGREGATE_COLUMNS, RUN_COLUMNS, load_sweep, run_sweep, write_rows_csv
 from .verify import VerificationRefusal, load_results, verify_rows
 from .version import VERSION
 
@@ -75,28 +68,19 @@ def _out_files(args, source: str, *outs: str) -> None:
 
 
 def run_record(result) -> dict:
-    """The JSONL record for one run: config echo, outcome, metric summary."""
-    cfg = result.config
-    arrivals = result.arrivals
-    served = int((arrivals >= 0).sum())
-    record = {
+    """The JSONL record for one run: config echo, outcome, and each of its
+    :func:`~gossipsim.metrics.run_metrics` that is defined."""
+    stats = run_metrics(result)
+    return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": VERSION,
-        "config": cfg.to_dict(),
+        "config": result.config.to_dict(),
         "completed": result.completed,
         "completion_slot": result.completion_slot,
         "slots": result.slots,
-        "metrics": {
-            "delay_limit": round(delay_profile(result).limit, 6),
-            "pairs_served": served,
-            "max_arrival_slot": int(arrivals.max()) if served else None,
-        },
+        "metrics": {name: value for name, value in stats.items() if value is not None},
         "trace_hash": result.trace_hash,
     }
-    for name, value in reach_summary(result).items():
-        if value is not None:
-            record["metrics"][name] = value
-    return record
 
 
 @contextmanager

@@ -24,6 +24,7 @@ __all__ = [
     "load_config",
     "read_versioned_yaml",
     "MAX_CELLS",
+    "MAX_LIST_ENTRIES",
     "MAX_SLOTS",
     "RANDOM_PULL",
     "SEQUENTIAL_PULL",
@@ -84,6 +85,10 @@ _MAX_SEED = 2**64
 # Largest n * k a run may have: the engine allocates an (n, k) int32
 # arrivals matrix up front, so this caps it at 1 GiB.
 MAX_CELLS = 2**28
+# Largest n * contact_list_size a fixed-lists run may have: its lists cost
+# about 48 bytes per entry (a tuple slot and its int, and a contact_table
+# cell), so this keeps them under 0.8 GiB.
+MAX_LIST_ENTRIES = 2**24
 # Largest slot a run may reach: the arrivals matrix records slots as int32.
 MAX_SLOTS = 2**31 - 1
 
@@ -172,6 +177,12 @@ class SimulationConfig:
         check_choice("contact_model", self.contact_model, CONTACT_MODELS)
         if self.contact_model == FIXED_LISTS:
             check_range("contact_list_size", self.contact_list_size, int, 1, self.n - 1, "[]")
+            if self.n * self.contact_list_size > MAX_LIST_ENTRIES:
+                raise ConfigError(
+                    f"contact_list_size: need n * contact_list_size at most {MAX_LIST_ENTRIES} "
+                    f"list entries, got {self.n} * {self.contact_list_size} "
+                    f"= {self.n * self.contact_list_size}"
+                )
         elif self.contact_list_size is not None:
             raise ConfigError(
                 "contact_list_size: only meaningful with the fixed-lists "

@@ -182,16 +182,13 @@ class SystemState:
 
 
 def build_contact_lists(n: int, m: int, rng: Random) -> list:
-    """Sample each user's fixed contact list: m distinct others, immutable."""
+    """Sample each user's fixed contact list: m distinct others, immutable.
+
+    User u samples the ids 0..n-2, with n - 1 standing in for u itself:
+    the lists and PRNG state of sampling u's others, without building them."""
     check_range("contact_list_size", m, int, 1, n - 1, "[]")
-    lists = []
-    ids = list(range(n))
-    for u in range(n):
-        ids[u] = ids[-1]  # swap self out of the pool
-        lists.append(tuple(rng.sample(ids[: n - 1], m)))
-        ids[u] = u
-        ids[-1] = n - 1
-    return lists
+    others = range(n - 1)
+    return [tuple(n - 1 if v == u else v for v in rng.sample(others, m)) for u in range(n)]
 
 
 def init_state(config: SimulationConfig) -> SystemState:

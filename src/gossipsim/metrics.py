@@ -1,4 +1,5 @@
-"""Run metrics: delay profiles, failed pieces, reach, occupancy.
+"""Run metrics: delay profiles, failed pieces, reach, occupancy, and the
+per-run statistics every result file records (:func:`run_metrics`).
 
 All metrics are pure functions of a :class:`~gossipsim.engine.RunResult`;
 nothing here touches the PRNG or mutates the run.
@@ -11,14 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_range
+from .config import PRIORITY_PUSH, check_range
 from .engine import RunResult
+from .oracle import REACH_DELTA
 
 __all__ = [
     "DelayProfile",
     "delay_profile",
     "failed_pieces",
     "pieces_reached",
+    "REACH_WINDOW_FACTOR",
+    "reach_window",
+    "run_metrics",
     "OccupancySeries",
     "occupancy",
     "splitting_speedup",
@@ -28,6 +33,13 @@ __all__ = [
 # the post-release window; e/5 is the spread fraction a healthy piece clears
 # with room to spare, making the classifier insensitive to the exact cutoff.
 FAILURE_FRACTION = math.e / 5
+
+# Convention for the per-piece reach diagnostic recorded for spaced-push
+# runs: a piece "reaches" when ceil((1 - e^{-l} - REACH_DELTA) n) users hold
+# it within ceil(REACH_WINDOW_FACTOR * log2 n) slots of its release.  This
+# is the desk-scale relaxation of the (1 - e^{-l} - delta, (1 + delta)
+# log2 n) coverage guarantee of spaced push that `verify` checks.
+REACH_WINDOW_FACTOR = 1.3
 
 
 @dataclass(eq=False)
@@ -129,6 +141,33 @@ def pieces_reached(result: RunResult, fraction: float, window: float) -> float:
     # one; a bar above n, +inf included, by none.
     need = math.ceil(min(max(fraction * n, 0), n + 1))
     return int((holders >= need).sum()) / k
+
+
+def reach_window(n: int) -> int:
+    """The window of ``reach_fraction`` in a run of n users, in slots."""
+    return math.ceil(REACH_WINDOW_FACTOR * math.log2(n))
+
+
+def run_metrics(result: RunResult) -> dict:
+    """Every per-run statistic a result file records, None where one is
+    undefined: ``delay_limit``, the fraction of the n*k pairs served (the
+    :class:`DelayProfile` limit, which divides the same count by n*k),
+    ``pairs_served`` and ``max_arrival_slot``; ``failed_piece_count`` for
+    source-scheduled runs and ``reach_fraction`` for priority-push runs."""
+    cfg = result.config
+    n, k = result.arrivals.shape
+    served = int((result.arrivals >= 0).sum())
+    reach = None
+    if cfg.protocol == PRIORITY_PUSH:
+        fraction = 1.0 - math.exp(-cfg.spacing) - REACH_DELTA
+        reach = round(pieces_reached(result, fraction, reach_window(n)), 6)
+    return {
+        "delay_limit": round(served / (n * k), 6),
+        "pairs_served": served,
+        "max_arrival_slot": int(result.arrivals.max()) if served else None,
+        "failed_piece_count": None if result.release_slots is None else len(failed_pieces(result)),
+        "reach_fraction": reach,
+    }
 
 
 @dataclass(eq=False)

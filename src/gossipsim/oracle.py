@@ -149,7 +149,7 @@ def geo_sum_tail(n: int, k: int, eps: float) -> float:
 
 
 # Spaced-push runs record reach_fraction at this delta (see
-# `sweep.reach_summary`), so the coverage pair is checked at it only.
+# `metrics.run_metrics`), so the coverage pair is checked at it only.
 REACH_DELTA = 0.08
 
 # Parameter ranges: (kind, low, high, brackets), the arguments of

@@ -24,7 +24,6 @@ from typing import Any, Mapping
 
 from .config import (
     CONFIG_FIELDS,
-    PRIORITY_PUSH,
     SCHEMA_VERSION,
     ConfigError,
     SimulationConfig,
@@ -33,15 +32,12 @@ from .config import (
     read_versioned_yaml,
 )
 from .engine import RunResult, run as run_engine
-from .metrics import DelayProfile, delay_profile, failed_pieces, pieces_reached
-from .oracle import REACH_DELTA
+from .metrics import delay_profile, run_metrics
 from .version import VERSION
 
 __all__ = [
     "AXIS_FIELDS",
     "MAX_JOBS",
-    "REACH_DELTA",
-    "REACH_WINDOW_FACTOR",
     "SweepSpec",
     "RunPlan",
     "load_sweep",
@@ -50,8 +46,6 @@ __all__ = [
     "plan",
     "expand",
     "execute",
-    "reach_window",
-    "reach_summary",
     "summarize_run",
     "aggregate",
     "run_sweep",
@@ -72,13 +66,6 @@ AXIS_FIELDS = {
     "initial_state": "initial_state",
     "eta": "eta",
 }
-
-# Convention for the per-piece reach diagnostic recorded for spaced-push
-# runs: a piece "reaches" when ceil((1 - e^{-l} - REACH_DELTA) n) users hold
-# it within ceil(REACH_WINDOW_FACTOR * log2 n) slots of its release.  This
-# is the desk-scale relaxation of the (1 - e^{-l} - delta, (1 + delta)
-# log2 n) coverage guarantee of spaced push that `verify` checks.
-REACH_WINDOW_FACTOR = 1.3
 
 # Most worker processes a sweep or figure may ask for: each is a fork of the
 # caller, and all of them run at once.
@@ -225,28 +212,9 @@ def expand(spec: SweepSpec) -> list[RunPlan]:
     return plan(cells, spec.seeds, spec.master_seed)
 
 
-def reach_window(n: int) -> int:
-    """The window of ``reach_fraction`` in a run of n users, in slots."""
-    return math.ceil(REACH_WINDOW_FACTOR * math.log2(n))
-
-
-def reach_summary(result: RunResult) -> dict:
-    """``failed_piece_count`` (source-scheduled runs) and ``reach_fraction``
-    (priority-push runs) of one run; None where a statistic is undefined."""
-    cfg = result.config
-    summary = {"failed_piece_count": None, "reach_fraction": None}
-    if result.release_slots is not None:
-        summary["failed_piece_count"] = len(failed_pieces(result))
-    if cfg.protocol == PRIORITY_PUSH:
-        fraction = 1.0 - math.exp(-cfg.spacing) - REACH_DELTA
-        summary["reach_fraction"] = round(pieces_reached(result, fraction, reach_window(cfg.n)), 6)
-    return summary
-
-
-def summarize_run(
-    plan: RunPlan, result: RunResult, wall_time: float, profile: DelayProfile
-) -> dict:
-    """Flatten one run, with its delay profile, into a result row."""
+def summarize_run(plan: RunPlan, result: RunResult, wall_time: float) -> dict:
+    """Flatten one run, with its :func:`~gossipsim.metrics.run_metrics`
+    that are run columns, into a result row."""
     cfg = result.config
     return {
         "schema_version": SCHEMA_VERSION,
@@ -258,8 +226,7 @@ def summarize_run(
         "completed": result.completed,
         "completion_slot": result.completion_slot,
         "slots": result.slots,
-        "delay_limit": round(profile.limit, 6),
-        **reach_summary(result),
+        **{name: value for name, value in run_metrics(result).items() if name in RUN_COLUMNS},
         "wall_time_s": round(wall_time, 3),
     }
 
@@ -267,11 +234,9 @@ def summarize_run(
 def _execute_plan(plan: RunPlan, keep_profile: bool = False) -> dict:
     start = time.perf_counter()
     result = run_engine(plan.config)
-    wall_time = time.perf_counter() - start
-    profile = delay_profile(result)
-    row = summarize_run(plan, result, wall_time, profile)
+    row = summarize_run(plan, result, time.perf_counter() - start)
     if keep_profile:
-        row["profile"] = profile
+        row["profile"] = delay_profile(result)
     return row
 
 
@@ -296,9 +261,11 @@ def _work(share: list, keep_profile: bool, fd: int) -> None:
 
 def execute(plans: list, jobs: int = 1, keep_profile: bool = False) -> list:
     """Run all plans, in this process or in forked workers; row order
-    follows plan order either way.  With `keep_profile` each row also
-    carries the run's :class:`DelayProfile` under ``"profile"``, so that a
-    worker returns the profile rather than the run's (n, k) arrivals matrix.
+    follows plan order either way.  Each row holds the run's
+    :func:`~gossipsim.metrics.run_metrics` run columns; only with
+    `keep_profile` is the run's full :class:`~gossipsim.metrics.DelayProfile`
+    built, and carried under ``"profile"``, so that a worker returns the
+    profile rather than the run's (n, k) arrivals matrix.
     `jobs` is an integer in [1, MAX_JOBS], above 1 only with `os.fork`: then
     worker i of w = min(jobs, plans) runs ``plans[i::w]``, and none outlives
     the call."""

@@ -20,8 +20,9 @@ from statistics import fmean
 from typing import Any
 
 from .config import NEED, ConfigError, check_keys, check_range, is_kind
+from .metrics import reach_window
 from .oracle import REACH_DELTA, UNIFORM_CONTACTS, check_params, theorem_entry
-from .sweep import AXIS_FIELDS, RUN_COLUMNS, reach_window
+from .sweep import AXIS_FIELDS, RUN_COLUMNS
 
 __all__ = [
     "VerificationRefusal",

@@ -43,7 +43,8 @@ from gossipsim.oracle import (
     geo_sum_sample,
     gossip_mean_map,
 )
-from gossipsim.sweep import MAX_JOBS, REACH_WINDOW_FACTOR, execute, plan
+from gossipsim.metrics import REACH_WINDOW_FACTOR
+from gossipsim.sweep import MAX_JOBS, execute, plan
 from acceptance_lines import ACCEPTANCE_LINES
 from test_invariants import GOLDEN, audit_occupancy_doubling, audit_trace
 

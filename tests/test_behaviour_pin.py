@@ -7,9 +7,12 @@ keeps the sampled behaviour, not only the golden digests.
 """
 
 import json
+from dataclasses import asdict
+from random import Random
 
 import gossipsim as g
 from make_behaviour_pin import PIN, outcome
+from make_behaviour_pin import COUNT, SEED, draw_config
 
 CASES = json.loads(PIN.read_text())
 
@@ -22,3 +25,10 @@ def test_engine_outcomes_match_the_pin():
         if outcome(g.SimulationConfig(**case["config"])) != case["outcome"]
     ]
     assert moved == []
+
+
+def test_the_generator_redraws_the_pinned_configs():
+    # no runs: a generator that drifts from its data fails here, not only
+    # as outcomes that moved
+    rng = Random(SEED)
+    assert [asdict(draw_config(rng)) for _ in range(COUNT)] == [case["config"] for case in CASES]

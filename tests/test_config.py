@@ -13,6 +13,7 @@ from gossipsim.config import (
     FIXED_LISTS,
     INTERLEAVE,
     MAX_CELLS,
+    MAX_LIST_ENTRIES,
     MAX_SLOTS,
     ONE_UNIQUE,
     PRIORITY_PUSH,
@@ -104,6 +105,17 @@ def test_size_guard_bounds_the_arrivals_matrix():
     make(n=2**14, k=MAX_CELLS // 2**14).validate()  # exactly at the limit
     with pytest.raises(ConfigError, match=r"n \* k"):
         make(n=2**14, k=MAX_CELLS // 2**14 + 1).validate()
+
+
+def test_size_guard_bounds_the_contact_lists():
+    # n * contact_list_size list entries, about 48 bytes each; validate()
+    # refuses more than MAX_LIST_ENTRIES before any list is drawn.  Only
+    # validate is called here: a list at the limit would take 0.8 GiB
+    fixed = dict(n=2**20, k=1, contact_model=FIXED_LISTS)
+    make(**fixed, contact_list_size=MAX_LIST_ENTRIES // 2**20).validate()  # at the limit
+    with pytest.raises(ConfigError, match=r"^contact_list_size: .* got 1048576 \* 17 = 17825792$"):
+        make(**fixed, contact_list_size=MAX_LIST_ENTRIES // 2**20 + 1).validate()
+    make(n=500, k=1, contact_model=FIXED_LISTS, contact_list_size=32).validate()  # fig1, full scale
 
 
 def test_one_unique_requires_k_equal_n():

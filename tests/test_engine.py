@@ -109,6 +109,31 @@ def test_build_contact_lists_seed_sensitive():
     assert build_contact_lists(50, 4, Random(1)) != build_contact_lists(50, 4, Random(2))
 
 
+def swap_contact_lists(n, m, rng):
+    """The lists as first built: each user samples a copy of the n - 1
+    other ids, made by swapping the user out for n - 1, quadratic in n."""
+    lists = []
+    ids = list(range(n))
+    for u in range(n):
+        ids[u] = ids[-1]
+        lists.append(tuple(rng.sample(ids[: n - 1], m)))
+        ids[u] = u
+        ids[-1] = n - 1
+    return lists
+
+
+@pytest.mark.parametrize(
+    "n, m, seed",
+    [(2, 1, 0), (3, 2, 5), (7, 6, 1), (40, 39, 2), (30, 1, 3), (75, 4, 4), (500, 8, 3), (600, 30, 9)],
+)
+def test_build_contact_lists_matches_the_swap_construction(n, m, seed):
+    # the same lists, and the same PRNG state after them, as the quadratic
+    # construction, up to m = n - 1, where random.sample copies its pool
+    want_rng, got_rng = Random(seed), Random(seed)
+    assert build_contact_lists(n, m, got_rng) == swap_contact_lists(n, m, want_rng)
+    assert got_rng.getstate() == want_rng.getstate()
+
+
 # ------------------------------------------------------------ resolve_uploads
 
 

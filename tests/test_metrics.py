@@ -10,8 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gossipsim as g
+from gossipsim.cli import run_record
+from gossipsim.config import SOURCE_SCHEDULED
 from gossipsim.engine import RunResult, emergence
 from gossipsim.metrics import FAILURE_FRACTION
+from gossipsim.metrics import run_metrics
 
 
 def make_result(
@@ -319,6 +322,57 @@ def test_pieces_reached_reads_an_infinite_fraction_as_any_past_its_end():
     res = g.run(g.SimulationConfig(n=32, k=16, protocol=g.PRIORITY_PUSH, max_slots=8))
     assert g.pieces_reached(res, -math.inf, 3) == g.pieces_reached(res, -1.0, 3) == 0.5
     assert g.pieces_reached(res, math.inf, 3) == g.pieces_reached(res, 1.5, 3) == 0.0
+
+
+# --------------------------------------------------------------- run metrics
+
+
+def small_configs():
+    """A small run of every protocol with the start it accepts, run to its
+    end and cut at slot 4, and fixed-lists and eta-seeded variants."""
+    for protocol in g.PROTOCOLS:
+        start = g.ONE_UNIQUE if protocol == g.ADVOCATE else g.SINGLE_SOURCE
+        n = 12
+        k = n if start == g.ONE_UNIQUE else 20
+        spacing = 2 if protocol == g.PRIORITY_PUSH else 1
+        for max_slots in (None, 4):
+            yield g.SimulationConfig(
+                n=n, k=k, protocol=protocol, initial_state=start, spacing=spacing,
+                seed=11, max_slots=max_slots,
+            )
+    yield g.SimulationConfig(
+        n=16, k=24, protocol=g.INTERLEAVE, contact_model=g.FIXED_LISTS, contact_list_size=2, seed=5
+    )
+    yield g.SimulationConfig(
+        n=16, k=8, protocol=g.RANDOM_PULL, initial_state=g.ETA_SEEDED, eta=0.2, seed=5, max_slots=3
+    )
+
+
+@pytest.mark.parametrize(
+    "config", small_configs(), ids=lambda c: f"{c.protocol}-{c.initial_state}-{c.max_slots}"
+)
+def test_run_metrics_delay_limit_is_the_profile_limit(config):
+    res = g.run(config)
+    stats = run_metrics(res)
+    assert stats["delay_limit"] == round(g.delay_profile(res).limit, 6)
+    recorded = {"delay_limit", "pairs_served", "max_arrival_slot"}
+    if config.protocol in SOURCE_SCHEDULED:
+        recorded.add("failed_piece_count")
+    if config.protocol == g.PRIORITY_PUSH:
+        recorded.add("reach_fraction")
+    assert set(run_record(res)["metrics"]) == recorded
+
+
+def test_run_metrics_of_a_run_that_served_no_pair():
+    res = make_result([[-1, -1], [-1, -1]], protocol=g.RANDOM_PULL)
+    assert run_metrics(res) == {
+        "delay_limit": 0.0,
+        "pairs_served": 0,
+        "max_arrival_slot": None,
+        "failed_piece_count": None,
+        "reach_fraction": None,
+    }
+    assert run_metrics(res)["delay_limit"] == g.delay_profile(res).limit
 
 
 # ----------------------------------------------------------------- occupancy

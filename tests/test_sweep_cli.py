@@ -600,7 +600,7 @@ def test_thm5_reports_the_window_its_reach_statistic_used():
     rows = [capped_pull_run(**BOUND_RUNS["thm5"], n=n, run_id=f"n{n}") for n in (64, 500)]
     report = verify_rows(rows, "thm5")
     assert report.bound["window_slots"] == pytest.approx(1.08 * math.log2(500))
-    assert report.details["reach_window_slots"] == sweep.reach_window(500) == 12
+    assert report.details["reach_window_slots"] == g.metrics.reach_window(500) == 12
 
 
 def test_thm2_reads_each_runs_own_eta():
