@@ -6,7 +6,10 @@ hot-path set algebra (union, difference, membership) single C-level calls
 even for thousands of pieces.
 
 No run calls :func:`random_piece`: the random-piece protocols write its
-select out inline.  It stays because ``perfbench`` hot mode wraps it by
+select out inline, and random pull and random push take the sparse pick,
+with the same single draw, from a per-user sorted piece list of at most k
+4-byte entries (no more in all than the ``arrivals`` matrix, which
+``MAX_CELLS`` bounds).  It stays because ``perfbench`` hot mode wraps it by
 name, and ``tests/test_protocols.py`` checks the inline select against it.
 """
 

@@ -8,6 +8,7 @@ with error messages naming the offending field.
 from __future__ import annotations
 
 import math
+from collections.abc import Hashable
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
@@ -255,12 +256,39 @@ class SimulationConfig:
 CONFIG_FIELDS = tuple(f.name for f in fields(SimulationConfig))
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """PyYAML's safe loader, except that a mapping naming one key twice is
+    an error: the safe loader keeps the last value without a word."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _value in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":  # "<<": its keys may be overridden
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if isinstance(key, Hashable):  # the loader itself refuses the rest
+                if key in seen:
+                    raise yaml.YAMLError(f"line {key_node.start_mark.line + 1}: duplicate key {key!r}")
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
+def read_utf8(path: Path) -> str:
+    """A file's text; a ConfigError naming the file if it is not UTF-8."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def read_versioned_yaml(path: str | Path) -> dict:
     """The top-level mapping of a YAML file, without its ``schema_version``,
-    which must match :data:`SCHEMA_VERSION`."""
+    which must match :data:`SCHEMA_VERSION`; a key given twice in any
+    mapping is refused."""
     path = Path(path)
+    text = read_utf8(path)
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(raw, dict):

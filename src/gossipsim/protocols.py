@@ -21,6 +21,7 @@ at once with :func:`uniforms`, which consumes exactly the words of n
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, insort
 from functools import reduce
 from itertools import chain, repeat
 from operator import and_
@@ -160,12 +161,19 @@ class DrawAndPick(Protocol):
     requester is missing it, else a uniformly random piece the contact has
     and it lacks.  User by user: a contact draw, then a piece of the set,
     selected with the draws of :func:`~gossipsim.bitset.random_piece`,
-    written out so that no call is made per user; an empty set idles."""
+    written out so that no call is made per user; an empty set idles.
+
+    Random pull's set (missing pieces) and random push's (held pieces)
+    depend on the user alone, so their sparse select indexes the set's
+    sorted pieces with the same draw.  Per state and mask, each user's list
+    follows its gains, or is rebuilt after a loss: at most k 4-byte entries,
+    so no more than the ``arrivals`` matrix, which ``MAX_CELLS`` bounds."""
 
     def __init__(self, rule: str):
         check_choice("rule", rule, (RANDOM_PULL, RANDOM_PUSH, ADVOCATE))
         self.rule = rule
         self.pull, self.push = rule == RANDOM_PULL, rule == RANDOM_PUSH
+        self.built = self.mask = None
 
     def moves(self, have: int, held: int) -> int:
         return have & ~held if self.push else held & ~have
@@ -173,7 +181,9 @@ class DrawAndPick(Protocol):
     def __call__(self, st, slot: int):
         rnd = st.rng.random
         pieces, mask, lists, others = st.pieces, st.mask, st.contact_lists, st.n - 1
-        pull, push = self.pull, self.push
+        if self.built is not st or self.mask != mask:  # lists of another state
+            self.built, self.mask, self.bases, self.sorted_sets = st, mask, [-1] * st.n, [None] * st.n
+        pull, push, bases, sets = self.pull, self.push, self.bases, self.sorted_sets
         picked = []
         add = picked.append
         # int(x * m) < m, so no index needs a guard (see draw_contacts)
@@ -203,7 +213,22 @@ class DrawAndPick(Protocol):
                 while not bits >> p & 1:
                     p = int(rnd() * span)
                 p += 1
-            else:  # sparse: select the j-th lowest set bit
+            elif pull or push:  # sparse: the j-th lowest piece of the user's sorted set
+                if (base := bases[u]) != have:
+                    if base & ~have:  # a lost piece, or no list yet (-1): rebuild
+                        sets[u] = array("i", [p for p, b in enumerate(bin(bits)[:1:-1], 1) if b == "1"])
+                    else:  # only gains: each leaves the missing set, or joins the held one
+                        lst, new = sets[u], have & ~base
+                        while new:
+                            q = (new & -new).bit_length()
+                            new &= new - 1
+                            if pull:
+                                del lst[bisect_left(lst, q)]
+                            else:
+                                insort(lst, q)
+                    bases[u] = have
+                p = sets[u][int(rnd() * c)]
+            else:  # sparse advocate: select the j-th lowest set bit
                 j = int(rnd() * c)
                 offset = 0
                 while j > 8:

@@ -12,6 +12,7 @@ claim at all.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -19,7 +20,7 @@ from pathlib import Path
 from statistics import fmean
 from typing import Any
 
-from .config import NEED, ConfigError, check_keys, check_range, is_kind
+from .config import NEED, ConfigError, check_keys, check_range, is_kind, read_utf8
 from .metrics import reach_window
 from .oracle import REACH_DELTA, UNIFORM_CONTACTS, check_params, theorem_entry
 from .sweep import AXIS_FIELDS, RUN_COLUMNS
@@ -93,16 +94,16 @@ def _typed(row: dict, where: str, cell: bool = False) -> dict:
 
 def load_results(path: str | Path) -> list:
     """Load result rows from a sweep CSV or a simulate JSONL file, each run
-    column read as its :data:`~gossipsim.sweep.RUN_COLUMNS` type; a line
-    that does not parse, or a value of the wrong type, is a
-    :class:`ConfigError` naming the file and line."""
+    column read as its :data:`~gossipsim.sweep.RUN_COLUMNS` type; a file
+    that is not UTF-8 is a :class:`ConfigError` naming it, and a line that
+    does not parse, or a value of the wrong type, one naming the line."""
     path = Path(path)
+    text = read_utf8(path)
     if path.suffix != ".jsonl":
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            return [_typed(row, f"{path}: line {reader.line_num}", cell=True) for row in reader]
+        reader = csv.DictReader(io.StringIO(text, newline=""))
+        return [_typed(row, f"{path}: line {reader.line_num}", cell=True) for row in reader]
     rows = []
-    for number, line in enumerate(path.read_text().splitlines(), 1):
+    for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         where = f"{path}: line {number}"

@@ -29,7 +29,7 @@ from gossipsim.engine import build_contact_lists
 from gossipsim.figures import reproduce
 from gossipsim.metrics import splitting_speedup
 from gossipsim.oracle import bound_value, geo_sum_tail, gossip_mean_map
-from gossipsim.sweep import SweepSpec, check_seeds, execute
+from gossipsim.sweep import SweepSpec, check_seeds, execute, load_sweep
 
 
 def make(**overrides):
@@ -201,15 +201,42 @@ def test_read_versioned_yaml_rejects_a_top_level_that_is_not_a_mapping(tmp_path)
         read_versioned_yaml(path)
 
 
+DUPLICATE_KEYS = {
+    # PyYAML's safe loader would keep the last value of each: n = 5, 3 seeds
+    "config-top": (load_config, "n: 4\nk: 4\nprotocol: random-pull\nn: 5\n", 5, "n"),
+    "config-nested": (load_config, "n: 4\nk: 4\nprotocol: random-pull\neta: {a: 1,\n  a: 2}\n", 6, "a"),
+    "sweep-top": (load_sweep, "base: {n: 4, k: 4, protocol: random-pull}\nseeds: 1\nseeds: 3\n", 4, "seeds"),
+    "sweep-nested": (load_sweep, "base: {n: 1, n: 2}\n", 2, "n"),
+}
+
+
+@pytest.mark.parametrize("load, body, line, key", DUPLICATE_KEYS.values(), ids=DUPLICATE_KEYS)
+def test_a_key_given_twice_is_refused_naming_the_file_key_and_line(tmp_path, load, body, line, key):
+    path = tmp_path / "twice.yaml"
+    path.write_text(f"schema_version: {SCHEMA_VERSION}\n{body}")
+    with pytest.raises(ConfigError) as err:
+        load(path)
+    assert str(err.value) == f"{path}: invalid YAML: line {line}: duplicate key {key!r}"
+
+
+def test_equal_keys_in_different_mappings_or_over_a_merge_are_not_duplicates(tmp_path):
+    path = tmp_path / "sweep.yaml"
+    path.write_text(
+        f"schema_version: {SCHEMA_VERSION}\nbase:\n  <<: {{n: 4, k: 4}}\n  protocol: random-pull\n  k: 6\n"
+        "axes: {n: [4, 6], k: [4]}\nseeds: 2\n"
+    )
+    spec = load_sweep(path)
+    assert (spec.base, spec.axes, spec.seeds) == ({"n": 4, "k": 6, "protocol": "random-pull"}, [("n", [4, 6]), ("k", [4])], 2)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("k", "true"), ("max_slots", "true"), ("epsilon", '"0.1"'), ("record_trace", '"false"')],
 )
 def test_load_config_rejects_mistyped_yaml_values(tmp_path, field, value):
     path = tmp_path / "run.yaml"
-    path.write_text(
-        f"schema_version: {SCHEMA_VERSION}\nn: 8\nk: 2\nprotocol: random-pull\n{field}: {value}\n"
-    )
+    entries = {"n": "8", "k": "2", "protocol": "random-pull", field: value}  # each key once
+    path.write_text(f"schema_version: {SCHEMA_VERSION}\n" + "".join(f"{key}: {v}\n" for key, v in entries.items()))
     with pytest.raises(ConfigError, match=f"{field}:"):
         load_config(path)
 

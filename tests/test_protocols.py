@@ -288,6 +288,75 @@ def test_draw_and_pick_equals_the_reference_draws(data, n, wider, seed, fixed, m
         checked_against_the_reference(protocol)(st, 1)
 
 
+def sorted_list_config(rule, n, k, seed, hard, m, eta, max_slots):
+    """A random-pull or random-push run: hard or soft, on uniform contacts
+    (m None) or fixed lists of m, from one source (eta None) or eta-seeded."""
+    extra = {} if m is None else dict(contact_model=g.FIXED_LISTS, contact_list_size=min(m, n - 1))
+    if eta is not None:
+        extra.update(initial_state=g.ETA_SEEDED, eta=eta)
+    constraint = g.HARD if hard else g.SOFT
+    return g.SimulationConfig(n=n, k=k, protocol=rule, constraint=constraint, seed=seed, max_slots=max_slots, **extra)
+
+
+SORTED_LIST_RUNS = dict(
+    rule=hs.sampled_from([g.RANDOM_PULL, g.RANDOM_PUSH]),
+    n=hs.integers(2, 10),
+    k=hs.integers(1, 300),
+    seed=hs.integers(0, 2**32),
+    hard=hs.booleans(),
+    m=hs.none() | hs.integers(1, 9),
+    eta=hs.none() | hs.sampled_from([0.1, 0.3, 0.6]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**SORTED_LIST_RUNS)
+def test_sorted_piece_lists_equal_the_reference_over_whole_runs(rule, n, k, seed, hard, m, eta):
+    # random pull and random push take their sparse pick from each user's
+    # sorted piece list, kept across the slots of a run: every slot makes
+    # the reference's uploads and leaves its PRNG state, with k up to 300
+    # so that the reference's sparse select halves
+    cfg = sorted_list_config(rule, n, k, seed, hard, m, eta, max_slots=150)
+    st = init_state(cfg)
+    slot_call = checked_against_the_reference(make_protocol(cfg))
+    while st.num_complete < n and st.slot < cfg.max_slots:
+        step_slot(st, slot_call)
+
+
+@settings(max_examples=40, deadline=None)
+@given(first=hs.fixed_dictionaries(SORTED_LIST_RUNS), second=hs.fixed_dictionaries(SORTED_LIST_RUNS))
+def test_one_instance_stepped_alternately_on_two_states(first, second):
+    # the lists belong to the state they were built for: one instance,
+    # stepped on two runs in turn, agrees with the reference on both
+    second["rule"] = first["rule"]
+    states = [init_state(sorted_list_config(**run, max_slots=None)) for run in (first, second)]
+    slot_call = checked_against_the_reference(DrawAndPick(first["rule"]))
+    for _ in range(60):
+        for st in states:
+            if st.num_complete < st.n:
+                step_slot(st, slot_call)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=hs.data(), n=hs.integers(2, 12), k=hs.integers(20, 300), seed=hs.integers(0, 2**64 - 1))
+def test_sorted_piece_lists_follow_holdings_that_lose_and_gain_pieces(data, n, k, seed):
+    # between calls each user may lose a held piece and gain others: a list
+    # is rebuilt after a loss and follows each gain; the module-level
+    # instances also carry lists over from earlier examples' states
+    rnd = Random(seed)
+    shapes = data.draw(hs.lists(hs.sampled_from(["dense", "sparse"]), min_size=n, max_size=n))
+    st = state([[]] * n, k, [0] * n, seed=seed)
+    st.pieces = [mask_of(shape, k, rnd) for shape in shapes]
+    st.contact_lists = None
+    for slot in range(1, 6):
+        for protocol in (random_pull, random_push):
+            checked_against_the_reference(protocol)(st, slot)
+        for u, have in enumerate(st.pieces):
+            if have and rnd.random() < 0.5:  # lose one held piece
+                have &= ~(1 << rnd.choice([p for p in range(k) if have >> p & 1]))
+            st.pieces[u] = have | 1 << rnd.randrange(k) | 1 << rnd.randrange(k)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=hs.integers(2, 30),

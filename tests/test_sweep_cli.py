@@ -801,6 +801,34 @@ def sim_config(tmp_path, **overrides):
     return write_yaml(tmp_path / "run.yaml", data)
 
 
+def test_cli_refuses_repeated_keys_and_files_that_are_not_utf8(tmp_path, capsys):
+    # a key given twice (PyYAML's safe loader would keep the last) and a file
+    # that is not UTF-8 text are config errors naming the file: exit 2
+    twice = tmp_path / "twice.yaml"
+    twice.write_text("schema_version: 1\nn: 4\nk: 4\nprotocol: random-pull\nn: 5\n")
+    sweep_twice = tmp_path / "sweep_twice.yaml"
+    sweep_twice.write_text("schema_version: 1\nbase: {n: 4, k: 4, protocol: random-pull}\nseeds: 1\nseeds: 3\n")
+    nested_twice = tmp_path / "nested_twice.yaml"
+    nested_twice.write_text("schema_version: 1\nbase: {n: 1, n: 2}\n")
+    elf = b"\x7fELF\x02\x01\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x03\x00>\x00\x01\x00\x00\x00\xb0\x6b"
+    binary = {name: tmp_path / name for name in ("bin.yaml", "bin.csv", "bin.jsonl")}
+    for path in binary.values():
+        path.write_bytes(elf)
+    not_utf8 = "not UTF-8 text: invalid start byte at byte 24"
+    cases = [
+        (["simulate", "--config", twice], f"{twice}: invalid YAML: line 5: duplicate key 'n'"),
+        (["sweep", "--config", sweep_twice, "--out", tmp_path / "a"], f"{sweep_twice}: invalid YAML: line 4: duplicate key 'seeds'"),
+        (["sweep", "--config", nested_twice, "--out", tmp_path / "b"], f"{nested_twice}: invalid YAML: line 2: duplicate key 'n'"),
+        (["simulate", "--config", binary["bin.yaml"]], f"{binary['bin.yaml']}: {not_utf8}"),
+        (["verify", "--results", binary["bin.csv"], "--theorem", "thm3"], f"{binary['bin.csv']}: {not_utf8}"),
+        (["verify", "--results", binary["bin.jsonl"], "--theorem", "thm3"], f"{binary['bin.jsonl']}: {not_utf8}"),
+    ]
+    for argv, message in cases:
+        assert main([str(arg) for arg in argv]) == 2, argv
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
 def test_cli_simulate_outputs_versioned_record(tmp_path, capsys):
     cfg = sim_config(tmp_path)
     assert main(["simulate", "--config", cfg]) == 0
