@@ -28,12 +28,12 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
 
-from .config import SCHEMA_VERSION, ConfigError, load_config
+from .config import HEADER, ConfigError, load_config
 from .engine import run as run_engine
 from .figures import FIGURES, reproduce
 from .metrics import run_metrics
 from .oracle import THEOREMS
-from .sweep import AGGREGATE_COLUMNS, RUN_COLUMNS, load_sweep, run_sweep, write_rows_csv
+from .sweep import AGGREGATE_COLUMNS, RUN_COLUMNS, load_sweep, run_sweep, write_rows_csv, written
 from .verify import VerificationRefusal, load_results, verify_rows
 from .version import VERSION
 
@@ -43,28 +43,27 @@ ENV_OUT = "GOSSIPSIM_OUT"
 
 
 def _out_dir(arg: str | None) -> Path:
-    """The output directory, refused before any run if a file stands at it
-    or at the nearest of its parents that exists."""
-    out = Path(arg or os.environ.get(ENV_OUT) or ".")
-    place = next(path for path in (out, *out.parents) if path.exists())
-    if not place.is_dir():
-        code = errno.EEXIST if place == out else errno.ENOTDIR
-        raise OSError(code, os.strerror(code), str(out))
-    return out
+    """The output directory: `arg`, else $GOSSIPSIM_OUT, else the current one."""
+    return Path(arg or os.environ.get(ENV_OUT) or ".")
 
 
-def _out_files(args, source: str, *outs: str) -> None:
-    """Refuse, before any work, an output option of `outs` that names the
-    input file `source` or an earlier output, a directory, or a path under a file."""
-    seen = {Path(getattr(args, source)).resolve(): source}
-    for name in outs:
-        if (arg := getattr(args, name)) is None:
+def _out_files(*outs, source=None) -> None:
+    """Refuse, before any work, a result file of `outs` that names the input `source` or
+    an earlier result, is a directory, or lies under a file; each is an (option, path)."""
+    seen = {Path(source[1]).resolve(): source[0]} if source else {}
+    for name, arg in outs:
+        if arg is None:
             continue
-        if (other := seen.setdefault(Path(arg).resolve(), name)) != name:
+        path = Path(arg)
+        if (other := seen.setdefault(path.resolve(), name)) != name:
             raise ConfigError(f"--{other} and --{name} name the same file {arg}")
-        if Path(arg).is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), arg)
-        _out_dir(str(Path(arg).parent))
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(arg))
+        # a file at the result's directory, or at its nearest parent that exists
+        place = next(p for p in path.parents if p.exists())
+        if not place.is_dir():
+            code = errno.EEXIST if place == path.parent else errno.ENOTDIR
+            raise OSError(code, os.strerror(code), str(path.parent))
 
 
 def run_record(result) -> dict:
@@ -72,8 +71,7 @@ def run_record(result) -> dict:
     :func:`~gossipsim.metrics.run_metrics` that is defined."""
     stats = run_metrics(result)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": VERSION,
+        **HEADER,
         "config": result.config.to_dict(),
         "completed": result.completed,
         "completion_slot": result.completion_slot,
@@ -85,28 +83,19 @@ def run_record(result) -> dict:
 
 @contextmanager
 def _trace_csv(path: Path):
-    """A sink writing trace text as CSV rows to a file next to `path`, moved
-    to `path` (and named on stdout) when the block ends and removed if it
-    raises, so a failed run leaves no partial trace."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    part = path.with_name(f".{path.name}.{os.getpid()}.part")
-    # Each canonical trace line behind the schema and tool versions, ended
-    # by "\r\n": the bytes csv.writer writes for the same rows.
-    prefix = f"{SCHEMA_VERSION},{VERSION},"
+    """A sink writing trace text as CSV rows to `path` through
+    :func:`~gossipsim.sweep.written`, named on stdout once it is in place."""
+    # csv.writer's bytes: each canonical trace line behind the header values, ended by "\r\n"
+    prefix = "".join(f"{value}," for value in HEADER.values())
     newline = "\r\n" + prefix
-    try:
-        with open(part, "w", newline="") as fh:
-            fh.write("schema_version,tool_version,slot,from,to,piece,kind\r\n")
-            yield lambda chunk: fh.write(prefix + chunk[:-1].replace("\n", newline) + "\r\n")
-        os.replace(part, path)
-    except BaseException:
-        part.unlink(missing_ok=True)
-        raise
+    with written(path) as fh:
+        fh.write(",".join((*HEADER, "slot", "from", "to", "piece", "kind")) + "\r\n")
+        yield lambda chunk: fh.write(prefix + chunk[:-1].replace("\n", newline) + "\r\n")
     print(path)
 
 
 def cmd_simulate(args) -> int:
-    _out_files(args, "config", "out", "trace")
+    _out_files(("out", args.out), ("trace", args.trace), source=("config", args.config))
     config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
@@ -116,44 +105,42 @@ def cmd_simulate(args) -> int:
         result = run_engine(config, sink=sink)
         line = json.dumps(run_record(result), sort_keys=True, separators=(",", ":"))
         if args.out:
-            path = Path(args.out)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(line + "\n")
-            print(path)
+            with written(args.out) as fh:
+                fh.write(line + "\n")
+            print(Path(args.out))
         else:
             print(line)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    spec = load_sweep(args.config)
     out = _out_dir(args.out)
-    rows, agg = run_sweep(spec, jobs=args.jobs)
-    runs_path = write_rows_csv(rows, out / "runs.csv", RUN_COLUMNS)
-    agg_path = write_rows_csv(agg, out / "aggregate.csv", AGGREGATE_COLUMNS)
-    print(runs_path)
-    print(agg_path)
+    runs_path, agg_path = out / "runs.csv", out / "aggregate.csv"
+    _out_files(("out", runs_path), ("out", agg_path), source=("config", args.config))
+    rows, agg = run_sweep(load_sweep(args.config), jobs=args.jobs)
+    print(write_rows_csv(rows, runs_path, RUN_COLUMNS))
+    print(write_rows_csv(agg, agg_path, AGGREGATE_COLUMNS))
     return 0
 
 
 def cmd_verify(args) -> int:
-    _out_files(args, "results", "out")
+    _out_files(("out", args.out), source=("results", args.results))
     rows = load_results(args.results)
     names = dict.fromkeys(name for entry in THEOREMS.values() for name in entry["defaults"])
     params = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     report = verify_rows(rows, args.theorem, params, where=str(args.results))
     out = report.to_json()
     if args.out:
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(out + "\n")
+        with written(args.out) as fh:
+            fh.write(out + "\n")
     print(out)
     print(f"{args.theorem}: {'PASS' if report.verdict else 'FAIL'}")
     return 0 if report.verdict else 1
 
 
 def cmd_reproduce(args) -> int:
-    out = _out_dir(args.out)
+    path = _out_dir(args.out) / f"{args.figure}.csv"
+    _out_files(("out", path))
     dataset = reproduce(
         args.figure,
         scale=args.scale,
@@ -161,8 +148,7 @@ def cmd_reproduce(args) -> int:
         jobs=args.jobs,
         master_seed=args.master_seed,
     )
-    path = dataset.write_csv(out / f"{args.figure}.csv")
-    print(path)
+    print(write_rows_csv(dataset.rows, path, dataset.columns))
     return 0
 
 

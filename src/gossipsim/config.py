@@ -20,6 +20,7 @@ from .version import VERSION
 __all__ = [
     "SCHEMA_VERSION",
     "VERSION",
+    "HEADER",
     "ConfigError",
     "SimulationConfig",
     "load_config",
@@ -48,6 +49,8 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+# The versions that lead every run record, result CSV and trace, in order.
+HEADER = {"schema_version": SCHEMA_VERSION, "tool_version": VERSION}
 
 # Protocol identifiers (normative strings used in configs, CSVs, and the CLI).
 RANDOM_PULL = "random-pull"

@@ -25,16 +25,15 @@ from typing import Any
 from .config import (
     FIXED_LISTS,
     HARD,
+    HEADER,
     INTERLEAVE,
     PRIORITY_PUSH,
-    SCHEMA_VERSION,
     SINGLE_SOURCE,
     UNIFORM,
     check_choice,
     check_range,
 )
-from .sweep import aggregate, check_seeds, execute, plan, write_rows_csv
-from .version import VERSION
+from .sweep import aggregate, check_seeds, execute, plan
 
 __all__ = ["FIGURES", "FULL_VIEW", "FigureDataset", "reproduce"]
 
@@ -71,15 +70,12 @@ _COLUMNS = {
 
 @dataclass
 class FigureDataset:
-    """Tidy rows for one figure, ready to plot or write as CSV."""
+    """Tidy rows for one figure, ready to plot or to write with `write_rows_csv`."""
 
     figure: str
     params: dict[str, Any]
     columns: tuple
     rows: list
-
-    def write_csv(self, path):
-        return write_rows_csv(self.rows, path, self.columns)
 
 
 def _interleave_config(n: int, k: int, m) -> dict:
@@ -169,7 +165,7 @@ def reproduce(
         )
     else:
         rows = _profile_rows(label_name, labels, run_rows, seeds)
-    header = {"schema_version": SCHEMA_VERSION, "tool_version": VERSION, "figure": figure}
+    header = {**HEADER, "figure": figure}
     return FigureDataset(
         figure=figure,
         params={"n": n, "k": k, "seeds": seeds, "master_seed": master_seed},

@@ -181,7 +181,9 @@ UNIFORM_CONTACTS = {"contact_model": (UNIFORM,)}
 #   kind     -- "lower" or "upper" on completion slots, or "pair" for a
 #               (coverage fraction, slot window) guarantee
 #   fn       -- the bound, called with one keyword per parameter
-#   summary  -- the theorem in one line, for a reader of the catalog
+#   summary  -- the theorem in one line, for a reader of the catalog; the
+#               "whp" key below, not a "whp" in the summary, decides the
+#               check (thm3 and thm6 read "whp", yet every run must meet them)
 #   params   -- each parameter's kind and range; one without a default is
 #               read from its sweep axis's run column (`sweep.AXIS_FIELDS`)
 #   defaults -- the values `verify` uses for parameters not given

@@ -17,6 +17,7 @@ import math
 import os
 import pickle
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import fmean
@@ -24,7 +25,7 @@ from typing import Any, Mapping
 
 from .config import (
     CONFIG_FIELDS,
-    SCHEMA_VERSION,
+    HEADER,
     ConfigError,
     SimulationConfig,
     check_keys,
@@ -33,7 +34,6 @@ from .config import (
 )
 from .engine import RunResult, run as run_engine
 from .metrics import delay_profile, run_metrics
-from .version import VERSION
 
 __all__ = [
     "AXIS_FIELDS",
@@ -50,6 +50,7 @@ __all__ = [
     "aggregate",
     "run_sweep",
     "write_rows_csv",
+    "written",
     "RUN_COLUMNS",
     "AGGREGATE_COLUMNS",
 ]
@@ -85,10 +86,9 @@ _CELL_KEY = {
     "eta": float,
     "spacing": int,
 }
-_VERSION_COLUMNS = {"schema_version": int, "tool_version": str}
 
 RUN_COLUMNS = {
-    **_VERSION_COLUMNS,
+    **{name: type(value) for name, value in HEADER.items()},
     "run_id": str,
     **_CELL_KEY,
     "seed_index": int,
@@ -103,7 +103,7 @@ RUN_COLUMNS = {
 }
 
 AGGREGATE_COLUMNS = (
-    *_VERSION_COLUMNS,
+    *HEADER,
     *_CELL_KEY,
     "runs",
     "completed_runs",
@@ -217,8 +217,7 @@ def summarize_run(plan: RunPlan, result: RunResult, wall_time: float) -> dict:
     that are run columns, into a result row."""
     cfg = result.config
     return {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": VERSION,
+        **HEADER,
         "run_id": plan.run_id,
         **{name: getattr(cfg, name) for name in _CELL_KEY},
         "seed_index": plan.seed_index,
@@ -314,9 +313,7 @@ def aggregate(rows: list) -> list:
         completions = [
             r["completion_slot"] for r in members if r["completion_slot"] is not None
         ]
-        agg = dict(zip(_CELL_KEY, key))
-        agg["schema_version"] = SCHEMA_VERSION
-        agg["tool_version"] = VERSION
+        agg = {**HEADER, **dict(zip(_CELL_KEY, key))}
         agg["runs"] = len(members)
         agg["completed_runs"] = sum(1 for r in members if r["completed"])
         agg["mean_completion"] = round(fmean(completions), 3) if completions else None
@@ -335,11 +332,26 @@ def run_sweep(spec: SweepSpec, jobs: int = 1):
     return rows, aggregate(rows)
 
 
+@contextmanager
+def written(path: str | Path):
+    """A text file for `path`'s whole content: a hidden file beside it, moved to
+    `path` when the block ends and removed if it raises, leaving any older file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    part = path.with_name(f".{path.name}.{os.getpid()}.part")
+    try:
+        with open(part, "w", newline="") as fh:
+            yield fh
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
 def write_rows_csv(rows: list, path: str | Path, columns) -> Path:
     """Write rows as CSV with the fixed, versioned column set."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with written(path) as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         for row in rows:

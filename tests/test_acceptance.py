@@ -18,8 +18,8 @@ synthetic data of the measured shape, which must pass, and of a shape the
 paper rules out, which must fail.
 
 The run grids of criteria 1 to 6 are planned and run like any sweep, by
-``sweep.plan`` and ``sweep.execute`` on a process pool of one worker per
-CPU.  Each cell's tag seeds its runs, and the result rows come back in plan
+``sweep.plan`` and ``sweep.execute``, which forks one worker per CPU.
+Each cell's tag seeds its runs, and the result rows come back in plan
 order, so every clause sees the same numbers as in a serial run.  Criteria
 1/3 and 2 take their configs from the fig1 and fig3 builders, and
 criterion 2 reads the reach statistic that a sweep records and

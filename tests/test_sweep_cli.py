@@ -962,17 +962,71 @@ def test_an_out_a_file_blocks_fails_before_any_run(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(engine, "step_slot", no_slot)
     blocker = tmp_path / "blocker"
     blocker.write_text("")
+    spec = {"schema_version": 1, "base": {"k": 4, "protocol": g.INTERLEAVE}, "axes": {"n": [8, 16]}}
     if command == "sweep":
-        spec = {"schema_version": 1, "base": {"k": 4, "protocol": g.INTERLEAVE}, "axes": {"n": [8, 16]}}
         argv = ["sweep", "--config", write_yaml(tmp_path / "s.yaml", spec)]
+        names = ["runs.csv", "aggregate.csv"]
     else:
         argv = ["reproduce", "--figure", "fig3", "--scale", "0.04", "--seeds", "1"]
-    before = sorted(tmp_path.iterdir())
-    for out, code in ((blocker, errno.EEXIST), (blocker / "sub", errno.ENOTDIR)):
-        assert main(argv + ["--out", str(out)]) == 2
-        assert capsys.readouterr() == ("", f"error: [Errno {code}] {os.strerror(code)}: '{out}'\n")
-    assert sorted(tmp_path.iterdir()) == before
-    assert blocker.read_text() == ""
+        names = ["fig3.csv"]
+    cases = [
+        (argv + ["--out", str(out)], f"error: [Errno {code}] {os.strerror(code)}: '{out}'")
+        for out, code in ((blocker, errno.EEXIST), (blocker / "sub", errno.ENOTDIR))
+    ]
+    for name in names:  # one result file is a directory
+        out = tmp_path / f"dir-{name}"
+        (out / name).mkdir(parents=True)
+        message = f"error: [Errno {errno.EISDIR}] Is a directory: '{out / name}'"
+        cases.append((argv + ["--out", str(out)], message))
+    if command == "sweep":  # the runs would overwrite the spec they come from
+        (tmp_path / "o").mkdir()
+        config = write_yaml(tmp_path / "o" / "runs.csv", spec)
+        message = f"config error: --config and --out name the same file {config}"
+        cases.append((["sweep", "--config", config, "--out", str(tmp_path / "o")], message))
+    before = {path: path.is_file() and path.read_bytes() for path in tmp_path.rglob("*")}
+    for args, message in cases:
+        assert main(args) == 2, args
+        assert capsys.readouterr() == ("", message + "\n")
+    assert {path: path.is_file() and path.read_bytes() for path in tmp_path.rglob("*")} == before
+
+
+def refuse_replace(src, dst):
+    raise OSError(errno.EIO, "replace refused", str(dst))
+
+
+@pytest.mark.parametrize("command", ["simulate", "simulate-trace", "sweep", "verify", "reproduce"])
+def test_every_command_writes_its_results_through_one_hidden_file(tmp_path, capsys, monkeypatch, command):
+    # a result file is moved into place whole, or not at all
+    spec = {"schema_version": 1, "base": {"k": 4, "protocol": g.RANDOM_PULL}, "axes": {"n": [8]}}
+    sweep_config = write_yaml(tmp_path / "s.yaml", spec)
+    assert main(["sweep", "--config", sweep_config, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "results"
+    argv = {
+        "simulate": ["simulate", "--config", sim_config(tmp_path), "--out", str(out / "run.jsonl")],
+        "sweep": ["sweep", "--config", sweep_config, "--out", str(out)],
+        "verify": ["verify", "--results", str(tmp_path / "runs.csv"), "--theorem", "thm3",
+                   "--out", str(out / "report.json")],
+        "reproduce": ["reproduce", "--figure", "fig3", "--scale", "0.04", "--seeds", "1", "--out", str(out)],
+    }
+    argv["simulate-trace"] = argv["simulate"] + ["--trace", str(out / "trace.csv")]
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    monkeypatch.setattr(os, "replace", refuse_replace)
+    assert main(argv[command]) == 2
+    assert capsys.readouterr().err.startswith(f"error: [Errno {errno.EIO}] replace refused: '{out}")
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+
+def test_a_failed_written_block_leaves_the_older_file(tmp_path):
+    path = tmp_path / "runs.csv"
+    path.write_bytes(b"older\r\n")
+    with pytest.raises(RuntimeError, match="stopped"), sweep.written(path) as fh:
+        fh.write("newer")
+        fh.flush()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f".runs.csv.{os.getpid()}.part", "runs.csv"]
+        raise RuntimeError("stopped")
+    assert path.read_bytes() == b"older\r\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def no_read(*args, **kwargs):
